@@ -2,8 +2,13 @@
 
 The op set is deliberately closed: exactly the operations the pipeline
 composes (matrix product, additions, concat/slice/transpose/reshape,
-row softmax, layer norm, GELU, top-k mean pooling, L2 row normalization,
-pairwise hinge, L1 distance, mean). There is no broadcasting engine.
+row softmax, grouped attention, layer norm, GELU, top-k mean pooling,
+L2 row normalization, pairwise hinge, L1 distance, mean). There is no
+broadcasting engine.
+
+A minibatch is one graph: images (or labels) are stacked row-wise, and
+the ops that must not mix them (attention, top-k pooling) work within
+fixed-size groups of consecutive rows.
 
 Every tensor is verified finite at construction, so a NaN/Inf produced
 anywhere surfaces immediately instead of propagating.
@@ -146,6 +151,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return g @ b.data.T, a.data.T @ g
 
+    if a.shape[0] == 1:
+        # numpy hands a one-row product to gemv, which rounds differently
+        # from the gemm that computes each row of a taller product; going
+        # through gemm keeps every row's value independent of its batch
+        return _result((np.concatenate([a.data, a.data]) @ b.data)[:1], (a, b), vjp)
     return _result(a.data @ b.data, (a, b), vjp)
 
 
@@ -217,6 +227,38 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _result(p, (x,), vjp)
 
 
+def grouped_attention(q: Tensor, k: Tensor, v: Tensor, group: int) -> Tensor:
+    """Scaled dot-product attention softmax(q k^T / sqrt(d_h)) v within each
+    block of `group` consecutive rows: block-diagonal attention over a
+    row-stacked batch of equal-length sequences.
+    """
+    if q.data.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
+        raise ShapeMismatch(f"grouped_attention shapes {q.shape}, {k.shape}, {v.shape}")
+    n, d_h = q.shape
+    if group < 1 or n % group:
+        raise ShapeMismatch(f"{n} rows do not split into groups of {group}")
+    blocks = (n // group, group, d_h)
+    qb, kb, vb = q.data.reshape(blocks), k.data.reshape(blocks), v.data.reshape(blocks)
+    c = 1.0 / np.sqrt(d_h)
+    logits = (qb @ kb.transpose(0, 2, 1)) * c
+    if not np.all(np.isfinite(logits)):
+        raise NonFinite("attention logits hold NaN/Inf values")
+    e = np.exp(logits - logits.max(axis=2, keepdims=True))
+    p = e / e.sum(axis=2, keepdims=True)
+
+    def vjp(g):
+        gb = g.reshape(blocks)
+        dp = gb @ vb.transpose(0, 2, 1)
+        ds = p * (dp - (dp * p).sum(axis=2, keepdims=True)) * c
+        return (
+            (ds @ kb).reshape(n, d_h),
+            (ds.transpose(0, 2, 1) @ qb).reshape(n, d_h),
+            (p.transpose(0, 2, 1) @ gb).reshape(n, d_h),
+        )
+
+    return _result((p @ vb).reshape(n, d_h), (q, k, v), vjp)
+
+
 LAYER_NORM_EPS = 1e-5
 
 
@@ -282,22 +324,30 @@ def topk_mean(v: Tensor, k: int) -> Tensor:
     return _result(v.data[idx].mean(), (v,), vjp)
 
 
-def topk_mean_cols(x: Tensor, k: int) -> Tensor:
-    """Column-wise topk_mean of an n-by-d matrix, returning a d-vector."""
+def topk_mean_cols(x: Tensor, k: int, group: int | None = None) -> Tensor:
+    """Column-wise topk_mean within each block of `group` consecutive rows.
+
+    An (m * group)-by-d matrix gives an m-by-d matrix; without `group` the
+    whole n-by-d matrix is one block and the result is a d-vector.
+    """
     if x.data.ndim != 2:
         raise ShapeMismatch(f"topk_mean_cols needs 2-D, got {x.shape}")
     n, d = x.shape
-    if not 1 <= k <= n:
-        raise KOutOfRange(f"k={k} outside [1, {n}]")
-    idx = _topk_index(x.data, k, axis=0)
-    cols = np.arange(d)
+    size = n if group is None else group
+    if size < 1 or n % size:
+        raise ShapeMismatch(f"{n} rows do not split into groups of {size}")
+    if not 1 <= k <= size:
+        raise KOutOfRange(f"k={k} outside [1, {size}]")
+    blocks = x.data.reshape(n // size, size, d)
+    idx = _topk_index(blocks, k, axis=1)
+    out_shape = (d,) if group is None else (n // size, d)
 
     def vjp(g):
-        out = np.zeros_like(x.data)
-        out[idx, cols] = g / k
-        return (out,)
+        out = np.zeros_like(blocks)
+        np.put_along_axis(out, idx, g.reshape(-1, 1, d) / k, axis=1)
+        return (out.reshape(n, d),)
 
-    return _result(x.data[idx, cols].mean(axis=0), (x,), vjp)
+    return _result(np.take_along_axis(blocks, idx, axis=1).mean(axis=1).reshape(out_shape), (x,), vjp)
 
 
 def mean_all(x: Tensor) -> Tensor:
@@ -307,49 +357,60 @@ def mean_all(x: Tensor) -> Tensor:
 
 
 def l2_normalize(v: Tensor) -> Tensor:
-    """Scale a vector to unit L2 norm."""
-    if v.data.ndim != 1:
-        raise ShapeMismatch(f"l2_normalize needs a vector, got {v.shape}")
-    n = float(np.linalg.norm(v.data))
-    if n < 1e-30:
+    """Scale a vector, or each row of a matrix, to unit L2 norm."""
+    if v.data.ndim not in (1, 2):
+        raise ShapeMismatch(f"l2_normalize needs a vector or matrix, got {v.shape}")
+    n = np.sqrt(np.vecdot(v.data, v.data))[..., None]
+    if n.min() < 1e-30:
         raise NonFinite("cannot normalize a zero vector")
     y = v.data / n
 
     def vjp(g):
-        return ((g - y * (y @ g)) / n,)
+        return ((g - y * np.vecdot(y, g)[..., None]) / n,)
 
     return _result(y, (v,), vjp)
 
 
 def l1_distance(a: Tensor, b: Tensor) -> Tensor:
-    """Sum of absolute elementwise differences; subgradient at ties is 0."""
+    """Sum of absolute differences along the last axis (per row of a
+    matrix, a scalar for vectors); subgradient at ties is 0.
+    """
     if a.shape != b.shape:
         raise ShapeMismatch(f"l1_distance shapes differ: {a.shape} vs {b.shape}")
     s = np.sign(a.data - b.data)
-    return _result(np.abs(a.data - b.data).sum(), (a, b), lambda g: (g * s, -g * s))
+
+    def vjp(g):
+        g = np.asarray(g)[..., None]
+        return g * s, -g * s
+
+    return _result(np.abs(a.data - b.data).sum(axis=-1), (a, b), vjp)
 
 
-def pairwise_hinge(scores: Tensor, pos_idx: np.ndarray, neg_idx: np.ndarray) -> Tensor:
-    """Sum over (p, n) pairs of max(1 + s_n - s_p, 0).
+def pairwise_hinge(scores: Tensor, pos, neg) -> Tensor:
+    """Per row, the sum over (p, n) pairs of max(1 + s_n - s_p, 0).
 
+    `pos` and `neg` select entries of `scores`: index arrays for a score
+    vector, boolean masks shaped like it for a batch of score rows. Pairs
+    never cross rows. A vector gives a scalar, a B-by-d matrix a B-vector.
     Subgradient at the kink is 0: only strictly violated pairs carry
     gradient.
     """
-    if scores.data.ndim != 1:
-        raise ShapeMismatch(f"pairwise_hinge needs a score vector, got {scores.shape}")
-    pos_idx = np.asarray(pos_idx, dtype=np.intp)
-    neg_idx = np.asarray(neg_idx, dtype=np.intp)
+    if scores.data.ndim not in (1, 2):
+        raise ShapeMismatch(f"pairwise_hinge needs score rows, got {scores.shape}")
     s = scores.data
-    margins = 1.0 + s[neg_idx][None, :] - s[pos_idx][:, None]
-    active = margins > 0.0
+    is_pos = np.zeros(s.shape, dtype=bool)
+    is_neg = np.zeros(s.shape, dtype=bool)
+    is_pos[pos] = True
+    is_neg[neg] = True
+    # margins[..., p, n] = 1 + s_n - s_p
+    margins = 1.0 + s[..., None, :] - s[..., :, None]
+    active = is_pos[..., :, None] & is_neg[..., None, :] & (margins > 0.0)
 
     def vjp(g):
-        out = np.zeros_like(s)
-        np.subtract.at(out, pos_idx, g * active.sum(axis=1))
-        np.add.at(out, neg_idx, g * active.sum(axis=0))
-        return (out,)
+        g = np.asarray(g)[..., None]
+        return (g * (active.sum(axis=-2) - active.sum(axis=-1)),)
 
-    return _result(np.where(active, margins, 0.0).sum(), (scores,), vjp)
+    return _result(np.where(active, margins, 0.0).sum(axis=(-2, -1)), (scores,), vjp)
 
 
 # ----------------------------------------------------------------------

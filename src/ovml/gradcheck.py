@@ -17,10 +17,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, finite_difference_check
 from .heads import EmbeddingPair, init_two_stream, score, two_stream
-from .labels import LabelEmbeddingTable
-from .losses import batch_mean, distill_loss, ranking_loss
+from .labels import LabelEmbeddingTable, LabelSplit, PromptState
+from .losses import distill_loss, ranking_loss
+from .model import Model, ModelConfig, encode, live_table, score_image
 from .seeds import substream
 from .text_encoder import init_text_surrogate, text_surrogate_encode
+from .training import stage1_losses, stage2_loss
 from .vit import BackboneOutput, PatchSequence, init_block, init_vit, msa, vit_forward
 
 GAP = 1e-3  # minimum distance from any kink
@@ -98,9 +100,61 @@ def _check_topk_mean(rng):
 
 def _check_topk_mean_cols(rng):
     k = int(rng.integers(1, 4))
-    cols = np.stack([_topk_safe_vector(rng, 5, k) for _ in range(3)], axis=1)
-    x = ad.tensor(cols, requires_grad=True)
+    x = ad.tensor(_topk_safe_groups(rng, 1, 5, 3, k), requires_grad=True)
     return lambda: ad.mean_all(ad.topk_mean_cols(x, k)), [x]
+
+
+def _topk_safe_groups(rng, groups: int, n: int, d: int, k: int) -> np.ndarray:
+    """(groups * n) x d values with safe top-k gaps in every group's columns."""
+    blocks = [np.stack([_topk_safe_vector(rng, n, k) for _ in range(d)], axis=1) for _ in range(groups)]
+    return np.concatenate(blocks, axis=0)
+
+
+def _check_topk_mean_groups(rng):
+    k = int(rng.integers(1, 4))
+    x = ad.tensor(_topk_safe_groups(rng, 2, 5, 4, k), requires_grad=True)
+    return lambda: ad.mean_all(ad.topk_mean_cols(x, k, group=5)), [x]
+
+
+def _check_grouped_attention(rng):
+    q, k, v = _param(rng, 6, 2), _param(rng, 6, 2), _param(rng, 6, 2)
+    w = ad.tensor(rng.normal(0.0, 1.0, (6, 2)))
+    return lambda: _weighted_sum(ad.grouped_attention(q, k, v, 3), w), [q, k, v]
+
+
+def _weighted_sum(x: Tensor, w: Tensor) -> Tensor:
+    """A scalar whose gradient differs per entry of x (unlike a plain mean)."""
+    return ad.mean_all(ad.matmul(ad.reshape(x, (1, x.data.size)), ad.reshape(w, (w.data.size, 1))))
+
+
+def _margins_clear(s: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> bool:
+    """Every selected (positive, negative) pair of every score row has its
+    hinge margin away from the kink.
+    """
+    margins = 1.0 + s[:, None, :] - s[:, :, None]
+    pairs = pos[:, :, None] & neg[:, None, :]
+    return bool(pairs.any()) and np.abs(margins[pairs]).min() > GAP
+
+
+def _random_positives(rng, b: int, d: int) -> np.ndarray:
+    """b x d mask with between 1 and d - 1 positives per row."""
+    while True:
+        pos = rng.random((b, d)) < 0.5
+        count = pos.sum(axis=1)
+        if ((count > 0) & (count < d)).all():
+            return pos
+
+
+def _check_pairwise_hinge(rng):
+    while True:
+        s_data = rng.normal(0.0, 1.5, (5, 8))
+        pos = rng.random((5, 8)) < 0.4
+        neg = ~pos & (rng.random((5, 8)) < 0.8)  # not every non-positive is a negative
+        if _margins_clear(s_data, pos, neg):
+            break
+    s = ad.tensor(s_data, requires_grad=True)
+    w = ad.tensor(rng.normal(0.0, 1.0, 5))
+    return lambda: _weighted_sum(ad.pairwise_hinge(s, pos, neg), w), [s]
 
 
 def _check_linear_ops(rng):
@@ -117,7 +171,7 @@ def _check_linear_ops(rng):
 
 
 def _check_l2_normalize(rng):
-    v = _param(rng, 6)
+    v = _param(rng, 2, 4)
     return lambda: ad.mean_all(ad.l2_normalize(v)), [v]
 
 
@@ -134,7 +188,7 @@ def _check_msa(rng):
 
 def _check_vit_forward(rng):
     params = init_vit(rng, patch_len=4, n_patches=3, width=4, heads=2, depth=1)
-    seq = PatchSequence(ad.tensor(rng.normal(0.0, 1.0, (3, 4))), patch_size=2, channels=1)
+    seq = PatchSequence(ad.tensor(rng.normal(0.0, 1.0, (6, 4))), patch_size=2, channels=1, images=2)
     leaves = list(params.named().values())
     _randomize(leaves, rng)
     def build():
@@ -145,7 +199,7 @@ def _check_vit_forward(rng):
 
 def _check_two_stream(rng):
     params = init_two_stream(rng, width=4, embed_dim=3)
-    o_cls, o_patch = _param(rng, 1, 4), _param(rng, 3, 4)
+    o_cls, o_patch = _param(rng, 2, 4), _param(rng, 6, 4)
     leaves = [o_cls, o_patch, *params.named().values()]
     _randomize(leaves, rng)
     def build():
@@ -159,18 +213,22 @@ def _rows_unit(rng, d, dim):
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
+def _topk_gap(sims: np.ndarray, n: int, k: int) -> float:
+    """Smallest k-th/(k+1)-th gap over the columns of every n-row group."""
+    ranked = -np.sort(-sims.reshape(-1, n, sims.shape[1]), axis=1)
+    return float((ranked[:, k - 1] - ranked[:, k]).min()) if k < n else np.inf
+
+
 def _score_instance(rng, mode: str):
-    """Embeddings + table with comfortable top-k gaps in the local stream."""
-    d, dim, n, k = 4, 5, 6, 2
+    """Two images' embeddings + table with comfortable top-k gaps in the local stream."""
+    b, d, dim, n, k = 2, 4, 4, 4, 2
     table = LabelEmbeddingTable(
         z=ad.tensor(_rows_unit(rng, d, dim)), label_ids=tuple(range(d)), provenance="fixed"
     )
     while True:
-        e_cls = _param(rng, 1, dim)
-        e_patch = _param(rng, n, dim)
-        sims = e_patch.data @ table.matrix().T
-        gaps = np.sort(sims, axis=0)[::-1]
-        if mode == "global" or (gaps[k - 1] - gaps[k]).min() > GAP:
+        e_cls = _param(rng, b, dim)
+        e_patch = _param(rng, b * n, dim)
+        if mode == "global" or _topk_gap(e_patch.data @ table.matrix().T, n, k) > GAP:
             return e_cls, e_patch, table, k
 
 
@@ -183,28 +241,20 @@ def _check_score(rng, _modes=("both", "global", "local")):
     return build, [e_cls, e_patch]
 
 
-def _ranking_instance(rng, d: int):
-    """Score vector and positives with every pair margin away from the hinge."""
-    while True:
-        s = rng.normal(0.0, 1.5, d)
-        n_pos = int(rng.integers(1, d - 1))
-        pos = list(rng.choice(d, n_pos, replace=False))
-        neg = [i for i in range(d) if i not in pos]
-        margins = 1.0 + s[neg][None, :] - s[pos][:, None]
-        if np.abs(margins).min() > GAP:
-            return s, pos
-
-
 def _check_ranking_loss(rng):
-    s_data, pos = _ranking_instance(rng, 6)
+    while True:
+        s_data = rng.normal(0.0, 1.5, (3, 6))
+        pos = _random_positives(rng, 3, 6)
+        if _margins_clear(s_data, pos, ~pos):
+            break
     s = ad.tensor(s_data, requires_grad=True)
     return lambda: ranking_loss(s, pos), [s]
 
 
 def _check_distill_loss(rng):
     while True:
-        a = rng.normal(0.0, 1.0, 5)
-        b = rng.normal(0.0, 1.0, 5)
+        a = rng.normal(0.0, 1.0, (2, 5))
+        b = rng.normal(0.0, 1.0, (2, 5))
         if np.abs(a - b).min() > GAP:
             break
     student = ad.tensor(a, requires_grad=True)
@@ -215,111 +265,88 @@ def _check_text_encode(rng):
     tokens = {i: rng.normal(0.0, 1.0, 6) for i in range(3)}
     surrogate = init_text_surrogate(rng, token_width=6, embed_dim=4, depth=1, heads=2, token_vectors=tokens)
     context = _param(rng, 3, 6)
-    def build():
-        parts = [
-            ad.reshape(text_surrogate_encode(context, surrogate.tokens[i], surrogate), (1, 4))
-            for i in range(3)
-        ]
-        return ad.mean_all(ad.concat(parts, axis=0))
-    return build, [context]
+    rows = surrogate.token_rows(range(3))
+    return lambda: ad.mean_all(text_surrogate_encode(context, rows, surrogate)), [context]
+
+
+def _tiny_model(rng, d: int, dim: int) -> Model:
+    """A width-4, one-block model for 2 x 6 single-channel images (three
+    2 x 2 patches), top-2 pooling, and a trainable prompt over d labels.
+    """
+    tokens = {i: rng.normal(0.0, 1.0, 6) for i in range(d)}
+    return Model(
+        vit=init_vit(rng, patch_len=4, n_patches=3, width=4, heads=2, depth=1),
+        streams=init_two_stream(rng, width=4, embed_dim=dim),
+        prompt=PromptState(context=_param(rng, 2, 6)),
+        surrogate=init_text_surrogate(rng, token_width=6, embed_dim=dim, depth=1, heads=2, token_vectors=tokens),
+        split=LabelSplit(seen=tuple(range(d)), unseen=()),
+        categories={},
+        config=ModelConfig(width=4, heads=2, depth=1, k=2),
+        patch_size=2,
+    )
 
 
 def _check_stage1_loss(rng):
-    """Full per-image pipeline: patches -> backbone -> heads -> rank + distill."""
-    d, dim, k = 3, 3, 2
-    vit = init_vit(rng, patch_len=4, n_patches=3, width=4, heads=2, depth=1)
-    streams = init_two_stream(rng, width=4, embed_dim=dim)
+    """The training step's loss: images -> backbone -> heads -> rank + distill."""
+    d, dim = 3, 3
+    model = _tiny_model(rng, d, dim)
     table = LabelEmbeddingTable(
         z=ad.tensor(_rows_unit(rng, d, dim)), label_ids=tuple(range(d)), provenance="fixed"
     )
-    leaves = list(vit.named().values()) + list(streams.named().values())
-    teacher = rng.normal(0.0, 1.0, dim)
+    leaves = list(model.vit.named().values()) + list(model.streams.named().values())
+    teacher = rng.normal(0.0, 1.0, (2, dim))
     for attempt in range(1000):
         if attempt % 50 == 0:
             _randomize(leaves, rng)
-        seqs = [
-            PatchSequence(ad.tensor(rng.normal(0.0, 1.0, (3, 4))), patch_size=2, channels=1)
-            for _ in range(2)
-        ]
-        positives = [sorted(rng.choice(d, int(rng.integers(1, 3)), replace=False)) for _ in range(2)]
-        def build():
-            rank_terms, dist_terms = [], []
-            for seq, pos in zip(seqs, positives):
-                emb = two_stream(vit_forward(seq, vit), streams)
-                s = score(emb, table, k=k, heads="both")
-                rank_terms.append(ranking_loss(s, list(pos)))
-                dist_terms.append(distill_loss(ad.reshape(emb.e_cls, (dim,)), teacher))
-            return ad.add(batch_mean(rank_terms), ad.scale(batch_mean(dist_terms), 0.7))
-        if _stage1_kink_free(seqs, positives, vit, streams, table, teacher, k):
+        images = rng.normal(0.0, 1.0, (2, 1, 2, 6))
+        positive = _random_positives(rng, 2, d)
+        if _stage1_kink_free(model, images, positive, teacher, table):
+            def build():
+                rank, dist = stage1_losses(model, images, positive, teacher, table)
+                return ad.add(rank, ad.scale(dist, 0.7))
             return build, leaves
     raise RuntimeError("no kink-free instance found for the full pipeline loss")
 
 
-def _stage1_kink_free(seqs, positives, vit, streams, table, teacher, k) -> bool:
-    for seq, pos in zip(seqs, positives):
-        emb = two_stream(vit_forward(seq, vit), streams)
-        sims = emb.e_patch.data @ table.matrix().T
-        gaps = np.sort(sims, axis=0)[::-1]
-        if (gaps[k - 1] - gaps[k]).min() < GAP:
-            return False
-        s = score(emb, table, k=k, heads="both").data
-        neg = [i for i in range(len(s)) if i not in pos]
-        margins = 1.0 + s[neg][None, :] - s[np.asarray(pos)][:, None]
-        if np.abs(margins).min() < GAP:
-            return False
-        if np.abs(emb.e_cls.data.reshape(-1) - teacher).min() < GAP:
-            return False
-    return True
+def _stage1_kink_free(model, images, positive, teacher, table) -> bool:
+    emb = encode(model, images)
+    n = emb.e_patch.shape[0] // emb.e_cls.shape[0]
+    s = score_image(model, emb, table).data
+    return (
+        _topk_gap(emb.e_patch.data @ table.matrix().T, n, model.config.k) > GAP
+        and _margins_clear(s, positive, ~positive)
+        and np.abs(emb.e_cls.data - teacher).min() > GAP
+    )
 
 
 def _check_stage2_loss(rng):
-    """Ranking through a live label table: gradients reach only the context."""
-    d, dim = 3, 4
-    tokens = {i: rng.normal(0.0, 1.0, 6) for i in range(d)}
-    surrogate = init_text_surrogate(rng, token_width=6, embed_dim=dim, depth=1, heads=2, token_vectors=tokens)
-    context = _param(rng, 2, 6)
-    e_patch = rng.normal(0.0, 1.0, (4, dim))
-    e_cls = rng.normal(0.0, 1.0, (1, dim))
-    k = 2
-
-    def table():
-        parts = [
-            ad.reshape(text_surrogate_encode(context, surrogate.tokens[i], surrogate), (1, dim))
-            for i in range(d)
-        ]
-        return LabelEmbeddingTable(z=ad.concat(parts, axis=0), label_ids=tuple(range(d)), provenance="prompt")
-
-    for attempt in range(1000):
-        pos = sorted(rng.choice(d, int(rng.integers(1, d)), replace=False))
-        emb = EmbeddingPair(e_cls=ad.tensor(e_cls), e_patch=ad.tensor(e_patch))
-        t = table()
-        sims = e_patch @ t.matrix().T
-        gaps = np.sort(sims, axis=0)[::-1]
-        s = score(emb, t, k=k, heads="both").data
-        neg = [i for i in range(d) if i not in pos]
-        margins = 1.0 + s[neg][None, :] - s[np.asarray(pos)][:, None] if neg else np.array([[1.0]])
-        if (gaps[k - 1] - gaps[k]).min() > GAP and np.abs(margins).min() > GAP and neg:
-            break
-        if attempt == 500:
-            e_patch = rng.normal(0.0, 1.0, (4, dim))
-            e_cls = rng.normal(0.0, 1.0, (1, dim))
-    else:
-        raise RuntimeError("no kink-free instance found for the prompt-tuning loss")
-
-    def build():
-        t = table()
-        emb = EmbeddingPair(e_cls=ad.tensor(e_cls), e_patch=ad.tensor(e_patch))
-        return ranking_loss(score(emb, t, k=k, heads="both"), list(pos))
-    return build, [context]
+    """The prompt-tuning step's loss: gradients reach only the context."""
+    b, n, d, dim = 2, 4, 3, 4
+    model = _tiny_model(rng, d, dim)
+    table = live_table(model)
+    for _ in range(1000):
+        emb = EmbeddingPair(  # constant, as stage 2's cached embeddings are
+            e_cls=ad.tensor(rng.normal(0.0, 1.0, (b, dim))),
+            e_patch=ad.tensor(rng.normal(0.0, 1.0, (b * n, dim))),
+        )
+        positive = _random_positives(rng, b, d)
+        s = score_image(model, emb, table).data
+        sims = emb.e_patch.data @ table.matrix().T
+        if _topk_gap(sims, n, model.config.k) > GAP and _margins_clear(s, positive, ~positive):
+            return lambda: stage2_loss(model, emb, positive), [model.prompt.context]
+    raise RuntimeError("no kink-free instance found for the prompt-tuning loss")
 
 
 CHECKS = [
     ("matmul", _check_matmul),
     ("softmax_rows", _check_softmax),
+    ("grouped_attention", _check_grouped_attention),
     ("layer_norm", _check_layernorm),
     ("gelu", _check_gelu),
     ("topk_mean", _check_topk_mean),
     ("topk_mean_cols", _check_topk_mean_cols),
+    ("topk_mean_groups", _check_topk_mean_groups),
+    ("pairwise_hinge", _check_pairwise_hinge),
     ("linear_ops", _check_linear_ops),
     ("l2_normalize", _check_l2_normalize),
     ("msa", _check_msa),

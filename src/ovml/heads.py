@@ -1,11 +1,12 @@
 """Two-stream scoring: global class-token embedding plus top-k pooled patch similarities.
 
-Per label i the score is
+Per image and label i the score is
 
     s_i = <z_i, e_cls> + topk_mean([<z_i, e_1>, ..., <z_i, e_N>], k)
 
 with the global or local term dropped in the single-head ablation modes.
 Image-side embeddings are left unnormalized; label rows are unit norm.
+A batch of B images scores as one B x d matrix.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ def init_two_stream(rng: np.random.Generator, width: int, embed_dim: int) -> Two
 
 @dataclass
 class EmbeddingPair:
-    e_cls: Tensor    # 1 x D_e
-    e_patch: Tensor  # N x D_e
+    e_cls: Tensor    # B x D_e, one row per image
+    e_patch: Tensor  # (B * N) x D_e, each image's N rows in turn
 
 
 def two_stream(out: BackboneOutput, params: TwoStreamParams) -> EmbeddingPair:
@@ -77,24 +78,26 @@ def two_stream(out: BackboneOutput, params: TwoStreamParams) -> EmbeddingPair:
 
 
 def score(emb: EmbeddingPair, labels: LabelEmbeddingTable, k: int, heads: str = "both") -> Tensor:
-    """Per-label scores as a length-d tensor in table row order."""
+    """Per-image per-label scores as a B x d tensor, columns in table row order."""
     if heads not in HEAD_MODES:
         raise ValueError(f"heads must be one of {HEAD_MODES}, got {heads!r}")
     if emb.e_cls.shape[1] != labels.z.shape[1]:
         raise ShapeMismatch(
             f"embedding dim {emb.e_cls.shape[1]} vs label dim {labels.z.shape[1]}"
         )
-    n = emb.e_patch.shape[0]
+    b = emb.e_cls.shape[0]
+    if emb.e_patch.shape[0] % b:
+        raise ShapeMismatch(f"{emb.e_patch.shape[0]} patch rows for {b} images")
+    n = emb.e_patch.shape[0] // b
     if heads != "global" and not 1 <= k <= n:
         raise KOutOfRange(f"k={k} outside [1, {n}] patches")
-    d = len(labels.label_ids)
 
+    z_t = ad.transpose(labels.z)
     terms = []
     if heads != "local":
-        terms.append(ad.reshape(ad.matmul(labels.z, ad.transpose(emb.e_cls)), (d,)))
+        terms.append(ad.matmul(emb.e_cls, z_t))
     if heads != "global":
-        sims = ad.matmul(emb.e_patch, ad.transpose(labels.z))  # N x d
-        terms.append(ad.topk_mean_cols(sims, k))
+        terms.append(ad.topk_mean_cols(ad.matmul(emb.e_patch, z_t), k, group=n))  # (B * N) x d -> B x d
     return terms[0] if len(terms) == 1 else ad.add(terms[0], terms[1])
 
 

@@ -88,17 +88,15 @@ def build_label_table(
 ) -> LabelEmbeddingTable:
     """Encode every label through the frozen surrogate with the shared context.
 
-    Rows follow split.seen then split.unseen. The context tensor is shared
-    across rows, so during prompt tuning its gradient accumulates from all
-    labels.
+    Rows follow split.seen then split.unseen, all encoded in one pass. The
+    context tensor is shared across rows, so during prompt tuning its
+    gradient accumulates from all labels.
     """
-    rows = []
-    for lid in split.all_ids:
-        if lid not in surrogate.tokens:
-            raise UnknownLabel(f"no token vector for label {lid}")
-        emb = text_surrogate_encode(prompt.context, surrogate.tokens[lid], surrogate)
-        rows.append(ad.reshape(emb, (1, surrogate.embed_dim)))
-    z = rows[0] if len(rows) == 1 else ad.concat(rows, axis=0)
+    try:
+        tokens = surrogate.token_rows(split.all_ids)
+    except KeyError as e:
+        raise UnknownLabel(f"no token vector for label {e.args[0]}") from None
+    z = text_surrogate_encode(prompt.context, tokens, surrogate)
     return LabelEmbeddingTable(z=z, label_ids=split.all_ids, provenance=provenance)
 
 

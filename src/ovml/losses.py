@@ -1,4 +1,4 @@
-"""Ranking and distillation losses.
+"""Ranking and distillation losses over a batch of images.
 
 Ranking: per image, the hinge max(1 + s_n - s_p, 0) summed over every
 (positive, negative) label pair; a batch averages the per-image sums.
@@ -9,7 +9,6 @@ embedding and the frozen teacher vector; a batch averages again.
 from __future__ import annotations
 
 import warnings
-from typing import Sequence
 
 import numpy as np
 
@@ -21,38 +20,35 @@ class DegenerateImageWarning(UserWarning):
     """An image with no positives or no negatives: it contributes 0 but is counted."""
 
 
-def ranking_loss(scores: Tensor, positive_rows: Sequence[int]) -> Tensor:
-    """Pairwise hinge sum for one image.
+def ranking_loss(scores: Tensor, positive: np.ndarray) -> Tensor:
+    """Mean over images of the pairwise hinge sum.
 
-    `positive_rows` indexes into the score vector (table row order). An
-    empty or all-positive set is degenerate: warn and contribute 0.
+    `scores` is B x d (table row order) and `positive` a boolean B x d
+    mask of each image's positive labels; every other label is a
+    negative. An image with no positives or no negatives is degenerate:
+    warn, and let it contribute 0 to the mean.
     """
-    d = scores.shape[0]
-    pos = np.asarray(sorted(set(int(i) for i in positive_rows)), dtype=np.intp)
-    if pos.size and (pos[0] < 0 or pos[-1] >= d):
-        raise IndexError(f"positive rows {pos} outside score vector of length {d}")
-    if pos.size == 0 or pos.size == d:
+    positive = np.asarray(positive)
+    if positive.dtype != bool or positive.shape != scores.shape:
+        raise ShapeMismatch(f"positive mask {positive.dtype} {positive.shape} vs scores {scores.shape}")
+    n_pos = positive.sum(axis=-1)
+    if np.any((n_pos == 0) | (n_pos == positive.shape[-1])):
         warnings.warn("image has no positive/negative pair", DegenerateImageWarning, stacklevel=2)
-        return ad.tensor(0.0)
-    mask = np.zeros(d, dtype=bool)
-    mask[pos] = True
-    neg = np.flatnonzero(~mask)
-    return ad.pairwise_hinge(scores, pos, neg)
+    return batch_mean(ad.pairwise_hinge(scores, positive, ~positive))
 
 
 def distill_loss(student: Tensor, teacher: np.ndarray | Tensor) -> Tensor:
-    """L1 distance to the frozen teacher embedding; no gradient flows teacher-side."""
+    """Mean over images of the L1 distance between each student row and
+    its frozen teacher row; no gradient flows teacher-side.
+    """
     teacher_t = teacher if isinstance(teacher, Tensor) else ad.tensor(teacher)
     if teacher_t.requires_grad:
         raise ShapeMismatch("teacher embedding must be a frozen leaf")
-    return ad.l1_distance(student, teacher_t)
+    return batch_mean(ad.l1_distance(student, teacher_t))
 
 
-def batch_mean(per_image: Sequence[Tensor]) -> Tensor:
-    """Mean of per-image scalar losses."""
-    if not per_image:
+def batch_mean(per_image: Tensor) -> Tensor:
+    """Mean of a vector of per-image losses (a scalar is one image)."""
+    if per_image.data.size == 0:
         raise ValueError("empty batch")
-    if len(per_image) == 1:
-        return per_image[0]
-    stacked = ad.concat([ad.reshape(t, (1,)) for t in per_image], axis=0)
-    return ad.mean_all(stacked)
+    return ad.mean_all(per_image)

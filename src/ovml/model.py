@@ -98,9 +98,11 @@ def init_model(seed: int, world: SynthWorld, config: ModelConfig | None = None) 
     )
 
 
-def encode(model: Model, image: np.ndarray) -> EmbeddingPair:
-    """Image -> (global, per-patch) embeddings; differentiable end to end."""
-    return two_stream(vit_forward(patchify(image, model.patch_size), model.vit), model.streams)
+def encode(model: Model, images: np.ndarray) -> EmbeddingPair:
+    """A (C, H, W) image or (B, C, H, W) batch -> (global, per-patch)
+    embeddings, one graph for the whole batch; differentiable end to end.
+    """
+    return two_stream(vit_forward(patchify(images, model.patch_size), model.vit), model.streams)
 
 
 def live_table(model: Model, provenance: str = "prompt") -> LabelEmbeddingTable:
@@ -121,13 +123,22 @@ def fixed_table(model: Model, provenance: str = "fixed") -> LabelEmbeddingTable:
 
 
 def score_image(model: Model, emb: EmbeddingPair, table: LabelEmbeddingTable) -> Tensor:
+    """B x d scores of a batch's embeddings under the model's k and head mode."""
     return score(emb, table, k=model.config.k, heads=model.config.head_mode)
 
 
+# Images per graph in score_batch: bounds peak memory whatever the
+# number of images asked for, and fixes the arithmetic of every row.
+SCORE_CHUNK = 16
+
+
 def score_batch(model: Model, images: np.ndarray, table: LabelEmbeddingTable) -> ScoreMatrix:
-    """Evaluation-only scoring; gradients are discarded."""
-    rows = [score_image(model, encode(model, images[i]), table).data for i in range(images.shape[0])]
-    return ScoreMatrix(scores=np.stack(rows), label_ids=table.label_ids)
+    """Evaluation-only scoring, SCORE_CHUNK images per graph; gradients are discarded."""
+    rows = [
+        score_image(model, encode(model, images[start:start + SCORE_CHUNK]), table).data
+        for start in range(0, images.shape[0], SCORE_CHUNK)
+    ]
+    return ScoreMatrix(scores=np.concatenate(rows), label_ids=table.label_ids)
 
 
 # --- checkpoints ---
@@ -166,44 +177,59 @@ def _parse_meta(text: str) -> dict[str, str]:
     return out
 
 
+def _read_checkpoint(directory: Path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    try:
+        return _parse_meta((directory / _META).read_text()), load_checkpoint(directory)
+    except FileNotFoundError as e:
+        raise BadCheckpoint(f"{directory}: {e!r}") from None
+
+
+def _meta_ids(meta: dict[str, str], key: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in meta[key].split())
+
+
+def _table_from(directory: Path, meta: dict[str, str], tensors: dict[str, np.ndarray]) -> LabelEmbeddingTable:
+    try:
+        return LabelEmbeddingTable(
+            z=ad.tensor(tensors["table.z"]),
+            label_ids=_meta_ids(meta, "table_ids"),
+            provenance=meta.get("table_provenance", "fixed"),
+        )
+    except KeyError as e:
+        raise BadCheckpoint(f"{directory}: missing {e}") from None
+    except ValueError as e:  # unparsable ids, a row count off the ids, non-finite rows
+        raise BadCheckpoint(f"{directory}: bad label table: {e}") from None
+
+
 def load_table(directory: str | Path) -> tuple[LabelEmbeddingTable, dict[int, int]]:
     """Table + category map alone; enough for retrieval, no world needed."""
     directory = Path(directory)
-    try:
-        meta = _parse_meta((directory / _META).read_text())
-        z = load_checkpoint(directory)["table.z"]
-    except (FileNotFoundError, KeyError) as e:
-        raise BadCheckpoint(f"{directory}: {e!r}") from None
-    ids = tuple(int(x) for x in meta["table_ids"].split())
-    table = LabelEmbeddingTable(
-        z=ad.tensor(z), label_ids=ids, provenance=meta.get("table_provenance", "fixed")
-    )
-    return table, read_vocabulary(directory / _VOCAB)
+    meta, tensors = _read_checkpoint(directory)
+    return _table_from(directory, meta, tensors), read_vocabulary(directory / _VOCAB)
 
 
 def load_model(directory: str | Path, world: SynthWorld) -> tuple[Model, LabelEmbeddingTable]:
     """Rebuild a model around the world's surrogate and load saved weights."""
     directory = Path(directory)
+    meta, tensors = _read_checkpoint(directory)
     try:
-        meta = _parse_meta((directory / _META).read_text())
-        tensors = load_checkpoint(directory)
-    except FileNotFoundError as e:
-        raise BadCheckpoint(f"{directory}: {e!r}") from None
-    config = ModelConfig(
-        width=int(meta["width"]),
-        heads=int(meta["heads"]),
-        depth=int(meta["depth"]),
-        k=int(meta["k"]),
-        head_mode=meta["head_mode"],
-    )
-    saved_split = LabelSplit(
-        seen=tuple(int(x) for x in meta["seen"].split()),
-        unseen=tuple(int(x) for x in meta["unseen"].split()),
-    )
+        config = ModelConfig(
+            width=int(meta["width"]),
+            heads=int(meta["heads"]),
+            depth=int(meta["depth"]),
+            k=int(meta["k"]),
+            head_mode=meta["head_mode"],
+        )
+        saved_split = LabelSplit(seen=_meta_ids(meta, "seen"), unseen=_meta_ids(meta, "unseen"))
+    except KeyError as e:
+        raise BadCheckpoint(f"{directory}: meta lacks {e}") from None
+    except ValueError as e:
+        raise BadCheckpoint(f"{directory}: bad meta: {e}") from None
     if saved_split != world.split:
         raise BadCheckpoint("checkpoint split disagrees with the dataset's world")
+    table = _table_from(directory, meta, tensors)
     model = init_model(seed=0, world=world, config=config)
-    table_z = tensors.pop("table.z")
+    del tensors["table.z"]
     named = model.named_params()
     if set(named) != set(tensors):
         missing = set(named) ^ set(tensors)
@@ -214,10 +240,6 @@ def load_model(directory: str | Path, world: SynthWorld) -> tuple[Model, LabelEm
         if not np.isfinite(tensors[name]).all():
             raise BadCheckpoint(f"{name}: non-finite values in checkpoint")
         param.data = tensors[name]
-    ids = tuple(int(x) for x in meta["table_ids"].split())
-    table = LabelEmbeddingTable(
-        z=ad.tensor(table_z), label_ids=ids, provenance=meta.get("table_provenance", "fixed")
-    )
     return model, table
 
 

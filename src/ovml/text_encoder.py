@@ -4,7 +4,9 @@ Stands in for a pretrained text tower: a seeded, immutable token-mixing
 transformer over [context vectors..., label token], pooled at the last
 token position, projected into the shared embedding space, and
 L2-normalized. Only the context vectors are ever trainable; every
-surrogate weight stays a non-gradient leaf.
+surrogate weight stays a non-gradient leaf. Any number of labels encode
+in one pass: their M + 1 token sequences are stacked row-wise and
+attention stays within each one.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeMismatch, Tensor
-from .vit import BlockParams, encoder_block, init_block
+from .vit import BlockParams, block_named, encoder_block, init_block, split_rows
 
 
 @dataclass
@@ -35,22 +37,16 @@ class TextSurrogateParams:
     def named(self, prefix: str = "surrogate") -> dict[str, Tensor]:
         out: dict[str, Tensor] = {f"{prefix}.out_proj": self.out_proj}
         for i, blk in enumerate(self.blocks):
-            for h, (q, k, v) in enumerate(zip(blk.wq, blk.wk, blk.wv)):
-                out[f"{prefix}.b{i}.wq{h}"] = q
-                out[f"{prefix}.b{i}.wk{h}"] = k
-                out[f"{prefix}.b{i}.wv{h}"] = v
-            out[f"{prefix}.b{i}.wo"] = blk.wo
-            out[f"{prefix}.b{i}.mlp_w1"] = blk.mlp_w1
-            out[f"{prefix}.b{i}.mlp_b1"] = blk.mlp_b1
-            out[f"{prefix}.b{i}.mlp_w2"] = blk.mlp_w2
-            out[f"{prefix}.b{i}.mlp_b2"] = blk.mlp_b2
-            out[f"{prefix}.b{i}.ln1_gain"] = blk.ln1_gain
-            out[f"{prefix}.b{i}.ln1_bias"] = blk.ln1_bias
-            out[f"{prefix}.b{i}.ln2_gain"] = blk.ln2_gain
-            out[f"{prefix}.b{i}.ln2_bias"] = blk.ln2_bias
+            out.update(block_named(prefix, i, blk))
         for label_id in sorted(self.tokens):
             out[f"{prefix}.token{label_id}"] = self.tokens[label_id]
         return out
+
+    def token_rows(self, label_ids) -> Tensor:
+        """The frozen token vectors of `label_ids` as one matrix, in that
+        order; KeyError names a label without a token.
+        """
+        return ad.tensor(np.stack([self.tokens[lid].data for lid in label_ids]))
 
 
 def init_text_surrogate(
@@ -77,16 +73,23 @@ def init_text_surrogate(
 def text_surrogate_encode(context: Tensor, label_token: Tensor, params: TextSurrogateParams) -> Tensor:
     """Encode [context..., label token] into a unit-norm label embedding.
 
-    Gradients reach only the context rows; all surrogate weights and the
-    token vector are frozen leaves.
+    `label_token` is one (D_t,) token, giving a (D_e,) embedding, or a
+    d x D_t matrix of tokens, giving d x D_e: the d sequences share the
+    context and run as one row-stacked pass. Gradients reach only the
+    context rows; all surrogate weights and the tokens are frozen leaves.
     """
     if context.data.ndim != 2 or context.shape[1] != params.token_width:
         raise ShapeMismatch(f"context shape {context.shape} vs token width {params.token_width}")
-    if label_token.shape != (params.token_width,):
+    if label_token.data.ndim not in (1, 2) or label_token.shape[-1] != params.token_width:
         raise ShapeMismatch(f"label token shape {label_token.shape}")
-    x = ad.concat([context, ad.reshape(label_token, (1, params.token_width))], axis=0)
+    m, width = context.shape
+    tokens = ad.reshape(label_token, (-1, width))
+    d = tokens.shape[0]
+    # one row per label: [context row 1, ..., context row M, label token] flattened
+    shared = ad.matmul(ad.tensor(np.ones((d, 1))), ad.reshape(context, (1, m * width)))
+    x = ad.reshape(ad.concat([shared, tokens], axis=1), (d * (m + 1), width))
     for block in params.blocks:
-        x = encoder_block(x, block)
-    last = ad.slice_rows(x, x.shape[0] - 1, x.shape[0])
-    projected = ad.reshape(ad.matmul(last, params.out_proj), (params.embed_dim,))
-    return ad.l2_normalize(projected)
+        x = encoder_block(x, block, group=m + 1)
+    _, last = split_rows(x, m + 1, m)
+    projected = ad.matmul(last, params.out_proj)
+    return ad.l2_normalize(ad.reshape(projected, label_token.shape[:-1] + (params.embed_dim,)))

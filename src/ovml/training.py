@@ -5,6 +5,7 @@ table, minimizing pairwise ranking loss plus an optional L1 pull of the
 global embedding toward the teacher embedding. Stage 2 freezes the
 image side entirely and tunes only the prompt context, regenerating the
 label table through the frozen surrogate inside every step's graph.
+Each step builds one graph for its whole minibatch.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import NonFinite, Tensor
 from .heads import EmbeddingPair
 from .labels import LabelEmbeddingTable
-from .losses import batch_mean, distill_loss, ranking_loss
+from .losses import distill_loss, ranking_loss
 from .model import Model, encode, fixed_table, live_table, save_model, score_image
 from .optim import AdamW
 from .seeds import substream
@@ -57,9 +58,26 @@ class TrainConfig:
 LogFn = Callable[[dict], None]
 
 
-def _positive_rows(table: LabelEmbeddingTable, positives: tuple[int, ...]) -> list[int]:
-    col = {lid: i for i, lid in enumerate(table.label_ids)}
-    return [col[lid] for lid in positives if lid in col]
+def positive_mask(dataset: Dataset, label_ids: tuple[int, ...]) -> np.ndarray:
+    """Boolean images x labels mask of each image's positives, columns in `label_ids` order."""
+    return dataset.ground_truth(label_ids).y.astype(bool)
+
+
+def stage1_losses(
+    model: Model, images: np.ndarray, positive: np.ndarray, teacher: np.ndarray, table: LabelEmbeddingTable
+) -> tuple[Tensor, Tensor]:
+    """Batch ranking loss against `table` and batch distillation loss of the
+    global embeddings toward `teacher`, from one graph over `images`.
+    """
+    emb = encode(model, images)
+    return ranking_loss(score_image(model, emb, table), positive), distill_loss(emb.e_cls, teacher)
+
+
+def stage2_loss(model: Model, emb: EmbeddingPair, positive: np.ndarray) -> Tensor:
+    """Batch ranking loss of fixed image embeddings against the live label
+    table, so the gradient reaches the prompt context.
+    """
+    return ranking_loss(score_image(model, emb, live_table(model)), positive)
 
 
 def _stage1_params(model: Model, cfg: TrainConfig) -> dict[str, Tensor]:
@@ -97,25 +115,16 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 
 def run_stage1(model: Model, dataset: Dataset, cfg: TrainConfig, seed: int, log: LogFn) -> None:
     table = fixed_table(model)
+    positive = positive_mask(dataset, table.label_ids)
     opt = AdamW(_stage1_params(model, cfg), lr=cfg.lr_stage1, weight_decay=cfg.weight_decay)
     rng = substream(seed, "train.stage1")
-    embed_dim = table.matrix().shape[1]
     step = 0
     for epoch in range(cfg.epochs_stage1):
         for batch in _batches(len(dataset), cfg.batch_size, rng):
             try:
-                rank_terms, dist_terms = [], []
-                for i in batch:
-                    emb = encode(model, dataset.images[i])
-                    scores = score_image(model, emb, table)
-                    rank_terms.append(
-                        ranking_loss(scores, _positive_rows(table, dataset.positives[i]))
-                    )
-                    dist_terms.append(
-                        distill_loss(ad.reshape(emb.e_cls, (embed_dim,)), dataset.teacher[i])
-                    )
-                loss_rank = batch_mean(rank_terms)
-                loss_dist = batch_mean(dist_terms)
+                loss_rank, loss_dist = stage1_losses(
+                    model, dataset.images[batch], positive[batch], dataset.teacher[batch], table
+                )
                 total = _total_loss(loss_rank, loss_dist, cfg.lambda_distill)
                 _check_finite(float(total.data), 1, epoch, step)
                 opt.zero_grad()
@@ -131,20 +140,34 @@ def run_stage1(model: Model, dataset: Dataset, cfg: TrainConfig, seed: int, log:
             step += 1
 
 
-def _frozen_snapshot(model: Model) -> dict[str, np.ndarray]:
+def frozen_params(model: Model) -> dict[str, Tensor]:
+    """Every tensor prompt tuning must leave untouched: backbone, heads, surrogate."""
     frozen = model.vit.named("vit")
     frozen.update(model.streams.named("heads"))
     frozen.update(model.surrogate.named("surrogate"))
-    return {name: t.data.copy() for name, t in frozen.items()}
+    return frozen
+
+
+def _frozen_snapshot(model: Model) -> dict[str, np.ndarray]:
+    return {name: t.data.copy() for name, t in frozen_params(model).items()}
 
 
 def _check_frozen(model: Model, snapshot: dict[str, np.ndarray]) -> None:
-    frozen = model.vit.named("vit")
-    frozen.update(model.streams.named("heads"))
-    frozen.update(model.surrogate.named("surrogate"))
-    for name, t in frozen.items():
+    for name, t in frozen_params(model).items():
         if not np.array_equal(t.data, snapshot[name]):
             raise FrozenViolation(f"{name} changed during prompt tuning")
+
+
+def _embed_all(model: Model, images: np.ndarray, chunk: int) -> tuple[np.ndarray, np.ndarray]:
+    """Constant (global, per-patch) embeddings of every image, `chunk`
+    images per graph so that only one chunk's graph is alive at a time.
+    """
+    e_cls, e_patch = [], []
+    for start in range(0, images.shape[0], chunk):
+        emb = encode(model, images[start:start + chunk])
+        e_cls.append(emb.e_cls.data)
+        e_patch.append(emb.e_patch.data.reshape(emb.e_cls.shape[0], -1, emb.e_cls.shape[1]))
+    return np.concatenate(e_cls), np.concatenate(e_patch)
 
 
 def run_stage2(
@@ -156,19 +179,23 @@ def run_stage2(
     last step, so callers can verify tuning did not hurt.
     """
     snapshot = _frozen_snapshot(model)
-    cached = []
-    for i in range(len(dataset)):
-        emb = encode(model, dataset.images[i])
-        cached.append((emb.e_cls.data.copy(), emb.e_patch.data.copy()))
+    cached_cls, cached_patch = _embed_all(model, dataset.images, cfg.batch_size)
+    positive = positive_mask(dataset, model.split.all_ids)
+
+    def cached(rows) -> EmbeddingPair:
+        return EmbeddingPair(
+            e_cls=ad.tensor(cached_cls[rows]),
+            e_patch=ad.tensor(cached_patch[rows].reshape(-1, cached_patch.shape[2])),
+        )
 
     def full_rank_loss() -> float:
-        table = live_table(model)
-        terms = []
-        for i in range(len(dataset)):
-            emb = EmbeddingPair(e_cls=ad.tensor(cached[i][0]), e_patch=ad.tensor(cached[i][1]))
-            scores = score_image(model, emb, table)
-            terms.append(ranking_loss(scores, _positive_rows(table, dataset.positives[i])))
-        return float(batch_mean(terms).data)
+        table = fixed_table(model)
+        total = 0.0
+        for start in range(0, len(dataset), cfg.batch_size):
+            rows = slice(start, start + cfg.batch_size)
+            scores = score_image(model, cached(rows), table)
+            total += ranking_loss(scores, positive[rows]).item() * scores.shape[0]
+        return total / len(dataset)
 
     start_loss = full_rank_loss()
     opt = AdamW(
@@ -181,17 +208,7 @@ def run_stage2(
     for epoch in range(cfg.epochs_stage2):
         for batch in _batches(len(dataset), cfg.batch_size, rng):
             try:
-                table = live_table(model)
-                rank_terms = []
-                for i in batch:
-                    emb = EmbeddingPair(
-                        e_cls=ad.tensor(cached[i][0]), e_patch=ad.tensor(cached[i][1])
-                    )
-                    scores = score_image(model, emb, table)
-                    rank_terms.append(
-                        ranking_loss(scores, _positive_rows(table, dataset.positives[i]))
-                    )
-                loss_rank = batch_mean(rank_terms)
+                loss_rank = stage2_loss(model, cached(batch), positive[batch])
                 _check_finite(float(loss_rank.data), 2, epoch, step)
                 opt.zero_grad()
                 ad.backward(loss_rank)

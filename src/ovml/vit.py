@@ -4,6 +4,10 @@ Pre-norm residual blocks: the token sequence is [cls, patches] plus a
 position embedding, each block applies multi-head self-attention and a
 two-layer GELU MLP, both on normalized inputs inside the residual
 branch. The final sequence splits into a class row and patch rows.
+
+A batch of B images runs as one graph: the B token sequences are
+stacked row-wise, (B * (1 + N)) x D, and attention stays within each
+image's 1 + N rows. One image is the B = 1 case.
 """
 
 from __future__ import annotations
@@ -22,36 +26,38 @@ class BadPatchSize(ValueError):
 
 @dataclass
 class PatchSequence:
-    """Raster-order flattened patches: n rows of length patch_size**2 * channels."""
+    """Raster-order flattened patches of `images` images, stacked row-wise:
+    images * count rows of length patch_size**2 * channels.
+    """
 
     patches: Tensor
     patch_size: int
     channels: int
+    images: int = 1
 
     @property
     def count(self) -> int:
-        return self.patches.shape[0]
+        """Patches per image."""
+        return self.patches.shape[0] // self.images
 
 
 def patchify(image: np.ndarray, patch_size: int) -> PatchSequence:
-    """Cut a (C, H, W) image into non-overlapping flattened square patches.
+    """Cut a (C, H, W) image, or a (B, C, H, W) batch, into non-overlapping
+    flattened square patches.
 
     Patches are ordered row-major over the patch grid; each patch is
     flattened channel-major (all of channel 0, then channel 1, ...).
+    Images follow one another in batch order.
     """
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 3:
-        raise ShapeMismatch(f"expected (C, H, W) image, got shape {image.shape}")
-    c, h, w = image.shape
+    if image.ndim not in (3, 4):
+        raise ShapeMismatch(f"expected (C, H, W) image or (B, C, H, W) batch, got shape {image.shape}")
+    b, c, h, w = image.reshape((-1,) + image.shape[-3:]).shape
     if patch_size < 1 or h % patch_size or w % patch_size:
         raise BadPatchSize(f"patch size {patch_size} does not tile {h}x{w}")
     gh, gw = h // patch_size, w // patch_size
-    rows = []
-    for i in range(gh):
-        for j in range(gw):
-            block = image[:, i * patch_size:(i + 1) * patch_size, j * patch_size:(j + 1) * patch_size]
-            rows.append(block.reshape(-1))
-    return PatchSequence(ad.tensor(np.stack(rows)), patch_size, c)
+    grid = image.reshape(b, c, gh, patch_size, gw, patch_size).transpose(0, 2, 4, 1, 3, 5)
+    return PatchSequence(ad.tensor(grid.reshape(b * gh * gw, -1)), patch_size, c, images=b)
 
 
 @dataclass
@@ -92,26 +98,33 @@ class VitParams:
             f"{prefix}.pos_embed": self.pos_embed,
         }
         for i, blk in enumerate(self.blocks):
-            for h, (q, k, v) in enumerate(zip(blk.wq, blk.wk, blk.wv)):
-                out[f"{prefix}.b{i}.wq{h}"] = q
-                out[f"{prefix}.b{i}.wk{h}"] = k
-                out[f"{prefix}.b{i}.wv{h}"] = v
-            out[f"{prefix}.b{i}.wo"] = blk.wo
-            out[f"{prefix}.b{i}.mlp_w1"] = blk.mlp_w1
-            out[f"{prefix}.b{i}.mlp_b1"] = blk.mlp_b1
-            out[f"{prefix}.b{i}.mlp_w2"] = blk.mlp_w2
-            out[f"{prefix}.b{i}.mlp_b2"] = blk.mlp_b2
-            out[f"{prefix}.b{i}.ln1_gain"] = blk.ln1_gain
-            out[f"{prefix}.b{i}.ln1_bias"] = blk.ln1_bias
-            out[f"{prefix}.b{i}.ln2_gain"] = blk.ln2_gain
-            out[f"{prefix}.b{i}.ln2_bias"] = blk.ln2_bias
+            out.update(block_named(prefix, i, blk))
         return out
+
+
+def block_named(prefix: str, i: int, block: BlockParams) -> dict[str, Tensor]:
+    """Checkpoint names of block `i`'s tensors, in their fixed order."""
+    out = {}
+    for h, (q, k, v) in enumerate(zip(block.wq, block.wk, block.wv)):
+        out[f"{prefix}.b{i}.wq{h}"] = q
+        out[f"{prefix}.b{i}.wk{h}"] = k
+        out[f"{prefix}.b{i}.wv{h}"] = v
+    out[f"{prefix}.b{i}.wo"] = block.wo
+    out[f"{prefix}.b{i}.mlp_w1"] = block.mlp_w1
+    out[f"{prefix}.b{i}.mlp_b1"] = block.mlp_b1
+    out[f"{prefix}.b{i}.mlp_w2"] = block.mlp_w2
+    out[f"{prefix}.b{i}.mlp_b2"] = block.mlp_b2
+    out[f"{prefix}.b{i}.ln1_gain"] = block.ln1_gain
+    out[f"{prefix}.b{i}.ln1_bias"] = block.ln1_bias
+    out[f"{prefix}.b{i}.ln2_gain"] = block.ln2_gain
+    out[f"{prefix}.b{i}.ln2_bias"] = block.ln2_bias
+    return out
 
 
 @dataclass
 class BackboneOutput:
-    o_cls: Tensor    # 1 x D
-    o_patch: Tensor  # N x D
+    o_cls: Tensor    # B x D, one row per image
+    o_patch: Tensor  # (B * N) x D, each image's N rows in turn
 
 
 INIT_STD = 0.02
@@ -158,16 +171,15 @@ def init_vit(
     )
 
 
-def msa(x: Tensor, block: BlockParams) -> Tensor:
-    """Multi-head self-attention: scaled dot-product per head, concat, project."""
-    d_h = block.wq[0].shape[1]
-    heads = []
-    for wq, wk, wv in zip(block.wq, block.wk, block.wv):
-        q = ad.matmul(x, wq)
-        k = ad.matmul(x, wk)
-        v = ad.matmul(x, wv)
-        att = ad.softmax_rows(ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(d_h)))
-        heads.append(ad.matmul(att, v))
+def msa(x: Tensor, block: BlockParams, group: int | None = None) -> Tensor:
+    """Multi-head self-attention within each block of `group` rows (all
+    rows when None): scaled dot-product per head, concat, project.
+    """
+    group = x.shape[0] if group is None else group
+    heads = [
+        ad.grouped_attention(ad.matmul(x, wq), ad.matmul(x, wk), ad.matmul(x, wv), group)
+        for wq, wk, wv in zip(block.wq, block.wk, block.wv)
+    ]
     merged = heads[0] if len(heads) == 1 else ad.concat(heads, axis=1)
     return ad.matmul(merged, block.wo)
 
@@ -177,9 +189,24 @@ def _mlp(x: Tensor, block: BlockParams) -> Tensor:
     return ad.add_rowvec(ad.matmul(h, block.mlp_w2), block.mlp_b2)
 
 
-def encoder_block(x: Tensor, block: BlockParams) -> Tensor:
-    y = ad.add(x, msa(ad.layer_norm(x, block.ln1_gain, block.ln1_bias), block))
+def encoder_block(x: Tensor, block: BlockParams, group: int | None = None) -> Tensor:
+    y = ad.add(x, msa(ad.layer_norm(x, block.ln1_gain, block.ln1_bias), block, group))
     return ad.add(y, _mlp(ad.layer_norm(y, block.ln2_gain, block.ln2_bias), block))
+
+
+def split_rows(x: Tensor, seq_len: int, first: int) -> tuple[Tensor, Tensor]:
+    """Undo a row-stacking of sequences of `seq_len` rows: each sequence's
+    first `first` rows, then its remaining rows, each still row-stacked.
+    """
+    n, d = x.shape
+    b = n // seq_len
+    cols = ad.transpose(ad.reshape(x, (b, seq_len * d)))  # (seq_len * D) x B
+    head = ad.transpose(ad.slice_rows(cols, 0, first * d))
+    tail = ad.transpose(ad.slice_rows(cols, first * d, seq_len * d))
+    return (
+        ad.reshape(head, (b * first, d)),
+        ad.reshape(tail, (b * (seq_len - first), d)),
+    )
 
 
 def vit_forward(seq: PatchSequence, params: VitParams) -> BackboneOutput:
@@ -191,8 +218,14 @@ def vit_forward(seq: PatchSequence, params: VitParams) -> BackboneOutput:
     n = seq.count
     if params.pos_embed.shape[0] != 1 + n:
         raise ShapeMismatch(f"position table rows {params.pos_embed.shape[0]} != 1 + {n}")
+    b, width = seq.images, params.width
     projected = ad.matmul(seq.patches, params.patch_proj)
-    x = ad.add(ad.concat([params.cls_token, projected], axis=0), params.pos_embed)
+    # one row per image: [cls, patch 1, ..., patch N] flattened
+    cls_rows = ad.matmul(ad.tensor(np.ones((b, 1))), params.cls_token)
+    tokens = ad.concat([cls_rows, ad.reshape(projected, (b, n * width))], axis=1)
+    positioned = ad.add_rowvec(tokens, ad.reshape(params.pos_embed, ((1 + n) * width,)))
+    x = ad.reshape(positioned, (b * (1 + n), width))
     for block in params.blocks:
-        x = encoder_block(x, block)
-    return BackboneOutput(o_cls=ad.slice_rows(x, 0, 1), o_patch=ad.slice_rows(x, 1, 1 + n))
+        x = encoder_block(x, block, group=1 + n)
+    o_cls, o_patch = split_rows(x, 1 + n, 1)
+    return BackboneOutput(o_cls=o_cls, o_patch=o_patch)

@@ -179,10 +179,10 @@ def test_criterion_03_topk_with_full_k_is_mean_pooling():
         t = table_of(z)
         mean_pool = (e_patch @ z.T).mean(axis=0)
         np.testing.assert_allclose(
-            score(emb, t, k=n, heads="local").data, mean_pool, atol=1e-12
+            score(emb, t, k=n, heads="local").data[0], mean_pool, atol=1e-12
         )
         np.testing.assert_allclose(
-            score(emb, t, k=n, heads="both").data, z @ e_cls + mean_pool, atol=1e-12
+            score(emb, t, k=n, heads="both").data[0], z @ e_cls + mean_pool, atol=1e-12
         )
 
 

@@ -4,6 +4,8 @@ Every command runs in-process through main(argv) so the asserted return
 values are exactly the process exit codes.
 """
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from ovml.config import (
     resolved_text,
     write_resolved,
 )
+from ovml.tensor_io import read_tensor, write_tensor
 
 TINY = """
 # quick world for command tests
@@ -214,3 +217,47 @@ def test_seed_and_out_overrides(tmp_path, capsys):
     capsys.readouterr()
     resolved = (tmp_path / "o" / "dataset" / "config.resolved.txt").read_text()
     assert "seed=11" in resolved.splitlines()
+
+
+def _meta_edit(old, new):
+    def edit(ck):
+        meta = ck / "meta.txt"
+        text = meta.read_text()
+        assert old in text
+        meta.write_text(text.replace(old, new))
+    return edit
+
+
+def _table_edit(change):
+    def edit(ck):
+        z = read_tensor(ck / "table.z.mkt1")
+        write_tensor(ck / "table.z.mkt1", change(z.copy()))
+    return edit
+
+
+def _poison(z):
+    z[0, 0] = np.nan
+    return z
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _meta_edit("\nk=3\n", "\n"),
+        _meta_edit("width=16", "width=sixteen"),
+        _meta_edit("head_mode=both", "head_mode=wide"),
+        _table_edit(lambda z: z[:-1]),
+        _table_edit(_poison),
+    ],
+    ids=["meta_missing_key", "meta_non_integer", "meta_bad_head_mode", "table_rows_off_ids", "table_non_finite"],
+)
+def test_checkpoint_faults_exit_three(workspace, tmp_path, capsys, edit):
+    root, _ = workspace
+    ck = tmp_path / "ck"
+    shutil.copytree(root / "out" / "stage2", ck)
+    edit(ck)
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(TINY + f"out_dir={tmp_path}/ev\ndataset_dir={root}/out/dataset\ncheckpoint={ck}\n")
+    assert main(["eval", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation") and err.count("\n") == 1, err

@@ -58,7 +58,7 @@ def test_score_matches_per_label_loop():
     e_patch = rng.normal(0, 1, (6, 5))
     z = rng.normal(0, 1, (4, 5))
     k = 2
-    got = score(pair(e_cls, e_patch), table_of(z), k=k).data
+    got = score(pair(e_cls, e_patch), table_of(z), k=k).data[0]
     for j in range(4):
         sims = np.sort(e_patch @ z[j])[::-1]
         want = z[j] @ e_cls + sims[:k].mean()
@@ -70,7 +70,7 @@ def test_k_equals_patch_count_is_mean_pooling():
     e_patch = rng.normal(0, 1, (9, 5))
     z = rng.normal(0, 1, (6, 5))
     emb = pair(rng.normal(0, 1, 5), e_patch)
-    got = score(emb, table_of(z), k=9, heads="local").data
+    got = score(emb, table_of(z), k=9, heads="local").data[0]
     want = (e_patch @ z.T).mean(axis=0)
     np.testing.assert_allclose(got, want, atol=1e-12)
 
