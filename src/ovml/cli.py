@@ -51,7 +51,7 @@ def _dataset_dir(cfg: RunConfig) -> Path:
 
 def cmd_gen(cfg: RunConfig) -> int:
     root = _dataset_dir(cfg)
-    world = build_world(cfg.n_labels, cfg.seen_fraction, cfg.seed, cfg.synth_config())
+    world = build_world(cfg.n_labels, cfg.seen_fraction, cfg.seed, cfg.synth)
     train_ds = sample(world, cfg.n_train, world.split.seen, cfg.seed, stream="sample.train")
     test_ds = sample(world, cfg.n_test, world.split.all_ids, cfg.seed, stream="sample.test")
     write_dataset(root / "train", train_ds)
@@ -65,9 +65,9 @@ def cmd_gen(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     dataset = read_dataset(_dataset_dir(cfg) / "train")
-    model = init_model(cfg.seed, dataset.world, cfg.model_config())
+    model = init_model(cfg.seed, dataset.world, cfg.model)
     out_dir = Path(cfg.out_dir)
-    paths = train(model, dataset, cfg.train_config(), cfg.seed, out_dir)
+    paths = train(model, dataset, cfg.train, cfg.seed, out_dir)
     write_resolved(cfg, out_dir)
     for stage in ("stage1", "stage2"):
         print(f"{stage} checkpoint {paths[stage]} hash {directory_digest(paths[stage])}")
@@ -123,21 +123,25 @@ def cmd_retrieve(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     """Train and evaluate once per axis value on a shared dataset and seed."""
+    try:  # every sweep value must make valid components before any run starts
+        points = [
+            replace(cfg, train=replace(cfg.train, lambda_distill=float(v))) if cfg.sweep_axis == "lambda"
+            else replace(cfg, model=replace(cfg.model, k=int(v)))
+            for v in cfg.sweep_values
+        ]
+    except ValueError as e:
+        raise ConfigError(f"sweep value: {e}") from None
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    world = build_world(cfg.n_labels, cfg.seen_fraction, cfg.seed, cfg.synth_config())
+    world = build_world(cfg.n_labels, cfg.seen_fraction, cfg.seed, cfg.synth)
     train_ds = sample(world, cfg.n_train, world.split.seen, cfg.seed, stream="sample.train")
     test_ds = sample(world, cfg.n_test, world.split.all_ids, cfg.seed, stream="sample.test")
     k_eval = cfg.k_list[0]
     rows = []
-    for value in cfg.sweep_values:
-        if cfg.sweep_axis == "lambda":
-            cfg_v = replace(cfg, lambda_distill=float(value))
-        else:
-            cfg_v = replace(cfg, k=int(value))
+    for value, cfg_v in zip(cfg.sweep_values, points):
         run_dir = out_dir / f"{cfg.sweep_axis}_{value:g}"
-        model = init_model(cfg_v.seed, world, cfg_v.model_config())
-        paths = train(model, train_ds, cfg_v.train_config(), cfg_v.seed, run_dir)
+        model = init_model(cfg_v.seed, world, cfg_v.model)
+        paths = train(model, train_ds, cfg_v.train, cfg_v.seed, run_dir)
         headline = _eval_into(
             replace(cfg_v, task="both", k_list=(k_eval,)), paths["stage2"], run_dir, test_ds
         )

@@ -1,18 +1,21 @@
 """Flat key=value run configuration.
 
 One file drives every subcommand; unknown keys are rejected so typos
-fail at parse time instead of silently running defaults. Every run
-writes its fully resolved config next to its outputs, and that file
+fail at parse time instead of silently running defaults. The keys are
+the run-level fields of RunConfig plus every field of the SynthConfig,
+ModelConfig and TrainConfig it owns, each with its one default. Every
+run writes its fully resolved config next to its outputs, and that file
 parses back into an identical RunConfig.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .model import ModelConfig
 from .synth import SynthConfig
+from .tensor_io import field_kinds, key_values_text, read_key_values
 from .training import TrainConfig
 
 
@@ -26,6 +29,8 @@ _SWEEP_AXES = ("lambda", "k")
 
 @dataclass
 class RunConfig:
+    """Field order is the order of config.resolved.txt."""
+
     seed: int = 0
     out_dir: str = "runs/out"
     dataset_dir: str = ""
@@ -34,37 +39,12 @@ class RunConfig:
     # world and dataset
     n_labels: int = 20
     seen_fraction: float = 0.8
-    n_categories: int = 4
-    max_labels: int = 3
-    sigma: float = 0.1
-    channels: int = 1
-    image_size: int = 12
-    patch_size: int = 4
-    token_width: int = 16
-    embed_dim: int = 8
-    surrogate_depth: int = 1
-    surrogate_heads: int = 2
-    prompt_length: int = 4
-    token_jitter: float = 0.25
-    background: str = "zero"
+    synth: SynthConfig = field(default_factory=SynthConfig)
     n_train: int = 600
     n_test: int = 200
 
-    # model
-    width: int = 16
-    heads: int = 2
-    depth: int = 2
-    k: int = 3
-    head_mode: str = "both"
-
-    # training
-    lambda_distill: float = 1.0
-    lr_stage1: float = 1e-3
-    lr_stage2: float = 3e-5
-    weight_decay: float = 5e-3
-    epochs_stage1: int = 30
-    epochs_stage2: int = 10
-    batch_size: int = 16
+    model: ModelConfig = field(default_factory=ModelConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
 
     # evaluation and retrieval
     task: str = "both"
@@ -81,63 +61,13 @@ class RunConfig:
         if self.sweep_axis not in _SWEEP_AXES:
             raise ConfigError(f"sweep_axis must be one of {_SWEEP_AXES}")
 
-    def synth_config(self) -> SynthConfig:
-        return SynthConfig(
-            channels=self.channels,
-            image_size=self.image_size,
-            patch_size=self.patch_size,
-            n_categories=self.n_categories,
-            max_labels=self.max_labels,
-            sigma=self.sigma,
-            token_width=self.token_width,
-            embed_dim=self.embed_dim,
-            surrogate_depth=self.surrogate_depth,
-            surrogate_heads=self.surrogate_heads,
-            prompt_length=self.prompt_length,
-            token_jitter=self.token_jitter,
-            background=self.background,
-        )
-
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            width=self.width,
-            heads=self.heads,
-            depth=self.depth,
-            k=self.k,
-            head_mode=self.head_mode,
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            lambda_distill=self.lambda_distill,
-            lr_stage1=self.lr_stage1,
-            lr_stage2=self.lr_stage2,
-            weight_decay=self.weight_decay,
-            epochs_stage1=self.epochs_stage1,
-            epochs_stage2=self.epochs_stage2,
-            batch_size=self.batch_size,
-        )
-
     def tasks(self) -> tuple[str, ...]:
         return ("ZSL", "GZSL") if self.task == "both" else (self.task,)
 
 
-def _convert(name: str, kind: str, raw: str):
-    raw = raw.strip()
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "str":
-            return raw.strip("'\"")
-        if kind.startswith("tuple[int"):
-            return tuple(int(x) for x in raw.replace(",", " ").split())
-        if kind.startswith("tuple[float"):
-            return tuple(float(x) for x in raw.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"key {name!r}: cannot parse {raw!r} as {kind}") from None
-    raise ConfigError(f"key {name!r} has unsupported type {kind}")
+# The component dataclasses RunConfig owns, by field name.
+_PARTS = {"synth": SynthConfig, "model": ModelConfig, "train": TrainConfig}
+_KINDS = {k: v for k, v in field_kinds(RunConfig, *_PARTS.values()).items() if k not in _PARTS}
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -148,39 +78,24 @@ def parse_config(path: str | Path) -> RunConfig:
 
 
 def parse_config_text(text: str) -> RunConfig:
-    kinds = {
-        f.name: (f.type if isinstance(f.type, str) else f.type.__name__) for f in fields(RunConfig)
-    }
-    values = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, raw = line.partition("=")
-        key = key.strip()
-        if not sep or not key:
-            raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-        if key not in kinds:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _convert(key, kinds[key], raw)
+    """Every key is validated here, the components' own checks included."""
     try:
-        return RunConfig(**values)
-    except (ValueError, TypeError) as e:
+        values = read_key_values(text, _KINDS)
+        parts = {
+            name: cls(**{k: values.pop(k) for k in field_kinds(cls) if k in values})
+            for name, cls in _PARTS.items()
+        }
+        return RunConfig(**values, **parts)
+    except ValueError as e:
         raise ConfigError(str(e)) from None
 
 
 def resolved_text(cfg: RunConfig) -> str:
-    lines = []
+    values: dict[str, object] = {}
     for f in fields(RunConfig):
-        v = getattr(cfg, f.name)
-        if isinstance(v, tuple):
-            v = " ".join(repr(x) if isinstance(x, float) else str(x) for x in v)
-        elif isinstance(v, float):
-            v = repr(v)
-        lines.append(f"{f.name}={v}")
-    return "\n".join(lines) + "\n"
+        value = getattr(cfg, f.name)
+        values.update(asdict(value) if f.name in _PARTS else {f.name: value})
+    return key_values_text(values)
 
 
 def write_resolved(cfg: RunConfig, out_dir: str | Path) -> Path:

@@ -11,14 +11,11 @@ A batch of B images scores as one B x d matrix.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from . import tensor_io
 from .autodiff import KOutOfRange, ShapeMismatch, Tensor
 from .labels import LabelEmbeddingTable
 from .vit import BackboneOutput
@@ -36,10 +33,6 @@ class TwoStreamParams:
     local_b1: Tensor  # D
     local_w2: Tensor  # D x D_e
     local_b2: Tensor  # D_e
-
-    @property
-    def embed_dim(self) -> int:
-        return self.global_w.shape[1]
 
     def named(self, prefix: str = "heads") -> dict[str, Tensor]:
         return {
@@ -115,21 +108,3 @@ class ScoreMatrix:
                 f"score matrix {self.scores.shape} vs {len(self.label_ids)} labels"
             )
 
-
-def save_score_matrix(base: str | Path, mat: ScoreMatrix) -> None:
-    """Write base.csv (header of label ids) and a lossless base.mkt1 twin."""
-    base = Path(base)
-    with open(base.with_suffix(".csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow([str(lid) for lid in mat.label_ids])
-        for row in mat.scores:
-            w.writerow([repr(float(v)) for v in row])
-    tensor_io.write_tensor(base.with_suffix(".mkt1"), mat.scores)
-
-
-def load_score_matrix(base: str | Path) -> ScoreMatrix:
-    base = Path(base)
-    with open(base.with_suffix(".csv"), newline="") as f:
-        header = next(csv.reader(f))
-    scores = tensor_io.read_tensor(base.with_suffix(".mkt1"))
-    return ScoreMatrix(scores=scores, label_ids=tuple(int(h) for h in header))

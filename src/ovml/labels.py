@@ -42,11 +42,6 @@ class PromptState:
     """Trainable context rows standing in for the hand-written template words."""
 
     context: Tensor  # M x D_t
-    template_name: str = "scene-context"
-
-    @property
-    def length(self) -> int:
-        return self.context.shape[0]
 
 
 def init_prompt(rng: np.random.Generator, length: int, token_width: int, trainable: bool = False) -> PromptState:

@@ -5,7 +5,7 @@ against, plus checkpoint save/load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +32,15 @@ from .labels import (
 )
 from .seeds import substream
 from .synth import SynthWorld
-from .tensor_io import directory_digest, load_checkpoint, save_checkpoint
+from .tensor_io import (
+    field_kinds,
+    key_values_text,
+    load_checkpoint,
+    read_key_values,
+    save_checkpoint,
+)
 from .text_encoder import TextSurrogateParams
-from .vit import VitParams, init_vit, patchify, vit_forward
+from .vit import VitParams, check_heads, init_vit, patchify, vit_forward
 
 
 class BadCheckpoint(ValueError):
@@ -50,8 +56,9 @@ class ModelConfig:
     head_mode: str = "both"
 
     def __post_init__(self):
+        check_heads(self.width, self.heads)
         if self.head_mode not in HEAD_MODES:
-            raise ValueError(f"head mode must be one of {HEAD_MODES}")
+            raise ValueError(f"head mode must be one of {HEAD_MODES}, got {self.head_mode!r}")
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
 
@@ -145,6 +152,14 @@ def score_batch(model: Model, images: np.ndarray, table: LabelEmbeddingTable) ->
 
 _META = "meta.txt"
 _VOCAB = "vocab.tsv"
+_META_KINDS = {
+    **field_kinds(ModelConfig),
+    "patch_size": "int",
+    "seen": "tuple[int, ...]",
+    "unseen": "tuple[int, ...]",
+    "table_ids": "tuple[int, ...]",
+    "table_provenance": "str",
+}
 
 
 def save_model(directory: str | Path, model: Model, table: LabelEmbeddingTable) -> None:
@@ -152,84 +167,50 @@ def save_model(directory: str | Path, model: Model, table: LabelEmbeddingTable) 
     tensors = {name: t.data for name, t in model.named_params().items()}
     tensors["table.z"] = table.matrix()
     save_checkpoint(directory, tensors)
-    meta = [
-        f"width={model.config.width}",
-        f"heads={model.config.heads}",
-        f"depth={model.config.depth}",
-        f"k={model.config.k}",
-        f"head_mode={model.config.head_mode}",
-        f"patch_size={model.patch_size}",
-        "seen=" + " ".join(str(x) for x in model.split.seen),
-        "unseen=" + " ".join(str(x) for x in model.split.unseen),
-        "table_ids=" + " ".join(str(x) for x in table.label_ids),
-        f"table_provenance={table.provenance}",
-    ]
-    (directory / _META).write_text("\n".join(meta) + "\n")
+    meta = {
+        **asdict(model.config),
+        "patch_size": model.patch_size,
+        "seen": model.split.seen,
+        "unseen": model.split.unseen,
+        "table_ids": table.label_ids,
+        "table_provenance": table.provenance,
+    }
+    (directory / _META).write_text(key_values_text(meta))
     write_vocabulary(directory / _VOCAB, model.categories)
 
 
-def _parse_meta(text: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for line in text.splitlines():
-        if line.strip():
-            key, _, value = line.partition("=")
-            out[key] = value
-    return out
-
-
-def _read_checkpoint(directory: Path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+def _read_checkpoint(directory: Path) -> tuple[dict, dict[str, np.ndarray], LabelEmbeddingTable]:
+    """Meta, parameter tensors and label table of a checkpoint directory."""
     try:
-        return _parse_meta((directory / _META).read_text()), load_checkpoint(directory)
-    except FileNotFoundError as e:
-        raise BadCheckpoint(f"{directory}: {e!r}") from None
-
-
-def _meta_ids(meta: dict[str, str], key: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in meta[key].split())
-
-
-def _table_from(directory: Path, meta: dict[str, str], tensors: dict[str, np.ndarray]) -> LabelEmbeddingTable:
-    try:
-        return LabelEmbeddingTable(
-            z=ad.tensor(tensors["table.z"]),
-            label_ids=_meta_ids(meta, "table_ids"),
-            provenance=meta.get("table_provenance", "fixed"),
-        )
+        meta = read_key_values((directory / _META).read_text(), _META_KINDS, complete=True)
+        tensors = load_checkpoint(directory)
+        z = ad.tensor(tensors.pop("table.z"))
+        return meta, tensors, LabelEmbeddingTable(z, meta["table_ids"], meta["table_provenance"])
     except KeyError as e:
         raise BadCheckpoint(f"{directory}: missing {e}") from None
-    except ValueError as e:  # unparsable ids, a row count off the ids, non-finite rows
-        raise BadCheckpoint(f"{directory}: bad label table: {e}") from None
+    except (OSError, ValueError) as e:  # unreadable files, bad meta, a table off its ids or non-finite
+        raise BadCheckpoint(f"{directory}: {e}") from None
 
 
 def load_table(directory: str | Path) -> tuple[LabelEmbeddingTable, dict[int, int]]:
     """Table + category map alone; enough for retrieval, no world needed."""
     directory = Path(directory)
-    meta, tensors = _read_checkpoint(directory)
-    return _table_from(directory, meta, tensors), read_vocabulary(directory / _VOCAB)
+    _, _, table = _read_checkpoint(directory)
+    return table, read_vocabulary(directory / _VOCAB)
 
 
 def load_model(directory: str | Path, world: SynthWorld) -> tuple[Model, LabelEmbeddingTable]:
     """Rebuild a model around the world's surrogate and load saved weights."""
     directory = Path(directory)
-    meta, tensors = _read_checkpoint(directory)
+    meta, tensors, table = _read_checkpoint(directory)
     try:
-        config = ModelConfig(
-            width=int(meta["width"]),
-            heads=int(meta["heads"]),
-            depth=int(meta["depth"]),
-            k=int(meta["k"]),
-            head_mode=meta["head_mode"],
-        )
-        saved_split = LabelSplit(seen=_meta_ids(meta, "seen"), unseen=_meta_ids(meta, "unseen"))
-    except KeyError as e:
-        raise BadCheckpoint(f"{directory}: meta lacks {e}") from None
+        config = ModelConfig(**{key: meta[key] for key in field_kinds(ModelConfig)})
+        saved_split = LabelSplit(seen=meta["seen"], unseen=meta["unseen"])
     except ValueError as e:
         raise BadCheckpoint(f"{directory}: bad meta: {e}") from None
     if saved_split != world.split:
         raise BadCheckpoint("checkpoint split disagrees with the dataset's world")
-    table = _table_from(directory, meta, tensors)
     model = init_model(seed=0, world=world, config=config)
-    del tensors["table.z"]
     named = model.named_params()
     if set(named) != set(tensors):
         missing = set(named) ^ set(tensors)
@@ -241,7 +222,3 @@ def load_model(directory: str | Path, world: SynthWorld) -> tuple[Model, LabelEm
             raise BadCheckpoint(f"{name}: non-finite values in checkpoint")
         param.data = tensors[name]
     return model, table
-
-
-def checkpoint_hash(directory: str | Path) -> str:
-    return directory_digest(directory)

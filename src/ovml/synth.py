@@ -14,14 +14,13 @@ Construction guarantees that make end-to-end behavior checkable:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .heads import ScoreMatrix
 from .labels import (
-    LabelEmbeddingTable,
     LabelSplit,
     PromptState,
     build_label_table,
@@ -31,9 +30,9 @@ from .labels import (
 )
 from .metrics import GroundTruthMatrix
 from .seeds import substream
-from .tensor_io import read_tensor, write_tensor
+from .tensor_io import field_kinds, file_digests, key_values_text, read_key_values, read_tensor, write_tensor
 from .text_encoder import TextSurrogateParams, init_text_surrogate
-from .vit import patchify
+from .vit import check_heads, patchify
 
 
 class InfeasibleConstraint(ValueError):
@@ -53,12 +52,14 @@ _BACKGROUNDS = ("zero", "noise")
 
 @dataclass(frozen=True)
 class SynthConfig:
-    channels: int = 1
-    image_size: int = 12
-    patch_size: int = 4
+    """Field order is the key order of config.resolved.txt and world/config.txt."""
+
     n_categories: int = 4
     max_labels: int = 3
     sigma: float = 0.1
+    channels: int = 1
+    image_size: int = 12
+    patch_size: int = 4
     token_width: int = 16
     embed_dim: int = 8
     surrogate_depth: int = 1
@@ -68,8 +69,9 @@ class SynthConfig:
     background: str = "zero"
 
     def __post_init__(self):
-        if self.image_size % self.patch_size:
+        if self.patch_size < 1 or self.image_size % self.patch_size:
             raise ValueError(f"patch {self.patch_size} does not tile {self.image_size}")
+        check_heads(self.token_width, self.surrogate_heads, "token_width", "surrogate_heads")
         if self.background not in _BACKGROUNDS:
             raise ValueError(f"background must be one of {_BACKGROUNDS}")
 
@@ -99,9 +101,6 @@ class SynthWorld:
     @property
     def n_labels(self) -> int:
         return len(self.split.all_ids)
-
-    def label_table(self) -> LabelEmbeddingTable:
-        return build_label_table(self.split, self.prompt, self.surrogate, provenance="world")
 
 
 def _pick_split(d: int, seen_fraction: float, n_categories: int) -> tuple[LabelSplit, dict[int, int]]:
@@ -311,39 +310,7 @@ _WORLD_SPLIT = "world/split.txt"
 _MANIFEST = "manifest.txt"
 
 
-def _world_config_text(world: SynthWorld) -> str:
-    lines = [
-        f"seed={world.seed}",
-        f"n_labels={world.n_labels}",
-        f"seen_fraction={world.seen_fraction!r}",
-    ]
-    for f in fields(SynthConfig):
-        lines.append(f"{f.name}={getattr(world.config, f.name)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _parse_world_config(text: str) -> tuple[int, int, float, SynthConfig]:
-    raw: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        raw[key.strip()] = value.strip()
-    try:
-        seed = int(raw.pop("seed"))
-        d = int(raw.pop("n_labels"))
-        seen_fraction = float(raw.pop("seen_fraction"))
-        kwargs = {}
-        for f in fields(SynthConfig):
-            v = raw.pop(f.name)
-            t = f.type if isinstance(f.type, str) else f.type.__name__
-            kwargs[f.name] = v.strip("'\"") if t == "str" else (float(v) if t == "float" else int(v))
-    except KeyError as e:
-        raise DatasetCorrupt(f"world config missing key {e}") from None
-    if raw:
-        raise DatasetCorrupt(f"world config has unknown keys {sorted(raw)}")
-    return seed, d, seen_fraction, SynthConfig(**kwargs)
+_WORLD_KINDS = {"seed": "int", "n_labels": "int", "seen_fraction": "float", **field_kinds(SynthConfig)}
 
 
 def dataset_hash(directory: str | Path) -> str:
@@ -366,7 +333,8 @@ def write_dataset(directory: str | Path, dataset: Dataset) -> str:
         "".join(" ".join(str(lid) for lid in pos) + "\n" for pos in dataset.positives)
     )
     write_vocabulary(directory / _VOCAB, world.categories)
-    (directory / _WORLD_CONFIG).write_text(_world_config_text(world))
+    head = {"seed": world.seed, "n_labels": world.n_labels, "seen_fraction": world.seen_fraction}
+    (directory / _WORLD_CONFIG).write_text(key_values_text({**head, **asdict(world.config)}))
     write_tensor(directory / _WORLD_TOKENS, np.stack([world.tokens[lid] for lid in order]))
     write_tensor(directory / _WORLD_TEACHER, world.w_teacher)
     write_tensor(directory / _WORLD_Z, world.z)
@@ -376,14 +344,7 @@ def write_dataset(directory: str | Path, dataset: Dataset) -> str:
         "unseen\t" + " ".join(str(x) for x in world.split.unseen) + "\n"
     )
 
-    entries = []
-    for rel in sorted(
-        str(p.relative_to(directory)).replace("\\", "/")
-        for p in directory.rglob("*")
-        if p.is_file() and p.name != _MANIFEST
-    ):
-        digest = hashlib.sha256((directory / rel).read_bytes()).hexdigest()
-        entries.append(f"{rel}\t{digest}")
+    entries = [f"{rel}\t{digest}" for rel, digest in file_digests(directory, skip=_MANIFEST).items()]
     (directory / _MANIFEST).write_text("\n".join(entries) + "\n")
     return dataset_hash(directory)
 
@@ -399,35 +360,35 @@ def read_dataset(directory: str | Path, verify: bool = True) -> Dataset:
         # never generated at all: a usage problem, not corruption
         raise FileNotFoundError(f"dataset directory {directory} does not exist")
     try:
-        seed, d, seen_fraction, config = _parse_world_config((directory / _WORLD_CONFIG).read_text())
-    except FileNotFoundError:
-        raise DatasetCorrupt(f"{directory} has no world config") from None
-    world = build_world(d, seen_fraction, seed, config)
+        values = read_key_values((directory / _WORLD_CONFIG).read_text(), _WORLD_KINDS, complete=True)
+        seed, d, seen_fraction = values.pop("seed"), values.pop("n_labels"), values.pop("seen_fraction")
+        world = build_world(d, seen_fraction, seed, SynthConfig(**values))
 
-    if verify:
-        manifest = (directory / _MANIFEST).read_text()
-        for line in manifest.splitlines():
-            rel, _, digest = line.partition("\t")
-            actual = hashlib.sha256((directory / rel).read_bytes()).hexdigest()
-            if actual != digest:
-                raise DatasetCorrupt(f"digest mismatch for {rel}")
-        stored_wt = read_tensor(directory / _WORLD_TEACHER)
-        stored_z = read_tensor(directory / _WORLD_Z)
-        if not (np.array_equal(stored_wt, world.w_teacher) and np.array_equal(stored_z, world.z)):
-            raise DatasetCorrupt("regenerated world disagrees with stored tensors")
-        stored_vocab = read_vocabulary(directory / _VOCAB)
-        if stored_vocab != world.categories:
-            raise DatasetCorrupt("stored vocabulary disagrees with regenerated world")
+        if verify:
+            listed = dict(line.split("\t") for line in (directory / _MANIFEST).read_text().splitlines())
+            actual = file_digests(directory, skip=_MANIFEST)
+            if listed != actual:
+                bad = sorted(rel for rel in listed.keys() | actual.keys() if listed.get(rel) != actual.get(rel))
+                raise DatasetCorrupt(f"files disagree with the manifest: {bad}")
+            stored_wt = read_tensor(directory / _WORLD_TEACHER)
+            stored_z = read_tensor(directory / _WORLD_Z)
+            if not (np.array_equal(stored_wt, world.w_teacher) and np.array_equal(stored_z, world.z)):
+                raise DatasetCorrupt("regenerated world disagrees with stored tensors")
+            stored_vocab = read_vocabulary(directory / _VOCAB)
+            if stored_vocab != world.categories:
+                raise DatasetCorrupt("stored vocabulary disagrees with regenerated world")
 
-    images = read_tensor(directory / _IMAGES)
-    teacher = read_tensor(directory / _TEACHER)
-    positives = [
-        tuple(int(x) for x in line.split())
-        for line in (directory / _POSITIVES).read_text().splitlines()
-    ]
-    if images.shape[0] != teacher.shape[0] or images.shape[0] != len(positives):
-        raise DatasetCorrupt(
-            f"row counts disagree: {images.shape[0]} images, "
-            f"{teacher.shape[0]} teacher rows, {len(positives)} positive lines"
-        )
+        images = read_tensor(directory / _IMAGES)
+        teacher = read_tensor(directory / _TEACHER)
+        positives = [
+            tuple(int(x) for x in line.split())
+            for line in (directory / _POSITIVES).read_text().splitlines()
+        ]
+        if images.shape[0] != teacher.shape[0] or images.shape[0] != len(positives):
+            raise DatasetCorrupt(
+                f"row counts disagree: {images.shape[0]} images, "
+                f"{teacher.shape[0]} teacher rows, {len(positives)} positive lines"
+            )
+    except (OSError, ValueError) as e:  # missing files and unparsable or inconsistent contents
+        raise DatasetCorrupt(f"{directory}: {e}") from None
     return Dataset(images=images, teacher=teacher, positives=positives, world=world)

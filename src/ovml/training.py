@@ -42,8 +42,8 @@ class TrainConfig:
     lr_stage1: float = 1e-3
     lr_stage2: float = 3e-5
     weight_decay: float = 5e-3
-    epochs_stage1: int = 12
-    epochs_stage2: int = 8
+    epochs_stage1: int = 30
+    epochs_stage2: int = 10
     batch_size: int = 16
 
     def __post_init__(self):

@@ -87,10 +87,6 @@ class VitParams:
     def width(self) -> int:
         return self.patch_proj.shape[1]
 
-    @property
-    def heads(self) -> int:
-        return len(self.blocks[0].wq) if self.blocks else 1
-
     def named(self, prefix: str = "vit") -> dict[str, Tensor]:
         out = {
             f"{prefix}.patch_proj": self.patch_proj,
@@ -130,9 +126,16 @@ class BackboneOutput:
 INIT_STD = 0.02
 
 
-def init_block(rng: np.random.Generator, width: int, heads: int, trainable: bool = True) -> BlockParams:
+def check_heads(width: int, heads: int, width_name: str = "width", heads_name: str = "heads") -> None:
+    """Attention needs at least one head and a width the heads split evenly."""
+    if heads < 1:
+        raise ShapeMismatch(f"{heads_name} must be positive, got {heads}")
     if width % heads:
-        raise ShapeMismatch(f"width {width} not divisible by {heads} heads")
+        raise ShapeMismatch(f"{width_name} {width} not divisible by {heads} {heads_name}")
+
+
+def init_block(rng: np.random.Generator, width: int, heads: int, trainable: bool = True) -> BlockParams:
+    check_heads(width, heads)
     d_h = width // heads
 
     def w(*shape):

@@ -22,7 +22,7 @@ from ovml.metrics import GroundTruthMatrix, evaluate, mean_ap, per_class_ap, top
 from ovml.model import ModelConfig, fixed_table, init_model, score_batch
 from ovml.seeds import substream
 from ovml.synth import build_world, sample
-from ovml.training import TrainConfig, run_stage1, run_stage2
+from ovml.training import TrainConfig, frozen_params, run_stage1, run_stage2
 
 from test_heads import pair, table_of
 from test_metrics import brute_force_ap, brute_force_prf, mats
@@ -39,10 +39,7 @@ def _silent(record):
 
 def _param_hashes(model):
     """Digest of every tensor that stage 2 must not touch."""
-    frozen = model.vit.named("vit")
-    frozen.update(model.streams.named("heads"))
-    frozen.update(model.surrogate.named("surrogate"))
-    return {name: hashlib.sha256(t.data.tobytes()).hexdigest() for name, t in frozen.items()}
+    return {name: hashlib.sha256(t.data.tobytes()).hexdigest() for name, t in frozen_params(model).items()}
 
 
 def _report(model, table, test_ds, mode):

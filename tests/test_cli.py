@@ -17,6 +17,7 @@ from ovml.config import (
     resolved_text,
     write_resolved,
 )
+from ovml.synth import SynthConfig
 from ovml.tensor_io import read_tensor, write_tensor
 
 TINY = """
@@ -78,7 +79,7 @@ class TestConfigParsing:
         assert parse_config_text("k_list=1,2 3").k_list == (1, 2, 3)
 
     def test_write_resolved_parses_back(self, tmp_path):
-        cfg = RunConfig(seed=4, k_list=(1, 5), sigma=0.125)
+        cfg = RunConfig(seed=4, k_list=(1, 5), synth=SynthConfig(sigma=0.125))
         path = write_resolved(cfg, tmp_path)
         assert path.name == "config.resolved.txt"
         assert parse_config_text(path.read_text()) == cfg
@@ -196,18 +197,69 @@ def test_divergent_training_exits_two(workspace, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_corrupted_dataset_exits_three(workspace, capsys):
-    root, cfg_path = workspace
-    target = root / "out" / "dataset" / "train" / "teacher.mkt1"
-    raw = bytearray(target.read_bytes())
-    raw[-1] ^= 0xFF
-    target.write_bytes(bytes(raw))
-    try:
-        assert main(["train", "--config", str(cfg_path)]) == 3
-        assert "invariant violation" in capsys.readouterr().err
-    finally:
+def _text_edit(rel, old, new):
+    def edit(directory):
+        path = directory / rel
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+    return edit
+
+
+def _flip_last_byte(rel):
+    def edit(directory):
+        raw = bytearray((directory / rel).read_bytes())
         raw[-1] ^= 0xFF
-        target.write_bytes(bytes(raw))
+        (directory / rel).write_bytes(bytes(raw))
+    return edit
+
+
+def _truncate(rel, length):
+    def edit(directory):
+        (directory / rel).write_bytes((directory / rel).read_bytes()[:length])
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _flip_last_byte("teacher.mkt1"),
+        lambda ds: (ds / "manifest.txt").unlink(),
+        _text_edit("world/config.txt", "sigma=0.1\n", "sigma=fast\n"),
+        lambda ds: (ds / "extra.txt").write_text("not in the manifest\n"),
+    ],
+    ids=["teacher_flipped", "manifest_missing", "world_config_unparsable", "file_not_in_manifest"],
+)
+def test_corrupted_dataset_exits_three(workspace, tmp_path, capsys, edit):
+    root, _ = workspace
+    shutil.copytree(root / "out" / "dataset", tmp_path / "dataset")
+    edit(tmp_path / "dataset" / "train")
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TINY + f"out_dir={tmp_path}/out\ndataset_dir={tmp_path}/dataset\n")
+    assert main(["train", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("train", "heads=0"),
+        ("train", "surrogate_heads=0"),
+        ("train", "head_mode=wide"),
+        ("train", "patch_size=5"),
+        ("train", "background=plaid"),
+        ("sweep", "sweep_axis=k"),  # TINY sweeps over 0.0 and 1.0, and k=0 is invalid
+    ],
+)
+def test_bad_component_value_is_config_error(workspace, tmp_path, capsys, command, line):
+    root, _ = workspace
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY + f"out_dir={tmp_path}/out\ndataset_dir={root}/out/dataset\n{line}\n")
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_and_out_overrides(tmp_path, capsys):
@@ -217,15 +269,6 @@ def test_seed_and_out_overrides(tmp_path, capsys):
     capsys.readouterr()
     resolved = (tmp_path / "o" / "dataset" / "config.resolved.txt").read_text()
     assert "seed=11" in resolved.splitlines()
-
-
-def _meta_edit(old, new):
-    def edit(ck):
-        meta = ck / "meta.txt"
-        text = meta.read_text()
-        assert old in text
-        meta.write_text(text.replace(old, new))
-    return edit
 
 
 def _table_edit(change):
@@ -243,13 +286,21 @@ def _poison(z):
 @pytest.mark.parametrize(
     "edit",
     [
-        _meta_edit("\nk=3\n", "\n"),
-        _meta_edit("width=16", "width=sixteen"),
-        _meta_edit("head_mode=both", "head_mode=wide"),
+        _text_edit("meta.txt", "\nk=3\n", "\n"),
+        _text_edit("meta.txt", "width=16", "width=sixteen"),
+        _text_edit("meta.txt", "head_mode=both", "head_mode=wide"),
+        _text_edit("meta.txt", "heads=2", "heads=0"),
         _table_edit(lambda z: z[:-1]),
         _table_edit(_poison),
+        _truncate("table.z.mkt1", 7),
+        _truncate("table.z.mkt1", 4),
+        _text_edit("manifest.txt", "\t", " "),
     ],
-    ids=["meta_missing_key", "meta_non_integer", "meta_bad_head_mode", "table_rows_off_ids", "table_non_finite"],
+    ids=[
+        "meta_missing_key", "meta_non_integer", "meta_bad_head_mode", "meta_zero_heads",
+        "table_rows_off_ids", "table_non_finite", "tensor_header_7_bytes", "tensor_header_4_bytes",
+        "manifest_line_without_tab",
+    ],
 )
 def test_checkpoint_faults_exit_three(workspace, tmp_path, capsys, edit):
     root, _ = workspace

@@ -7,10 +7,7 @@ from ovml import autodiff as ad
 from ovml.autodiff import KOutOfRange
 from ovml.heads import (
     EmbeddingPair,
-    ScoreMatrix,
     init_two_stream,
-    load_score_matrix,
-    save_score_matrix,
     score,
     two_stream,
 )
@@ -106,17 +103,3 @@ def test_two_stream_shapes_and_structure():
         2 * (emb.e_cls.data - params.global_b.data),
         atol=1e-12,
     )
-
-
-def test_score_matrix_round_trip(tmp_path):
-    rng = substream(4, "test.heads.io")
-    mat = ScoreMatrix(scores=rng.normal(0, 1, (5, 3)), label_ids=(7, 1, 4))
-    base = tmp_path / "scores"
-    save_score_matrix(base, mat)
-    back = load_score_matrix(base)
-    assert back.label_ids == (7, 1, 4)
-    np.testing.assert_array_equal(back.scores, mat.scores)
-    # csv twin carries the same values at full precision
-    rows = (tmp_path / "scores.csv").read_text().strip().splitlines()
-    assert rows[0] == "7,1,4"
-    assert float(rows[1].split(",")[0]) == mat.scores[0, 0]

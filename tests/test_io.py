@@ -66,6 +66,15 @@ def test_truncated_payload_rejected(tmp_path):
         read_tensor(p)
 
 
+@pytest.mark.parametrize("length", [4, 7])
+def test_truncated_header_rejected(tmp_path, length):
+    p = tmp_path / "x.mkt1"
+    write_tensor(p, np.ones((3, 3)))
+    p.write_bytes(p.read_bytes()[:length])
+    with pytest.raises(BadTensorFile, match="header"):
+        read_tensor(p)
+
+
 def test_trailing_garbage_rejected(tmp_path):
     p = tmp_path / "x.mkt1"
     write_tensor(p, np.ones(2))

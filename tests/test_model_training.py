@@ -13,7 +13,6 @@ import pytest
 from ovml.model import (
     BadCheckpoint,
     ModelConfig,
-    checkpoint_hash,
     encode,
     fixed_table,
     init_model,
@@ -24,7 +23,7 @@ from ovml.model import (
     score_batch,
 )
 from ovml.synth import SynthConfig, build_world, sample
-from ovml.tensor_io import load_checkpoint, write_tensor
+from ovml.tensor_io import directory_digest, write_tensor
 from ovml.training import (
     FrozenViolation,
     NonFiniteLoss,
@@ -133,8 +132,8 @@ def test_zero_epoch_training_preserves_initialization(world, dataset, tmp_path):
 
     cfg = TrainConfig(epochs_stage1=0, epochs_stage2=0)
     paths = train(model, dataset, cfg, seed=2, out_dir=tmp_path / "run")
-    assert checkpoint_hash(paths["stage1"]) == checkpoint_hash(tmp_path / "init_fixed")
-    assert checkpoint_hash(paths["stage2"]) == checkpoint_hash(tmp_path / "init_tuned")
+    assert directory_digest(paths["stage1"]) == directory_digest(tmp_path / "init_fixed")
+    assert directory_digest(paths["stage2"]) == directory_digest(tmp_path / "init_tuned")
 
 
 def test_lambda_zero_ignores_the_teacher(world, dataset):
@@ -239,9 +238,9 @@ def test_train_writes_deterministic_artifacts(world, dataset, tmp_path):
     assert (tmp_path / "a" / "train_log.jsonl").read_bytes() == (
         tmp_path / "b" / "train_log.jsonl"
     ).read_bytes()
-    assert checkpoint_hash(p1["stage1"]) == checkpoint_hash(p2["stage1"])
-    assert checkpoint_hash(p1["stage2"]) == checkpoint_hash(p2["stage2"])
-    assert checkpoint_hash(p1["stage1"]) != checkpoint_hash(p1["stage2"])
+    assert directory_digest(p1["stage1"]) == directory_digest(p2["stage1"])
+    assert directory_digest(p1["stage2"]) == directory_digest(p2["stage2"])
+    assert directory_digest(p1["stage1"]) != directory_digest(p1["stage2"])
 
     records = [json.loads(line) for line in (tmp_path / "a" / "train_log.jsonl").read_text().splitlines()]
     stages = {r["stage"] for r in records}

@@ -8,7 +8,9 @@ import pytest
 from ovml import autodiff as ad
 from ovml import vit
 from ovml.autodiff import ShapeMismatch
+from ovml.model import ModelConfig
 from ovml.seeds import substream
+from ovml.synth import SynthConfig
 from ovml.vit import BadPatchSize, PatchSequence, init_vit, msa, patchify, vit_forward
 
 
@@ -40,6 +42,23 @@ def test_patchify_rejects_non_tiling_sizes():
             patchify(img, p)
     with pytest.raises(ShapeMismatch):
         patchify(np.zeros((4, 4)), 2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: vit.init_block(substream(0, "test.vit.heads"), width=8, heads=0),
+        lambda: vit.init_block(substream(0, "test.vit.heads"), width=8, heads=3),
+        lambda: ModelConfig(heads=0),
+        lambda: ModelConfig(width=16, heads=3),
+        lambda: SynthConfig(surrogate_heads=0),
+        lambda: SynthConfig(token_width=16, surrogate_heads=3),
+    ],
+    ids=["block_zero", "block_indivisible", "model_zero", "model_indivisible", "synth_zero", "synth_indivisible"],
+)
+def test_head_counts_validated(make):
+    with pytest.raises(ShapeMismatch, match="heads"):
+        make()
 
 
 def test_depth_zero_is_projection_plus_positions():
