@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,14 +63,14 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _vjp=None):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFinite("tensor holds NaN/Inf values")
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._id = next(_ids)
         self._parents: tuple[Tensor, ...] = _parents
-        self._vjp: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = _vjp
+        self._vjp: Callable[[np.ndarray], tuple[np.ndarray | None, ...]] | None = _vjp
         self._spent = False
 
     @property
@@ -92,13 +93,13 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
     return Tensor(data, requires_grad=requires_grad)
 
 
+_requires_grad = operator.attrgetter("requires_grad")
+
+
 def _result(data, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    needs = any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=needs)
-    if needs:
-        out._parents = parents
-        out._vjp = vjp
-    return out
+    if any(map(_requires_grad, parents)):
+        return Tensor(data, True, parents, vjp)
+    return Tensor(data)
 
 
 def backward(loss: Tensor) -> None:
@@ -131,7 +132,7 @@ def backward(loss: Tensor) -> None:
             t.grad = g.copy() if t.grad is None else t.grad + g
             continue
         for parent, pg in zip(t._parents, t._vjp(g)):
-            if not parent.requires_grad:
+            if pg is None or not parent.requires_grad:
                 continue
             acc = grads.get(id(parent))
             grads[id(parent)] = pg if acc is None else acc + pg
@@ -149,7 +150,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatch(f"matmul inner dims differ: {a.shape} @ {b.shape}")
 
     def vjp(g):
-        return g @ b.data.T, a.data.T @ g
+        # no gradient for a constant operand (input patches, a fixed label table)
+        return (g @ b.data.T if a.requires_grad else None, a.data.T @ g if b.requires_grad else None)
 
     if a.shape[0] == 1:
         # numpy hands a one-row product to gemv, which rounds differently
@@ -262,6 +264,11 @@ def grouped_attention(q: Tensor, k: Tensor, v: Tensor, group: int) -> Tensor:
 LAYER_NORM_EPS = 1e-5
 
 
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    # what a.mean(axis=1, keepdims=True) computes, without its Python-level wrapper
+    return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row to zero mean / unit variance, then affine."""
     if x.data.ndim != 2:
@@ -269,9 +276,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     d = x.shape[1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeMismatch(f"layer_norm affine shapes {gain.shape}/{bias.shape} for width {d}")
-    mu = x.data.mean(axis=1, keepdims=True)
+    mu = _row_mean(x.data)
     xc = x.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    var = _row_mean(xc * xc)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
 
@@ -279,8 +286,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         dxhat = g * gain.data
         dx = inv * (
             dxhat
-            - dxhat.mean(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+            - _row_mean(dxhat)
+            - xhat * _row_mean(dxhat * xhat)
         )
         return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
 

@@ -12,6 +12,10 @@ class AdamW:
 
     Decay is decoupled: w <- w - lr*wd*w alongside the bias-corrected
     moment update. With a zero gradient one step reduces to pure decay.
+
+    The moments live in two flat buffers, one slot per parameter entry in
+    dict order, so a step is one elementwise update over every parameter;
+    each parameter's data then becomes its slice of the new flat weights.
     """
 
     def __init__(
@@ -28,27 +32,34 @@ class AdamW:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.step_count = 0
-        self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        size = sum(p.data.size for p in self.params.values())
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
 
     def step(self) -> None:
+        for name, p in self.params.items():
+            if p.grad is None:
+                raise MissingGrad(f"no gradient on {name}")
+        params = self.params.values()
+        g = np.concatenate([p.grad.ravel() for p in params])
+        w = np.concatenate([p.data.ravel() for p in params])
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - self.beta1**t
         c2 = 1.0 - self.beta2**t
-        for name, p in self.params.items():
-            if p.grad is None:
-                raise MissingGrad(f"no gradient on {name}")
-            g = p.grad
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
-            p.data = p.data - self.lr * update - self.lr * self.weight_decay * p.data
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        update = (m / c1) / (np.sqrt(v / c2) + self.eps)
+        w = w - self.lr * update - self.lr * self.weight_decay * w
+        start = 0
+        for p in params:
+            stop = start + p.data.size
+            p.data = w[start:stop].reshape(p.data.shape)
+            start = stop
