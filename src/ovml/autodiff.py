@@ -300,7 +300,8 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(x: Tensor) -> Tensor:
     """Elementwise tanh-form GELU."""
     d = x.data
-    t = np.tanh(_GELU_C * (d + 0.044715 * d**3))
+    # d * d * d, not d**3: numpy sends a float power to the generic pow
+    t = np.tanh(_GELU_C * (d + 0.044715 * (d * d * d)))
 
     def vjp(g):
         du = _GELU_C * (1.0 + 3 * 0.044715 * d * d)
