@@ -60,6 +60,8 @@ class RunConfig:
             raise ConfigError(f"task must be one of {_TASKS}, got {self.task!r}")
         if self.sweep_axis not in _SWEEP_AXES:
             raise ConfigError(f"sweep_axis must be one of {_SWEEP_AXES}")
+        if not self.k_list or min(self.k_list) < 1:
+            raise ConfigError(f"k_list must hold positive values, got {self.k_list}")
 
     def tasks(self) -> tuple[str, ...]:
         return ("ZSL", "GZSL") if self.task == "both" else (self.task,)

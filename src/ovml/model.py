@@ -5,6 +5,7 @@ against, plus checkpoint save/load.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -56,6 +57,10 @@ class ModelConfig:
     head_mode: str = "both"
 
     def __post_init__(self):
+        if self.width < 1:
+            raise ValueError(f"width must be positive, got {self.width}")
+        if self.depth < 0:
+            raise ValueError(f"depth cannot be negative, got {self.depth}")
         check_heads(self.width, self.heads)
         if self.head_mode not in HEAD_MODES:
             raise ValueError(f"head mode must be one of {HEAD_MODES}, got {self.head_mode!r}")
@@ -179,35 +184,41 @@ def save_model(directory: str | Path, model: Model, table: LabelEmbeddingTable) 
     write_vocabulary(directory / _VOCAB, model.categories)
 
 
+@contextmanager
+def _checkpoint_errors(directory: Path):
+    """Turn every failure to read a checkpoint's files into BadCheckpoint."""
+    try:
+        yield
+    except KeyError as e:
+        raise BadCheckpoint(f"{directory}: missing {e}") from None
+    except (OSError, ValueError) as e:  # unreadable files, bad meta or vocab, a table off its ids or non-finite
+        raise BadCheckpoint(f"{directory}: {e}") from None
+
+
 def _read_checkpoint(directory: Path) -> tuple[dict, dict[str, np.ndarray], LabelEmbeddingTable]:
     """Meta, parameter tensors and label table of a checkpoint directory."""
-    try:
+    with _checkpoint_errors(directory):
         meta = read_key_values((directory / _META).read_text(), _META_KINDS, complete=True)
         tensors = load_checkpoint(directory)
         z = ad.tensor(tensors.pop("table.z"))
         return meta, tensors, LabelEmbeddingTable(z, meta["table_ids"], meta["table_provenance"])
-    except KeyError as e:
-        raise BadCheckpoint(f"{directory}: missing {e}") from None
-    except (OSError, ValueError) as e:  # unreadable files, bad meta, a table off its ids or non-finite
-        raise BadCheckpoint(f"{directory}: {e}") from None
 
 
 def load_table(directory: str | Path) -> tuple[LabelEmbeddingTable, dict[int, int]]:
     """Table + category map alone; enough for retrieval, no world needed."""
     directory = Path(directory)
     _, _, table = _read_checkpoint(directory)
-    return table, read_vocabulary(directory / _VOCAB)
+    with _checkpoint_errors(directory):
+        return table, read_vocabulary(directory / _VOCAB)
 
 
 def load_model(directory: str | Path, world: SynthWorld) -> tuple[Model, LabelEmbeddingTable]:
     """Rebuild a model around the world's surrogate and load saved weights."""
     directory = Path(directory)
     meta, tensors, table = _read_checkpoint(directory)
-    try:
+    with _checkpoint_errors(directory):
         config = ModelConfig(**{key: meta[key] for key in field_kinds(ModelConfig)})
         saved_split = LabelSplit(seen=meta["seen"], unseen=meta["unseen"])
-    except ValueError as e:
-        raise BadCheckpoint(f"{directory}: bad meta: {e}") from None
     if saved_split != world.split:
         raise BadCheckpoint("checkpoint split disagrees with the dataset's world")
     model = init_model(seed=0, world=world, config=config)

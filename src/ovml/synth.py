@@ -48,6 +48,7 @@ class DatasetCorrupt(ValueError):
 
 
 _BACKGROUNDS = ("zero", "noise")
+_POSITIVE_SIZES = ("n_categories", "max_labels", "channels", "image_size", "token_width", "embed_dim", "prompt_length")
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,11 @@ class SynthConfig:
     background: str = "zero"
 
     def __post_init__(self):
+        for name in _POSITIVE_SIZES:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.surrogate_depth < 0:
+            raise ValueError(f"surrogate_depth cannot be negative, got {self.surrogate_depth}")
         if self.patch_size < 1 or self.image_size % self.patch_size:
             raise ValueError(f"patch {self.patch_size} does not tile {self.image_size}")
         check_heads(self.token_width, self.surrogate_heads, "token_width", "surrogate_heads")

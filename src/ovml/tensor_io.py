@@ -5,7 +5,8 @@ Tensor file layout: magic "MKT1" (4 bytes), u8 rank, rank u64
 little-endian extents, then the row-major IEEE-754 f64 payload.
 
 A checkpoint is a directory holding one tensor file per parameter plus
-a manifest: text lines "name<TAB>filename".
+a manifest: text lines "name<TAB>filename", each filename a plain name
+inside the directory.
 
 Key=value text: one `key=value` per line, `#` comments and blank lines
 skipped. Each key's type is a dataclass field's declared type: int,
@@ -150,5 +151,7 @@ def load_checkpoint(directory: str | Path) -> dict[str, np.ndarray]:
         if len(entry) != 2:
             raise BadTensorFile(f"{directory / MANIFEST} line {lineno}: expected name<TAB>filename")
         name, fname = entry
+        if fname in ("", "..") or Path(fname).name != fname:
+            raise BadTensorFile(f"{directory / MANIFEST} line {lineno}: {fname!r} names no file of the directory")
         out[name] = read_tensor(directory / fname)
     return out

@@ -41,11 +41,46 @@ def test_matmul_rejects_bad_shapes():
         ad.matmul(ad.tensor(np.ones(3)), ad.tensor(np.ones((3, 2))))
 
 
-def test_nonfinite_rejected_at_construction():
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)], ids=["0d", "1d", "2d"])
+def test_nonfinite_rejected_at_construction(bad, shape):
+    data = np.ones(shape)
+    data[(0,) * len(shape)] = bad
     with pytest.raises(NonFinite):
-        ad.tensor([1.0, np.inf])
+        ad.tensor(data)
     with pytest.raises(NonFinite):
-        ad.tensor(np.nan)
+        ad.tensor(data, requires_grad=True)
+
+
+def test_nonfinite_rejected_at_the_op_that_overflows():
+    big = ad.tensor([[1.7e308, 1.0]], requires_grad=True)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFinite):
+            ad.scale(big, 1e200)
+        with pytest.raises(NonFinite):
+            ad.matmul(big, ad.tensor([[1e200], [0.0]]))
+        with pytest.raises(NonFinite):
+            ad.add(big, big)
+
+
+@pytest.mark.parametrize("constant", ["left", "right"])
+def test_matmul_constant_operand_gets_no_gradient(constant):
+    rng = rng_for("matmul_const")
+    a0, b0 = rng.normal(0, 1, (3, 4)), rng.normal(0, 1, (4, 2))
+
+    def grads(a_grad, b_grad):
+        a, b = ad.tensor(a0, requires_grad=a_grad), ad.tensor(b0, requires_grad=b_grad)
+        ad.backward(ad.mean_all(ad.gelu(ad.matmul(a, b))))
+        return a.grad, b.grad
+
+    both = grads(True, True)
+    a_grad, b_grad = grads(constant == "right", constant == "left")
+    if constant == "left":
+        assert a_grad is None
+        np.testing.assert_array_equal(b_grad, both[1])
+    else:
+        assert b_grad is None
+        np.testing.assert_array_equal(a_grad, both[0])
 
 
 def test_backward_requires_scalar():
@@ -95,6 +130,22 @@ def test_layer_norm_standardizes_rows():
     out = ad.layer_norm(x, ad.tensor(np.ones(8)), ad.tensor(np.zeros(8)))
     np.testing.assert_allclose(out.data.mean(axis=1), 0.0, atol=1e-12)
     np.testing.assert_allclose(out.data.var(axis=1), 1.0, atol=1e-4)  # eps shifts variance slightly
+
+
+def test_layer_norm_matches_plain_numpy_bit_for_bit():
+    rng = rng_for("ln_exact")
+    x, gain, bias = rng.normal(1.0, 2.0, (5, 8)), rng.normal(1, 0.1, 8), rng.normal(0, 0.1, 8)
+    xt = ad.tensor(x, requires_grad=True)
+    out = ad.layer_norm(xt, ad.tensor(gain), ad.tensor(bias))
+    mu = x.mean(axis=1, keepdims=True)
+    xc = x - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + ad.LAYER_NORM_EPS)
+    xhat = xc * inv
+    np.testing.assert_array_equal(out.data, xhat * gain + bias)
+    ad.backward(ad.mean_all(out))
+    dxhat = np.full(x.shape, 1.0 / x.size) * gain
+    want = inv * (dxhat - dxhat.mean(axis=1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
+    np.testing.assert_array_equal(xt.grad, want)
 
 
 def test_gelu_reference_points():

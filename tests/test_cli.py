@@ -250,6 +250,12 @@ def test_corrupted_dataset_exits_three(workspace, tmp_path, capsys, edit):
         ("train", "patch_size=5"),
         ("train", "background=plaid"),
         ("sweep", "sweep_axis=k"),  # TINY sweeps over 0.0 and 1.0, and k=0 is invalid
+        ("gen", "max_labels=0"),
+        ("gen", "n_categories=0"),
+        ("gen", "embed_dim=0"),
+        ("gen", "prompt_length=0"),
+        ("train", "depth=-1"),
+        ("sweep", "k_list="),
     ],
 )
 def test_bad_component_value_is_config_error(workspace, tmp_path, capsys, command, line):
@@ -283,6 +289,14 @@ def _poison(z):
     return z
 
 
+def _entry_elsewhere(target):
+    """Point one manifest entry at a readable copy of its file outside the checkpoint."""
+    def edit(ck):
+        shutil.copytree(ck, ck.parent / f"{ck.name}-other")
+        _text_edit("manifest.txt", "heads.global_b\theads.global_b.mkt1", f"heads.global_b\t{target(ck)}")(ck)
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -295,11 +309,13 @@ def _poison(z):
         _truncate("table.z.mkt1", 7),
         _truncate("table.z.mkt1", 4),
         _text_edit("manifest.txt", "\t", " "),
+        _entry_elsewhere(lambda ck: f"../{ck.name}-other/heads.global_b.mkt1"),
+        _entry_elsewhere(lambda ck: f"{ck.parent}/{ck.name}-other/heads.global_b.mkt1"),
     ],
     ids=[
         "meta_missing_key", "meta_non_integer", "meta_bad_head_mode", "meta_zero_heads",
         "table_rows_off_ids", "table_non_finite", "tensor_header_7_bytes", "tensor_header_4_bytes",
-        "manifest_line_without_tab",
+        "manifest_line_without_tab", "manifest_entry_in_parent_dir", "manifest_entry_absolute",
     ],
 )
 def test_checkpoint_faults_exit_three(workspace, tmp_path, capsys, edit):
@@ -310,5 +326,22 @@ def test_checkpoint_faults_exit_three(workspace, tmp_path, capsys, edit):
     cfg = tmp_path / "eval.cfg"
     cfg.write_text(TINY + f"out_dir={tmp_path}/ev\ndataset_dir={root}/out/dataset\ncheckpoint={ck}\n")
     assert main(["eval", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_text_edit("vocab.tsv", "\t", " "), lambda ck: (ck / "vocab.tsv").unlink()],
+    ids=["vocab_line_without_tab", "vocab_missing"],
+)
+def test_retrieve_checkpoint_faults_exit_three(workspace, tmp_path, capsys, edit):
+    root, _ = workspace
+    ck = tmp_path / "ck"
+    shutil.copytree(root / "out" / "stage1", ck)
+    edit(ck)
+    cfg = tmp_path / "ret.cfg"
+    cfg.write_text(TINY + f"out_dir={tmp_path}/ret\ncheckpoint={ck}\n")
+    assert main(["retrieve", "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("invariant violation") and err.count("\n") == 1, err

@@ -59,6 +59,68 @@ def test_five_steps_match_numpy_recurrence_on_quadratic():
         np.testing.assert_allclose(p.data, w, atol=1e-12)
 
 
+def _per_tensor_adamw(ws, grads, steps, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
+    """The update tensor by tensor, as a reference for the flat one."""
+    ws = [w.copy() for w in ws]
+    ms = [np.zeros_like(w) for w in ws]
+    vs = [np.zeros_like(w) for w in ws]
+    for t in range(1, steps + 1):
+        c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+        for i, g in enumerate(grads[t - 1]):
+            ms[i] *= b1
+            ms[i] += (1.0 - b1) * g
+            vs[i] *= b2
+            vs[i] += (1.0 - b2) * g * g
+            update = (ms[i] / c1) / (np.sqrt(vs[i] / c2) + eps)
+            ws[i] = ws[i] - lr * update - lr * wd * ws[i]
+    return ws
+
+
+def test_flat_update_equals_per_tensor_formula_bit_for_bit():
+    rng = substream(0, "test.optim.flat")
+    shapes = [(), (3,), (2, 4), (1, 5), (4, 1)]
+    w0 = [rng.normal(0, 1, s) for s in shapes]
+    steps = 4
+    grads = [[rng.normal(0, 1, s) for s in shapes] for _ in range(steps)]
+    params = {f"p{i}": ad.tensor(w.copy(), requires_grad=True) for i, w in enumerate(w0)}
+    opt = AdamW(params, lr=0.01, weight_decay=0.05)
+    for t in range(steps):
+        for p, g in zip(params.values(), grads[t]):
+            p.grad = g.copy()
+        opt.step()
+        want = _per_tensor_adamw(w0, grads, t + 1, lr=0.01, wd=0.05)
+        for p, w in zip(params.values(), want):
+            assert p.shape == w.shape
+            assert np.array_equal(p.data, w)
+
+
+@pytest.mark.parametrize("missing", [0, 1, 2])
+def test_missing_gradient_changes_nothing(missing):
+    rng = substream(0, "test.optim.missing")
+    w0 = [rng.normal(0, 1, (2, 3)) for _ in range(3)]
+    params = {f"p{i}": ad.tensor(w.copy(), requires_grad=True) for i, w in enumerate(w0)}
+    opt = AdamW(params, lr=0.1, weight_decay=0.01)
+    first = [rng.normal(0, 1, (2, 3)) for _ in range(3)]
+    for p, g in zip(params.values(), first):
+        p.grad = g
+    opt.step()
+    before = {name: p.data.copy() for name, p in params.items()}
+    grads = {name: rng.normal(0, 1, (2, 3)) for name in params}
+    for i, (name, p) in enumerate(params.items()):
+        p.grad = None if i == missing else grads[name]
+    with pytest.raises(MissingGrad, match=f"p{missing}"):
+        opt.step()
+    assert opt.step_count == 1
+    for name, p in params.items():
+        assert np.array_equal(p.data, before[name])
+    # the moments are untouched too: the next full step equals a fresh replay
+    params[f"p{missing}"].grad = grads[f"p{missing}"]
+    opt.step()
+    want = _per_tensor_adamw(w0, [first, list(grads.values())], 2, lr=0.1, wd=0.01)
+    for p, w in zip(params.values(), want):
+        assert np.array_equal(p.data, w)
+
+
 def test_step_without_gradients_raises():
     p = ad.tensor(np.ones(2), requires_grad=True)
     opt = AdamW({"w": p}, lr=0.1)
