@@ -62,6 +62,11 @@ class RunConfig:
             raise ConfigError(f"sweep_axis must be one of {_SWEEP_AXES}")
         if not self.k_list or min(self.k_list) < 1:
             raise ConfigError(f"k_list must hold positive values, got {self.k_list}")
+        for name in ("n_labels", "n_train", "n_test"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0.0 < self.seen_fraction <= 1.0:
+            raise ConfigError(f"seen_fraction {self.seen_fraction} outside (0, 1]")
 
     def tasks(self) -> tuple[str, ...]:
         return ("ZSL", "GZSL") if self.task == "both" else (self.task,)

@@ -48,7 +48,9 @@ class DatasetCorrupt(ValueError):
 
 
 _BACKGROUNDS = ("zero", "noise")
-_POSITIVE_SIZES = ("n_categories", "max_labels", "channels", "image_size", "token_width", "embed_dim", "prompt_length")
+_POSITIVE_SIZES = (
+    "n_categories", "max_labels", "channels", "image_size", "token_width", "embed_dim", "prompt_length",
+)
 
 
 @dataclass(frozen=True)

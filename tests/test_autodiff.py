@@ -41,9 +41,16 @@ def test_matmul_rejects_bad_shapes():
         ad.matmul(ad.tensor(np.ones(3)), ad.tensor(np.ones((3, 2))))
 
 
+def test_nonfinite_rejected_at_construction():
+    with pytest.raises(NonFinite):
+        ad.tensor([1.0, np.inf])
+    with pytest.raises(NonFinite):
+        ad.tensor(np.nan)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 @pytest.mark.parametrize("shape", [(), (3,), (2, 3)], ids=["0d", "1d", "2d"])
-def test_nonfinite_rejected_at_construction(bad, shape):
+def test_nonfinite_rejected_in_any_rank(bad, shape):
     data = np.ones(shape)
     data[(0,) * len(shape)] = bad
     with pytest.raises(NonFinite):
@@ -134,7 +141,7 @@ def test_layer_norm_standardizes_rows():
 
 def test_layer_norm_matches_plain_numpy_bit_for_bit():
     rng = rng_for("ln_exact")
-    x, gain, bias = rng.normal(1.0, 2.0, (5, 8)), rng.normal(1, 0.1, 8), rng.normal(0, 0.1, 8)
+    x, gain, bias = rng.normal(1.0, 2.0, (5, 12)), rng.normal(1, 0.1, 12), rng.normal(0, 0.1, 12)
     xt = ad.tensor(x, requires_grad=True)
     out = ad.layer_norm(xt, ad.tensor(gain), ad.tensor(bias))
     mu = x.mean(axis=1, keepdims=True)

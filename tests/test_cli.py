@@ -256,12 +256,19 @@ def test_corrupted_dataset_exits_three(workspace, tmp_path, capsys, edit):
         ("gen", "prompt_length=0"),
         ("train", "depth=-1"),
         ("sweep", "k_list="),
+        ("gen", "n_labels=0"),
+        ("gen", "seen_fraction=0.0"),
+        ("train", "n_train=0"),
+        ("eval", "n_test=0"),
     ],
 )
 def test_bad_component_value_is_config_error(workspace, tmp_path, capsys, command, line):
     root, _ = workspace
+    key, value = line.split("=")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(TINY + f"out_dir={tmp_path}/out\ndataset_dir={root}/out/dataset\n{line}\n")
+    cfg.write_text(tiny(
+        out_dir=f"{tmp_path}/out", dataset_dir=f"{root}/out/dataset", checkpoint=f"{root}/out/stage2", **{key: value}
+    ))
     assert main([command, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1, err
