@@ -1,14 +1,18 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 The op set is deliberately closed: exactly the operations the pipeline
-composes (matrix product, additions, concat/slice/transpose/reshape,
-row softmax, grouped attention, layer norm, GELU, top-k mean pooling,
-L2 row normalization, pairwise hinge, L1 distance, mean). There is no
-broadcasting engine.
+composes (matrix product, linear layer, additions, concat/row slice/
+transpose/reshape, row softmax, multi-head self-attention, layer norm,
+GELU, top-k mean pooling, L2 row normalization, pairwise hinge, L1
+distance, mean). There is no broadcasting engine.
 
 A minibatch is one graph: images (or labels) are stacked row-wise, and
-the ops that must not mix them (attention, top-k pooling) work within
-fixed-size groups of consecutive rows.
+the ops that must not mix them (attention, top-k pooling, the per-block
+row slice) work within fixed-size groups of consecutive rows.
+
+`linear` and `self_attention` are fused: each is one node that does the
+arithmetic of the matmul / add_rowvec / concat subgraph it stands for,
+in the same order, so results are bit-identical to that composition.
 
 Every tensor is verified finite at construction, so a NaN/Inf produced
 anywhere surfaces immediately instead of propagating.
@@ -143,22 +147,51 @@ def backward(loss: Tensor) -> None:
 # ----------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b for a 2-D a, written into `out` when given."""
+    if a.shape[0] == 1:
+        # numpy hands a one-row product to gemv, which rounds differently
+        # from the gemm that computes each row of a taller product; going
+        # through gemm keeps every row's value independent of its batch
+        row = (np.concatenate([a, a]) @ b)[:1]
+        if out is None:
+            return row
+        out[...] = row
+        return out
+    return np.matmul(a, b, out=out)
+
+
+def _check_product(name: str, a: Tensor, b: Tensor) -> None:
     if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeMismatch(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
+        raise ShapeMismatch(f"{name} needs 2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"matmul inner dims differ: {a.shape} @ {b.shape}")
+        raise ShapeMismatch(f"{name} inner dims differ: {a.shape} @ {b.shape}")
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    _check_product("matmul", a, b)
 
     def vjp(g):
         # no gradient for a constant operand (input patches, a fixed label table)
         return (g @ b.data.T if a.requires_grad else None, a.data.T @ g if b.requires_grad else None)
 
-    if a.shape[0] == 1:
-        # numpy hands a one-row product to gemv, which rounds differently
-        # from the gemm that computes each row of a taller product; going
-        # through gemm keeps every row's value independent of its batch
-        return _result((np.concatenate([a.data, a.data]) @ b.data)[:1], (a, b), vjp)
-    return _result(a.data @ b.data, (a, b), vjp)
+    return _result(_gemm(a.data, b.data), (a, b), vjp)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w plus the vector b on every row: add_rowvec(matmul(x, w), b) as one node."""
+    _check_product("linear", x, w)
+    if b.data.ndim != 1 or b.shape[0] != w.shape[1]:
+        raise ShapeMismatch(f"linear bias {b.shape} for output width {w.shape[1]}")
+
+    def vjp(g):
+        return (
+            g @ w.data.T if x.requires_grad else None,
+            x.data.T @ g if w.requires_grad else None,
+            g.sum(axis=0) if b.requires_grad else None,
+        )
+
+    return _result(_gemm(x.data, w.data) + b.data, (x, w, b), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -203,16 +236,23 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _result(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), vjp)
 
 
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start < stop <= x.shape[0]):
-        raise ShapeMismatch(f"slice_rows [{start}:{stop}] out of {x.shape}")
+def slice_rows(x: Tensor, start: int, stop: int, group: int | None = None) -> Tensor:
+    """Rows start:stop of x, or of each block of `group` consecutive rows,
+    the blocks' slices still row-stacked in block order.
+    """
+    n = x.shape[0]
+    size = n if group is None else group
+    if size < 1 or n % size or not (0 <= start < stop <= size):
+        raise ShapeMismatch(f"slice_rows [{start}:{stop}] of blocks of {size} out of {x.shape}")
+    rest = x.shape[1:]
+    blocks = x.data.reshape((n // size, size) + rest)
 
     def vjp(g):
-        full = np.zeros_like(x.data)
-        full[start:stop] = g
-        return (full,)
+        full = np.zeros_like(blocks)
+        full[:, start:stop] = g.reshape((n // size, stop - start) + rest)
+        return (full.reshape(x.shape),)
 
-    return _result(x.data[start:stop].copy(), (x,), vjp)
+    return _result(blocks[:, start:stop].copy().reshape((-1,) + rest), (x,), vjp)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -229,36 +269,73 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _result(p, (x,), vjp)
 
 
-def grouped_attention(q: Tensor, k: Tensor, v: Tensor, group: int) -> Tensor:
-    """Scaled dot-product attention softmax(q k^T / sqrt(d_h)) v within each
-    block of `group` consecutive rows: block-diagonal attention over a
-    row-stacked batch of equal-length sequences.
+def _last_axis_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=-1, keepdims=True); numpy reduces a short last axis row by
+    row, so this reduces a transposed copy instead (a max is exact either way).
     """
-    if q.data.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
-        raise ShapeMismatch(f"grouped_attention shapes {q.shape}, {k.shape}, {v.shape}")
-    n, d_h = q.shape
+    rows = a.reshape(-1, a.shape[-1])
+    return np.maximum.reduce(np.ascontiguousarray(rows.T), axis=0).reshape(a.shape[:-1] + (1,))
+
+
+def self_attention(
+    x: Tensor, wq: Sequence[Tensor], wk: Sequence[Tensor], wv: Sequence[Tensor], group: int
+) -> Tensor:
+    """Multi-head scaled dot-product self-attention within each block of
+    `group` consecutive rows: block-diagonal attention over a row-stacked
+    batch of equal-length sequences.
+
+    Head h computes softmax(q k^T / sqrt(d_h)) v from q = x @ wq[h],
+    k = x @ wk[h], v = x @ wv[h]; the heads' outputs are concatenated
+    column-wise. Each head keeps its own products (one gemm per weight),
+    and x's gradient sums head H-1's v, k, q terms first, then head H-2's,
+    and so on: the order a backward through the per-head graph uses.
+    """
+    heads = len(wq)
+    if x.data.ndim != 2 or heads < 1 or len(wk) != heads or len(wv) != heads:
+        raise ShapeMismatch(f"self_attention over {x.shape} with {len(wq)}/{len(wk)}/{len(wv)} head weights")
+    n, width = x.shape
+    d_h = wq[0].shape[-1]
+    weights = (*wq, *wk, *wv)
+    for w in weights:
+        if w.shape != (width, d_h):
+            raise ShapeMismatch(f"self_attention head weight {w.shape} for input {x.shape}")
     if group < 1 or n % group:
         raise ShapeMismatch(f"{n} rows do not split into groups of {group}")
-    blocks = (n // group, group, d_h)
-    qb, kb, vb = q.data.reshape(blocks), k.data.reshape(blocks), v.data.reshape(blocks)
+    m = n // group
     c = 1.0 / np.sqrt(d_h)
-    logits = (qb @ kb.transpose(0, 2, 1)) * c
-    if not np.all(np.isfinite(logits)):
+    products = np.empty((3 * heads, n, d_h))
+    for w, buf in zip(weights, products):
+        _gemm(x.data, w.data, out=buf)
+    # (heads, m, group, d_h) each: every head's sequences stacked; the
+    # matrix products below still run once per head and sequence
+    q, k, v = products.reshape(3, heads, m, group, d_h)
+    logits = (q @ k.swapaxes(2, 3)) * c
+    if not np.isfinite(logits).all():
         raise NonFinite("attention logits hold NaN/Inf values")
-    e = np.exp(logits - logits.max(axis=2, keepdims=True))
-    p = e / e.sum(axis=2, keepdims=True)
+    e = np.exp(logits - _last_axis_max(logits))
+    p = e / e.sum(axis=3, keepdims=True)
+    # heads side by side in each row: the column-wise concat of their outputs
+    out = (p @ v).transpose(1, 2, 0, 3).reshape(n, heads * d_h)
 
     def vjp(g):
-        gb = g.reshape(blocks)
-        dp = gb @ vb.transpose(0, 2, 1)
-        ds = p * (dp - (dp * p).sum(axis=2, keepdims=True)) * c
-        return (
-            (ds @ kb).reshape(n, d_h),
-            (ds.transpose(0, 2, 1) @ qb).reshape(n, d_h),
-            (p.transpose(0, 2, 1) @ gb).reshape(n, d_h),
-        )
+        gb = g.reshape(m, group, heads, d_h).transpose(2, 0, 1, 3)
+        dp = gb @ v.swapaxes(2, 3)
+        ds = p * (dp - (dp * p).sum(axis=3, keepdims=True)) * c
+        d_products = (ds @ k, ds.swapaxes(2, 3) @ q, p.swapaxes(2, 3) @ gb)
+        gx = None
+        gw = [None] * len(weights)
+        for h in reversed(range(heads)):
+            for role in (2, 1, 0):  # v, k, q
+                d = d_products[role][h].reshape(n, d_h)
+                w = weights[role * heads + h]
+                if x.requires_grad:
+                    term = d @ w.data.T
+                    gx = term if gx is None else gx + term
+                if w.requires_grad:
+                    gw[role * heads + h] = x.data.T @ d
+        return (gx, *gw)
 
-    return _result((p @ vb).reshape(n, d_h), (q, k, v), vjp)
+    return _result(out, (x, *weights), vjp)
 
 
 LAYER_NORM_EPS = 1e-5

@@ -123,6 +123,8 @@ def cmd_retrieve(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     """Train and evaluate once per axis value on a shared dataset and seed."""
+    if not cfg.sweep_values:
+        raise ConfigError("sweep_values is empty: a sweep needs at least one value")
     try:  # every sweep value must make valid components before any run starts
         points = [
             replace(cfg, train=replace(cfg.train, lambda_distill=float(v))) if cfg.sweep_axis == "lambda"

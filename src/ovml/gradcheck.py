@@ -116,10 +116,12 @@ def _check_topk_mean_groups(rng):
     return lambda: ad.mean_all(ad.topk_mean_cols(x, k, group=5)), [x]
 
 
-def _check_grouped_attention(rng):
-    q, k, v = _param(rng, 6, 2), _param(rng, 6, 2), _param(rng, 6, 2)
-    w = ad.tensor(rng.normal(0.0, 1.0, (6, 2)))
-    return lambda: _weighted_sum(ad.grouped_attention(q, k, v, 3), w), [q, k, v]
+def _check_self_attention(rng):
+    """Two heads of width 2 over two 3-row sequences of width 4."""
+    x = _param(rng, 6, 4)
+    wq, wk, wv = ([_param(rng, 4, 2) for _ in range(2)] for _ in range(3))
+    w = ad.tensor(rng.normal(0.0, 1.0, (6, 4)))
+    return lambda: _weighted_sum(ad.self_attention(x, wq, wk, wv, 3), w), [x, *wq, *wk, *wv]
 
 
 def _weighted_sum(x: Tensor, w: Tensor) -> Tensor:
@@ -158,16 +160,21 @@ def _check_pairwise_hinge(rng):
 
 
 def _check_linear_ops(rng):
-    """concat / slice / transpose / reshape / add / add_rowvec / scale in one chain."""
+    """concat / slice / transpose / reshape / add / add_rowvec / linear /
+    scale in one chain, with a row slice per block of rows.
+    """
     a, b, c = _param(rng, 3, 4), _param(rng, 2, 4), _param(rng, 4)
+    w, bias = _param(rng, 4, 4), _param(rng, 4)
     def build():
-        joined = ad.concat([a, b], axis=0)           # 5 x 4
+        joined = ad.concat([a, b], axis=0)             # 5 x 4
         shifted = ad.add_rowvec(joined, c)
-        cut = ad.slice_rows(shifted, 1, 4)           # 3 x 4
-        flipped = ad.transpose(cut)                  # 4 x 3
-        flat = ad.reshape(flipped, (2, 6))
+        cut = ad.slice_rows(shifted, 1, 5)             # 4 x 4
+        mapped = ad.linear(cut, w, bias)
+        inner = ad.slice_rows(mapped, 1, 2, group=2)   # row 1 of each pair, 2 x 4
+        flipped = ad.transpose(inner)                  # 4 x 2
+        flat = ad.reshape(flipped, (2, 4))
         return ad.mean_all(ad.scale(ad.add(flat, flat), 0.5))
-    return build, [a, b, c]
+    return build, [a, b, c, w, bias]
 
 
 def _check_l2_normalize(rng):
@@ -340,7 +347,7 @@ def _check_stage2_loss(rng):
 CHECKS = [
     ("matmul", _check_matmul),
     ("softmax_rows", _check_softmax),
-    ("grouped_attention", _check_grouped_attention),
+    ("self_attention", _check_self_attention),
     ("layer_norm", _check_layernorm),
     ("gelu", _check_gelu),
     ("topk_mean", _check_topk_mean),

@@ -64,9 +64,9 @@ class EmbeddingPair:
 
 def two_stream(out: BackboneOutput, params: TwoStreamParams) -> EmbeddingPair:
     """Map the class row through the global head and every patch row through the local head."""
-    e_cls = ad.add_rowvec(ad.matmul(out.o_cls, params.global_w), params.global_b)
-    hidden = ad.gelu(ad.add_rowvec(ad.matmul(out.o_patch, params.local_w1), params.local_b1))
-    e_patch = ad.add_rowvec(ad.matmul(hidden, params.local_w2), params.local_b2)
+    e_cls = ad.linear(out.o_cls, params.global_w, params.global_b)
+    hidden = ad.gelu(ad.linear(out.o_patch, params.local_w1, params.local_b1))
+    e_patch = ad.linear(hidden, params.local_w2, params.local_b2)
     return EmbeddingPair(e_cls=e_cls, e_patch=e_patch)
 
 

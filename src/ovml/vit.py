@@ -179,17 +179,13 @@ def msa(x: Tensor, block: BlockParams, group: int | None = None) -> Tensor:
     rows when None): scaled dot-product per head, concat, project.
     """
     group = x.shape[0] if group is None else group
-    heads = [
-        ad.grouped_attention(ad.matmul(x, wq), ad.matmul(x, wk), ad.matmul(x, wv), group)
-        for wq, wk, wv in zip(block.wq, block.wk, block.wv)
-    ]
-    merged = heads[0] if len(heads) == 1 else ad.concat(heads, axis=1)
+    merged = ad.self_attention(x, block.wq, block.wk, block.wv, group)
     return ad.matmul(merged, block.wo)
 
 
 def _mlp(x: Tensor, block: BlockParams) -> Tensor:
-    h = ad.gelu(ad.add_rowvec(ad.matmul(x, block.mlp_w1), block.mlp_b1))
-    return ad.add_rowvec(ad.matmul(h, block.mlp_w2), block.mlp_b2)
+    h = ad.gelu(ad.linear(x, block.mlp_w1, block.mlp_b1))
+    return ad.linear(h, block.mlp_w2, block.mlp_b2)
 
 
 def encoder_block(x: Tensor, block: BlockParams, group: int | None = None) -> Tensor:
@@ -201,15 +197,7 @@ def split_rows(x: Tensor, seq_len: int, first: int) -> tuple[Tensor, Tensor]:
     """Undo a row-stacking of sequences of `seq_len` rows: each sequence's
     first `first` rows, then its remaining rows, each still row-stacked.
     """
-    n, d = x.shape
-    b = n // seq_len
-    cols = ad.transpose(ad.reshape(x, (b, seq_len * d)))  # (seq_len * D) x B
-    head = ad.transpose(ad.slice_rows(cols, 0, first * d))
-    tail = ad.transpose(ad.slice_rows(cols, first * d, seq_len * d))
-    return (
-        ad.reshape(head, (b * first, d)),
-        ad.reshape(tail, (b * (seq_len - first), d)),
-    )
+    return ad.slice_rows(x, 0, first, group=seq_len), ad.slice_rows(x, first, seq_len, group=seq_len)
 
 
 def vit_forward(seq: PatchSequence, params: VitParams) -> BackboneOutput:

@@ -70,6 +70,59 @@ def test_nonfinite_rejected_at_the_op_that_overflows():
             ad.add(big, big)
 
 
+@pytest.mark.parametrize("target", ["logits", "values"])
+def test_nonfinite_rejected_by_the_attention_op(target):
+    # an overflowing q/k product trips the logits check, an overflowing v the output check
+    x = ad.tensor(np.full((4, 2), 1e200), requires_grad=True)
+    small, big = ad.tensor(np.full((2, 2), 0.5)), ad.tensor(np.full((2, 2), 1e200))
+    wqk, wv = (big, small) if target == "logits" else (small, big)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFinite):
+            ad.self_attention(x, [wqk], [wqk], [wv], group=2)
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_linear_equals_matmul_plus_rowvec_bit_for_bit(rows):
+    rng = rng_for(f"linear{rows}")
+    x0, w0, b0 = rng.normal(0, 1, (rows, 5)), rng.normal(0, 1, (5, 3)), rng.normal(0, 1, 3)
+
+    def run(layer):
+        x, w, b = (ad.tensor(a, requires_grad=True) for a in (x0, w0, b0))
+        out = layer(x, w, b)
+        ad.backward(ad.mean_all(ad.gelu(out)))  # a gradient that differs per entry
+        return out.data, x.grad, w.grad, b.grad
+
+    fused = run(ad.linear)
+    composed = run(lambda x, w, b: ad.add_rowvec(ad.matmul(x, w), b))
+    for got, want in zip(fused, composed):
+        assert np.array_equal(got, want)
+
+
+def test_linear_rejects_bad_shapes():
+    x, w = ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((3, 4)))
+    with pytest.raises(ShapeMismatch):
+        ad.linear(x, w, ad.tensor(np.ones(3)))
+    with pytest.raises(ShapeMismatch):
+        ad.linear(x, ad.tensor(np.ones((4, 3))), ad.tensor(np.ones(3)))
+
+
+def test_grouped_slice_rows_takes_the_same_rows_of_every_block():
+    rng = rng_for("grouped_slice")
+    x0 = rng.normal(0, 1, (12, 2))
+    x = ad.tensor(x0, requires_grad=True)
+    part = ad.slice_rows(x, 1, 3, group=4)
+    assert np.array_equal(part.data, x0.reshape(3, 4, 2)[:, 1:3].reshape(6, 2))
+    w = rng.normal(0, 1, (6, 2))
+    ad.backward(ad.mean_all(ad.matmul(ad.reshape(part, (1, 12)), ad.tensor(w.reshape(12, 1)))))
+    want = np.zeros((3, 4, 2))
+    want[:, 1:3] = w.reshape(3, 2, 2)
+    assert np.array_equal(x.grad, want.reshape(12, 2))
+    with pytest.raises(ShapeMismatch):
+        ad.slice_rows(x, 0, 2, group=5)
+    with pytest.raises(ShapeMismatch):
+        ad.slice_rows(x, 3, 5, group=4)
+
+
 @pytest.mark.parametrize("constant", ["left", "right"])
 def test_matmul_constant_operand_gets_no_gradient(constant):
     rng = rng_for("matmul_const")

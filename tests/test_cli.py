@@ -53,6 +53,10 @@ class TestConfigParsing:
         again = parse_config_text(resolved_text(cfg))
         assert again == cfg
 
+    def test_empty_sweep_values_parse(self):
+        # only `ovml sweep` needs a value; other commands ignore the key
+        assert parse_config_text("sweep_values=\n").sweep_values == ()
+
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config_text("\n# note\nseed=9   # trailing\n\n")
         assert cfg.seed == 9
@@ -260,6 +264,7 @@ def test_corrupted_dataset_exits_three(workspace, tmp_path, capsys, edit):
         ("gen", "seen_fraction=0.0"),
         ("train", "n_train=0"),
         ("eval", "n_test=0"),
+        ("sweep", "sweep_values="),
     ],
 )
 def test_bad_component_value_is_config_error(workspace, tmp_path, capsys, command, line):

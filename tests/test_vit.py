@@ -100,6 +100,90 @@ def test_msa_matches_numpy_reimplementation():
     np.testing.assert_allclose(msa(ad.tensor(x), block).data, _numpy_msa(x, block), atol=1e-12)
 
 
+def _grouped_attention(q, k, v, group):
+    """One head's attention as its own graph node. With per-head matmuls
+    and a concat around it, this is the unfused graph that msa must match
+    bit for bit.
+    """
+    n, d_h = q.shape
+    blocks = (n // group, group, d_h)
+    qb, kb, vb = q.data.reshape(blocks), k.data.reshape(blocks), v.data.reshape(blocks)
+    c = 1.0 / np.sqrt(d_h)
+    logits = (qb @ kb.transpose(0, 2, 1)) * c
+    e = np.exp(logits - logits.max(axis=2, keepdims=True))
+    p = e / e.sum(axis=2, keepdims=True)
+
+    def vjp(g):
+        gb = g.reshape(blocks)
+        dp = gb @ vb.transpose(0, 2, 1)
+        ds = p * (dp - (dp * p).sum(axis=2, keepdims=True)) * c
+        return (
+            (ds @ kb).reshape(n, d_h),
+            (ds.transpose(0, 2, 1) @ qb).reshape(n, d_h),
+            (p.transpose(0, 2, 1) @ gb).reshape(n, d_h),
+        )
+
+    return ad._result((p @ vb).reshape(n, d_h), (q, k, v), vjp)
+
+
+def _per_head_msa(x, block, group):
+    heads = [
+        _grouped_attention(ad.matmul(x, wq), ad.matmul(x, wk), ad.matmul(x, wv), group)
+        for wq, wk, wv in zip(block.wq, block.wk, block.wv)
+    ]
+    merged = heads[0] if len(heads) == 1 else ad.concat(heads, axis=1)
+    return ad.matmul(merged, block.wo)
+
+
+@pytest.mark.parametrize("trainable", [True, False], ids=["trainable", "frozen"])
+@pytest.mark.parametrize("rows, group", [(6, 1), (6, 3), (1, 1)])
+@pytest.mark.parametrize("heads", [1, 2])
+def test_msa_equals_per_head_composition_bit_for_bit(heads, rows, group, trainable):
+    rng = substream(heads * 100 + rows * 10 + group, "test.vit.msa_exact")
+    block = vit.init_block(rng, width=8, heads=heads, trainable=trainable)
+    weights = [*block.wq, *block.wk, *block.wv, block.wo]
+    for t in weights:
+        t.data = rng.normal(0, 0.5, t.shape)
+    x0 = rng.normal(0, 1.0, (rows, 8))
+    outer = ad.tensor(rng.normal(0, 1.0, (rows * 8, 1)))
+
+    def run(attend):
+        for t in weights:
+            t.zero_grad()
+        x = ad.tensor(x0, requires_grad=True)
+        out = attend(x, block, group)
+        ad.backward(ad.mean_all(ad.matmul(ad.reshape(ad.gelu(out), (1, rows * 8)), outer)))
+        return [out.data, x.grad] + [t.grad for t in weights]
+
+    for got, want in zip(run(msa), run(_per_head_msa)):
+        if want is None:
+            assert got is None
+        else:
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("first", [1, 3])
+def test_split_rows_matches_plain_slicing(first):
+    rng = substream(first, "test.vit.split")
+    b, seq_len, d = 3, 4, 5
+    x0 = rng.normal(0, 1.0, (b * seq_len, d))
+    x = ad.tensor(x0, requires_grad=True)
+    head, tail = vit.split_rows(x, seq_len, first)
+    seqs = x0.reshape(b, seq_len, d)
+    assert np.array_equal(head.data, seqs[:, :first].reshape(-1, d))
+    assert np.array_equal(tail.data, seqs[:, first:].reshape(-1, d))
+    w_head, w_tail = rng.normal(0, 1.0, head.shape), rng.normal(0, 1.0, tail.shape)
+
+    def weighted(part, w):
+        return ad.matmul(ad.reshape(part, (1, w.size)), ad.tensor(w.reshape(w.size, 1)))
+
+    ad.backward(ad.mean_all(ad.add(weighted(head, w_head), weighted(tail, w_tail))))
+    want = np.zeros((b, seq_len, d))
+    want[:, :first] = w_head.reshape(b, first, d)
+    want[:, first:] = w_tail.reshape(b, seq_len - first, d)
+    assert np.array_equal(x.grad, want.reshape(b * seq_len, d))
+
+
 def test_patch_outputs_permutation_equivariant_without_positions():
     rng = substream(11, "test.vit.perm")
     params = init_vit(rng, patch_len=4, n_patches=6, width=8, heads=2, depth=2)
