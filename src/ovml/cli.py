@@ -15,12 +15,23 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .autodiff import KOutOfRange, NonFinite, NotScalar, ShapeMismatch
 from .config import ConfigError, RunConfig, parse_config, write_resolved
 from .gradcheck import run_suite
-from .labels import TopNOutOfRange, UnknownLabel, retrieval_accuracy, retrieve
-from .metrics import EmptyTaskVocabulary, NoPositives, evaluate, write_report
-from .model import BadCheckpoint, init_model, load_model, load_table, score_batch
+from .labels import LabelEmbeddingTable, TopNOutOfRange, UnknownLabel, retrieval_accuracy, retrieve
+from .metrics import EmptyTaskVocabulary, MetricsReport, NoPositives, evaluate, write_report
+from .model import (
+    BadCheckpoint,
+    Model,
+    ModelConfig,
+    fixed_table,
+    init_model,
+    load_model,
+    load_table,
+    score_batch,
+)
 from .synth import (
     Dataset,
     DatasetCorrupt,
@@ -49,11 +60,17 @@ def _dataset_dir(cfg: RunConfig) -> Path:
     return Path(cfg.dataset_dir) if cfg.dataset_dir else Path(cfg.out_dir) / "dataset"
 
 
-def cmd_gen(cfg: RunConfig) -> int:
-    root = _dataset_dir(cfg)
+def _datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
+    """The train and test samples of the world at cfg.seed."""
     world = build_world(cfg.n_labels, cfg.seen_fraction, cfg.seed, cfg.synth)
     train_ds = sample(world, cfg.n_train, world.split.seen, cfg.seed, stream="sample.train")
     test_ds = sample(world, cfg.n_test, world.split.all_ids, cfg.seed, stream="sample.test")
+    return train_ds, test_ds
+
+
+def cmd_gen(cfg: RunConfig) -> int:
+    root = _dataset_dir(cfg)
+    train_ds, test_ds = _datasets(cfg)
     write_dataset(root / "train", train_ds)
     write_dataset(root / "test", test_ds)
     write_resolved(cfg, root)
@@ -75,31 +92,28 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _eval_into(cfg: RunConfig, checkpoint: str | Path, out_dir: Path, test: Dataset) -> dict[str, float]:
-    """Score the test split and write one report pair per task mode."""
-    model, table = load_model(checkpoint, test.world)
+def _evaluate(
+    model: Model, table: LabelEmbeddingTable, test: Dataset, k_lists: dict[str, tuple[int, ...]]
+) -> dict[str, MetricsReport]:
+    """Score the test split once and report each task mode at its K values."""
     scores = score_batch(model, test.images, table)
     gt = test.ground_truth(table.label_ids)
-    headline: dict[str, float] = {}
-    for mode in cfg.tasks():
-        report = evaluate(scores, gt, test.world.split, mode, cfg.k_list)
-        write_report(out_dir / f"report_{mode.lower()}", report)
-        headline[f"{mode}_mAP"] = report.map
-        for k, (_, _, f1) in report.prf_at_k.items():
-            headline[f"{mode}_F1@{k}"] = f1
-    return headline
+    return {mode: evaluate(scores, gt, test.world.split, mode, ks) for mode, ks in k_lists.items()}
 
 
 def cmd_eval(cfg: RunConfig) -> int:
     if not cfg.checkpoint:
         raise ConfigError("eval needs checkpoint=<dir> in the config")
     test = read_dataset(_dataset_dir(cfg) / "test")
+    reports = _evaluate(*load_model(cfg.checkpoint, test.world), test, dict.fromkeys(cfg.tasks(), cfg.k_list))
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    headline = _eval_into(cfg, cfg.checkpoint, out_dir, test)
+    for mode, report in reports.items():
+        write_report(out_dir / f"report_{mode.lower()}", report)
+        print(f"{mode}_mAP {report.map:.6f}")
+        for k, (_, _, f1) in report.prf_at_k.items():
+            print(f"{mode}_F1@{k} {f1:.6f}")
     write_resolved(cfg, out_dir)
-    for name, value in headline.items():
-        print(f"{name} {value:.6f}")
     return 0
 
 
@@ -121,40 +135,44 @@ def cmd_retrieve(cfg: RunConfig) -> int:
     return 0
 
 
+def _untrained_zsl_map(seed: int, config: ModelConfig, test: Dataset) -> float:
+    model = init_model(seed, test.world, config)
+    return _evaluate(model, fixed_table(model), test, {"ZSL": ()})["ZSL"].map
+
+
 def cmd_sweep(cfg: RunConfig) -> int:
-    """Train and evaluate once per axis value on a shared dataset and seed."""
-    if not cfg.sweep_values:
-        raise ConfigError("sweep_values is empty: a sweep needs at least one value")
-    try:  # every sweep value must make valid components before any run starts
-        points = [
-            replace(cfg, train=replace(cfg.train, lambda_distill=float(v))) if cfg.sweep_axis == "lambda"
-            else replace(cfg, model=replace(cfg.model, k=int(v)))
-            for v in cfg.sweep_values
-        ]
-    except ValueError as e:
-        raise ConfigError(f"sweep value: {e}") from None
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    world = build_world(cfg.n_labels, cfg.seen_fraction, cfg.seed, cfg.synth)
-    train_ds = sample(world, cfg.n_train, world.split.seen, cfg.seed, stream="sample.train")
-    test_ds = sample(world, cfg.n_test, world.split.all_ids, cfg.seed, stream="sample.test")
+    """Train and evaluate once per sweep value and seed; values at one seed share data and init."""
+    points = cfg.sweep_points()
     k_eval = cfg.k_list[0]
+    if k_eval > cfg.n_labels:
+        raise ConfigError(f"K={k_eval} exceeds the {cfg.n_labels} labels GZSL ranks")
+    out_dir = Path(cfg.out_dir)
+    columns = ["untrained_zsl_map", "zsl_map", "gzsl_map", f"gzsl_f1@{k_eval}"]
+    show = lambda values: " ".join(f"{c} {v:.4f}" for c, v in zip(columns, values))
     rows = []
-    for value, cfg_v in zip(cfg.sweep_values, points):
-        run_dir = out_dir / f"{cfg.sweep_axis}_{value:g}"
-        model = init_model(cfg_v.seed, world, cfg_v.model)
-        paths = train(model, train_ds, cfg_v.train, cfg_v.seed, run_dir)
-        headline = _eval_into(
-            replace(cfg_v, task="both", k_list=(k_eval,)), paths["stage2"], run_dir, test_ds
-        )
-        rows.append((value, headline["ZSL_mAP"], headline[f"GZSL_F1@{k_eval}"]))
-        print(f"{cfg.sweep_axis}={value:g} ZSL mAP {rows[-1][1]:.4f} GZSL F1@{k_eval} {rows[-1][2]:.4f}")
+    for seed in cfg.sweep_seeds or (cfg.seed,):
+        train_ds, test_ds = _datasets(replace(cfg, seed=seed))
+        # score every baseline before the first run, so a value that cannot score leaves no output
+        baselines = [_untrained_zsl_map(seed, cfg_v.model, test_ds) for _, cfg_v in points]
+        for (name, cfg_v), untrained in zip(points, baselines):
+            run_dir = out_dir / f"seed_{seed}" / f"{cfg.sweep_axis}_{name}"
+            paths = train(init_model(seed, train_ds.world, cfg_v.model), train_ds, cfg_v.train, seed, run_dir)
+            trained = load_model(paths["stage2"], test_ds.world)
+            reports = _evaluate(*trained, test_ds, {"ZSL": (), "GZSL": (k_eval,)})
+            for mode, report in reports.items():
+                write_report(run_dir / f"report_{mode.lower()}", report)
+            gzsl = reports["GZSL"]
+            rows.append([seed, name, untrained, reports["ZSL"].map, gzsl.map, gzsl.prf_at_k[k_eval][2]])
+            print(f"seed={seed} {cfg.sweep_axis}={name} {show(rows[-1][2:])}")
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([cfg.sweep_axis, "zsl_map", f"gzsl_f1@{k_eval}"])
+        writer.writerow(["seed", cfg.sweep_axis, *columns])
         writer.writerows(rows)
     write_resolved(cfg, out_dir)
     print(f"sweep table {out_dir / 'sweep.csv'}")
+    for name, _ in points:
+        means = np.mean([row[2:] for row in rows if row[1] == name], axis=0)
+        print(f"mean {cfg.sweep_axis}={name} {show(means)}")
     return 0
 
 

@@ -10,7 +10,7 @@ parses back into an identical RunConfig.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .model import ModelConfig
@@ -24,7 +24,12 @@ class ConfigError(ValueError):
 
 
 _TASKS = ("ZSL", "GZSL", "both")
-_SWEEP_AXES = ("lambda", "k")
+# How each sweep axis turns a sweep word into a value, and the field it sets.
+_SWEEP_AXES = {
+    "lambda": (float, lambda cfg, v: replace(cfg, train=replace(cfg.train, lambda_distill=v))),
+    "k": (int, lambda cfg, v: replace(cfg, model=replace(cfg.model, k=v))),
+    "head_mode": (str, lambda cfg, v: replace(cfg, model=replace(cfg.model, head_mode=v))),
+}
 
 
 @dataclass
@@ -53,13 +58,16 @@ class RunConfig:
 
     # sweeps
     sweep_axis: str = "lambda"
-    sweep_values: tuple[float, ...] = (0.0, 0.5, 1.0)
+    sweep_values: tuple[str, ...] = ("0.0", "0.5", "1.0")
+    sweep_seeds: tuple[int, ...] = ()  # empty: the one run seed
 
     def __post_init__(self):
+        if min((self.seed, *self.sweep_seeds)) < 0:
+            raise ConfigError(f"seeds cannot be negative, got {min((self.seed, *self.sweep_seeds))}")
         if self.task not in _TASKS:
             raise ConfigError(f"task must be one of {_TASKS}, got {self.task!r}")
         if self.sweep_axis not in _SWEEP_AXES:
-            raise ConfigError(f"sweep_axis must be one of {_SWEEP_AXES}")
+            raise ConfigError(f"sweep_axis must be one of {tuple(_SWEEP_AXES)}")
         if not self.k_list or min(self.k_list) < 1:
             raise ConfigError(f"k_list must hold positive values, got {self.k_list}")
         for name in ("n_labels", "n_train", "n_test"):
@@ -70,6 +78,23 @@ class RunConfig:
 
     def tasks(self) -> tuple[str, ...]:
         return ("ZSL", "GZSL") if self.task == "both" else (self.task,)
+
+    def sweep_points(self) -> list[tuple[str, RunConfig]]:
+        """(run name, config) per sweep value; a value its axis or component rejects is a ConfigError."""
+        if not self.sweep_values:
+            raise ConfigError("sweep_values is empty: a sweep needs at least one value")
+        convert, apply = _SWEEP_AXES[self.sweep_axis]
+        points = []
+        for word in self.sweep_values:
+            try:
+                value = convert(word)
+                points.append((f"{value:g}" if isinstance(value, float) else str(value), apply(self, value)))
+            except ValueError as e:
+                raise ConfigError(f"sweep value {word!r} for {self.sweep_axis}: {e}") from None
+        for what, runs in ((self.sweep_axis, [name for name, _ in points]), ("seed", self.sweep_seeds)):
+            if len(set(runs)) < len(runs):
+                raise ConfigError(f"a sweep runs each {what} once, got {' '.join(map(str, runs))}")
+        return points
 
 
 # The component dataclasses RunConfig owns, by field name.

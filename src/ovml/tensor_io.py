@@ -10,7 +10,7 @@ inside the directory.
 
 Key=value text: one `key=value` per line, `#` comments and blank lines
 skipped. Each key's type is a dataclass field's declared type: int,
-float, str (optionally quoted), or a tuple of ints or floats.
+float, str (optionally quoted), or a tuple of ints or of words.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def _convert(kind: str, raw: str):
         return float(raw)
     if kind == "str":
         return raw.strip("'\"")
-    item = {"tuple[int, ...]": int, "tuple[float, ...]": float}[kind]
+    item = {"tuple[int, ...]": int, "tuple[str, ...]": str}[kind]
     return tuple(item(x) for x in raw.replace(",", " ").split())
 
 

@@ -5,6 +5,7 @@ values are exactly the process exit codes.
 """
 
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +14,15 @@ from ovml.cli import main
 from ovml.config import (
     ConfigError,
     RunConfig,
+    parse_config,
     parse_config_text,
     resolved_text,
     write_resolved,
 )
-from ovml.synth import SynthConfig
+from ovml.metrics import evaluate
+from ovml.model import ModelConfig, fixed_table, init_model, score_batch
+from ovml.synth import SynthConfig, build_world, sample
+from ovml.training import TrainConfig, run_stage1, run_stage2
 from ovml.tensor_io import read_tensor, write_tensor
 
 TINY = """
@@ -49,7 +54,7 @@ class TestConfigParsing:
         cfg = parse_config_text(TINY)
         assert cfg.n_labels == 12
         assert cfg.seen_fraction == 0.75
-        assert cfg.sweep_values == (0.0, 1.0)
+        assert cfg.sweep_values == ("0.0", "1.0")  # words; each sweep axis converts its own
         again = parse_config_text(resolved_text(cfg))
         assert again == cfg
 
@@ -81,6 +86,12 @@ class TestConfigParsing:
 
     def test_tuple_values_accept_commas_and_spaces(self):
         assert parse_config_text("k_list=1,2 3").k_list == (1, 2, 3)
+
+    @pytest.mark.parametrize("name", ["distill", "heads"])
+    def test_experiment_configs_parse(self, name):
+        cfg = parse_config(Path(__file__).parents[1] / "experiments" / f"{name}.cfg")
+        assert cfg.sweep_seeds == (0, 1, 2)
+        assert len(cfg.sweep_points()) == len(cfg.sweep_values) > 1
 
     def test_write_resolved_parses_back(self, tmp_path):
         cfg = RunConfig(seed=4, k_list=(1, 5), synth=SynthConfig(sigma=0.125))
@@ -165,12 +176,59 @@ def test_sweep_writes_csv(tmp_path, capsys):
     )
     assert main(["sweep", "--config", str(cfg)]) == 0
     rows = (tmp_path / "sw" / "sweep.csv").read_text().strip().splitlines()
-    assert rows[0] == "lambda,zsl_map,gzsl_f1@3"
+    assert rows[0] == "seed,lambda,untrained_zsl_map,zsl_map,gzsl_map,gzsl_f1@3"
     assert len(rows) == 3  # header + one per sweep value
     for row in rows[1:]:
-        axis, zsl, f1 = row.split(",")
-        assert 0.0 <= float(zsl) <= 1.0
-        assert 0.0 <= float(f1) <= 1.0
+        seed, axis, *values = row.split(",")
+        assert seed == "3"
+        assert all(0.0 <= float(v) <= 1.0 for v in values)
+    for name in ("lambda_0", "lambda_1"):
+        assert (tmp_path / "sw" / "seed_3" / name / "stage2" / "meta.txt").is_file()
+    assert capsys.readouterr().out.splitlines()[-2].startswith("mean lambda=0 untrained_zsl_map ")
+
+
+def _direct_sweep_row(seed, head_mode, lam):
+    """One sweep cell computed by direct calls: the world, both stages and scoring in memory."""
+    world = build_world(20, 0.8, seed)
+    train_ds = sample(world, 16, world.split.seen, seed, stream="sample.train")
+    test_ds = sample(world, 12, world.split.all_ids, seed, stream="sample.test")
+    cfg = TrainConfig(lambda_distill=lam, epochs_stage1=2, epochs_stage2=1, batch_size=16)
+
+    def scored(model, table):
+        scores = score_batch(model, test_ds.images, table)
+        gt = test_ds.ground_truth(table.label_ids)
+        return lambda mode, ks: evaluate(scores, gt, world.split, mode, ks)
+
+    untrained = init_model(seed, world, ModelConfig(head_mode=head_mode))
+    model = init_model(seed, world, ModelConfig(head_mode=head_mode))
+    run_stage1(model, train_ds, cfg, seed, lambda record: None)
+    run_stage2(model, train_ds, cfg, seed, lambda record: None)
+    after = scored(model, fixed_table(model, provenance="tuned"))
+    gzsl = after("GZSL", (3,))
+    return [
+        scored(untrained, fixed_table(untrained))("ZSL", ()).map,
+        after("ZSL", ()).map, gzsl.map, gzsl.prf_at_k[3][2],
+    ]
+
+
+@pytest.mark.parametrize(
+    "axis, values, cell",
+    [("lambda", "0 1", lambda v: ("both", float(v))), ("head_mode", "global both", lambda v: (v, 1.0))],
+    ids=["lambda", "head_mode"],
+)
+def test_sweep_rows_equal_direct_calls(tmp_path, capsys, axis, values, cell):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(tiny(
+        out_dir=f"{tmp_path}/sw", n_labels=20, seen_fraction=0.8, n_train=16, n_test=12,
+        epochs_stage1=2, epochs_stage2=1, batch_size=16, sweep_axis=axis, sweep_values=values,
+        sweep_seeds="0 1",
+    ))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    rows = (tmp_path / "sw" / "sweep.csv").read_text().strip().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [[s, v] for s in "01" for v in values.split()]
+    for row in rows:
+        seed, value, *got = row.split(",")
+        assert got == [repr(x) for x in _direct_sweep_row(int(seed), *cell(value))]
 
 
 def test_missing_config_file_is_usage_error(capsys):
@@ -253,7 +311,7 @@ def test_corrupted_dataset_exits_three(workspace, tmp_path, capsys, edit):
         ("train", "head_mode=wide"),
         ("train", "patch_size=5"),
         ("train", "background=plaid"),
-        ("sweep", "sweep_axis=k"),  # TINY sweeps over 0.0 and 1.0, and k=0 is invalid
+        ("sweep", "sweep_axis=k"),  # TINY sweeps over 0.0 and 1.0, which are not integers
         ("gen", "max_labels=0"),
         ("gen", "n_categories=0"),
         ("gen", "embed_dim=0"),
@@ -265,19 +323,45 @@ def test_corrupted_dataset_exits_three(workspace, tmp_path, capsys, edit):
         ("train", "n_train=0"),
         ("eval", "n_test=0"),
         ("sweep", "sweep_values="),
+        ("gen", "seed=-1"),
+        ("sweep", "sweep_seeds=0 -1"),
+        ("sweep", "sweep_seeds=1 2 1"),
+        ("sweep", "sweep_axis=k;sweep_values=2 1.5"),
+        ("sweep", "sweep_axis=k;sweep_values=0"),
+        ("sweep", "sweep_axis=k;sweep_values=3 17"),  # a 12-pixel image has 9 patches
+        ("sweep", "sweep_axis=head_mode;sweep_values=both wide"),
+        ("sweep", "sweep_values=1 1.0"),  # two values naming one run
+        ("sweep", "n_labels=20;k_list=25"),  # GZSL ranks 20 labels
     ],
 )
 def test_bad_component_value_is_config_error(workspace, tmp_path, capsys, command, line):
     root, _ = workspace
-    key, value = line.split("=")
+    settings = dict(setting.split("=") for setting in line.split(";"))
     cfg = tmp_path / "run.cfg"
     cfg.write_text(tiny(
-        out_dir=f"{tmp_path}/out", dataset_dir=f"{root}/out/dataset", checkpoint=f"{root}/out/stage2", **{key: value}
+        out_dir=f"{tmp_path}/out", dataset_dir=f"{root}/out/dataset", checkpoint=f"{root}/out/stage2", **settings
     ))
     assert main([command, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_with_fewer_unseen_labels_than_k(tmp_path, capsys):
+    # 12 labels at seen_fraction 0.8 leave 2 unseen: ZSL reports mAP only, GZSL ranks all 12
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(tiny(out_dir=f"{tmp_path}/out", seen_fraction=0.8, epochs_stage2=0, sweep_values=0))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 2
+
+
+def test_negative_seed_override_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TINY)
+    assert main(["gen", "--config", str(cfg), "--seed", "-1", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()
 
 
 def test_seed_and_out_overrides(tmp_path, capsys):

@@ -53,6 +53,7 @@ k_list=3
 topn=3
 sweep_axis=lambda
 sweep_values=0.0 0.5 1.0
+sweep_seeds=
 """
 
 TINY_CHANGED = {
@@ -107,6 +108,8 @@ def world():
 
 def test_default_resolved_text_is_pinned():
     assert resolved_text(RunConfig()) == DEFAULT_RESOLVED
+    # written before sweep_seeds existed
+    assert parse_config_text(DEFAULT_RESOLVED.replace("sweep_seeds=\n", "")) == RunConfig()
 
 
 def test_tiny_resolved_text_is_pinned():
