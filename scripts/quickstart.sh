@@ -1,7 +1,7 @@
 #!/bin/sh
 # End-to-end CLI walkthrough on a small world: generate a dataset, train
 # both stages, evaluate ZSL and GZSL, inspect label retrieval, and sweep
-# the distillation weight. Takes a couple of minutes on one core.
+# the distillation weight. Takes about 3 s on one core of a 2-vCPU Xeon VM.
 set -e
 
 out=${1:-runs/quickstart}

@@ -3,8 +3,8 @@
 Subcommands: gen, train, eval, retrieve, sweep, gradcheck. Every run
 writes its fully resolved config next to its outputs and produces
 byte-identical primary artifacts when repeated with the same config and
-seed. Exit codes: 0 ok, 1 usage or config problem, 2 numerical failure,
-3 invariant violation.
+seed. Exit codes: 0 ok, 1 usage or config problem (a dataset or checkpoint
+path that is not a directory), 2 numerical failure, 3 invariant violation.
 """
 
 from __future__ import annotations
@@ -38,12 +38,11 @@ from .synth import (
     InfeasibleConstraint,
     PoolTooSmall,
     build_world,
-    dataset_hash,
     read_dataset,
     sample,
     write_dataset,
 )
-from .tensor_io import BadTensorFile, directory_digest
+from .tensor_io import BadManifest, BadTensorFile, directory_digest
 from .training import FrozenViolation, NonFiniteLoss, train
 
 
@@ -70,13 +69,11 @@ def _datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
 
 def cmd_gen(cfg: RunConfig) -> int:
     root = _dataset_dir(cfg)
-    train_ds, test_ds = _datasets(cfg)
-    write_dataset(root / "train", train_ds)
-    write_dataset(root / "test", test_ds)
-    write_resolved(cfg, root)
+    datasets = _datasets(cfg)
     print(f"dataset {root}")
-    print(f"train hash {dataset_hash(root / 'train')}")
-    print(f"test hash {dataset_hash(root / 'test')}")
+    for split, dataset in zip(("train", "test"), datasets):
+        print(f"{split} hash {write_dataset(root / split, dataset)}")
+    write_resolved(cfg, root)
     return 0
 
 
@@ -219,14 +216,14 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, FileNotFoundError, NotADirectoryError, PoolTooSmall,
+    except (ConfigError, FileNotFoundError, FileExistsError, NotADirectoryError, PoolTooSmall,
             InfeasibleConstraint, KOutOfRange, TopNOutOfRange, UnknownLabel) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     except (NonFiniteLoss, NonFinite, NotScalar) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2
-    except (FrozenViolation, DatasetCorrupt, BadCheckpoint, BadTensorFile,
+    except (FrozenViolation, DatasetCorrupt, BadCheckpoint, BadTensorFile, BadManifest,
             ShapeMismatch, NoPositives, EmptyTaskVocabulary) as e:
         print(f"invariant violation: {e}", file=sys.stderr)
         return 3

@@ -130,10 +130,9 @@ def retrieval_accuracy(table: LabelEmbeddingTable, categories: dict[int, int], t
     return hits / total
 
 
-def write_vocabulary(path: str | Path, categories: dict[int, int]) -> None:
+def vocabulary_text(categories: dict[int, int]) -> str:
     """One "label_id<TAB>category_id" line per label."""
-    lines = [f"{lid}\t{categories[lid]}" for lid in sorted(categories)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "".join(f"{lid}\t{categories[lid]}\n" for lid in sorted(categories))
 
 
 def read_vocabulary(path: str | Path) -> dict[int, int]:

@@ -5,7 +5,6 @@ against, plus checkpoint save/load.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -29,7 +28,7 @@ from .labels import (
     build_label_table,
     init_prompt,
     read_vocabulary,
-    write_vocabulary,
+    vocabulary_text,
 )
 from .seeds import substream
 from .synth import SynthWorld
@@ -168,10 +167,8 @@ _META_KINDS = {
 
 
 def save_model(directory: str | Path, model: Model, table: LabelEmbeddingTable) -> None:
-    directory = Path(directory)
     tensors = {name: t.data for name, t in model.named_params().items()}
     tensors["table.z"] = table.matrix()
-    save_checkpoint(directory, tensors)
     meta = {
         **asdict(model.config),
         "patch_size": model.patch_size,
@@ -180,45 +177,36 @@ def save_model(directory: str | Path, model: Model, table: LabelEmbeddingTable) 
         "table_ids": table.label_ids,
         "table_provenance": table.provenance,
     }
-    (directory / _META).write_text(key_values_text(meta))
-    write_vocabulary(directory / _VOCAB, model.categories)
+    save_checkpoint(directory, tensors, {_META: key_values_text(meta), _VOCAB: vocabulary_text(model.categories)})
 
 
-@contextmanager
-def _checkpoint_errors(directory: Path):
-    """Turn every failure to read a checkpoint's files into BadCheckpoint."""
+def _read_checkpoint(directory: str | Path):
+    """Config, split, parameter tensors, label table and category map of a checkpoint, verified before parsing."""
+    directory = Path(directory)
     try:
-        yield
+        tensors = load_checkpoint(directory)
+        meta = read_key_values((directory / _META).read_text(), _META_KINDS, complete=True)
+        config = ModelConfig(**{key: meta[key] for key in field_kinds(ModelConfig)})
+        split = LabelSplit(seen=meta["seen"], unseen=meta["unseen"])
+        table = LabelEmbeddingTable(ad.tensor(tensors.pop("table.z")), meta["table_ids"], meta["table_provenance"])
+        return config, split, tensors, table, read_vocabulary(directory / _VOCAB)
+    except NotADirectoryError:
+        raise  # a path that is not a directory is a usage problem, not corruption
     except KeyError as e:
         raise BadCheckpoint(f"{directory}: missing {e}") from None
-    except (OSError, ValueError) as e:  # unreadable files, bad meta or vocab, a table off its ids or non-finite
+    except (OSError, ValueError) as e:  # unparsable files, a table off its ids or non-finite
         raise BadCheckpoint(f"{directory}: {e}") from None
-
-
-def _read_checkpoint(directory: Path) -> tuple[dict, dict[str, np.ndarray], LabelEmbeddingTable]:
-    """Meta, parameter tensors and label table of a checkpoint directory."""
-    with _checkpoint_errors(directory):
-        meta = read_key_values((directory / _META).read_text(), _META_KINDS, complete=True)
-        tensors = load_checkpoint(directory)
-        z = ad.tensor(tensors.pop("table.z"))
-        return meta, tensors, LabelEmbeddingTable(z, meta["table_ids"], meta["table_provenance"])
 
 
 def load_table(directory: str | Path) -> tuple[LabelEmbeddingTable, dict[int, int]]:
     """Table + category map alone; enough for retrieval, no world needed."""
-    directory = Path(directory)
-    _, _, table = _read_checkpoint(directory)
-    with _checkpoint_errors(directory):
-        return table, read_vocabulary(directory / _VOCAB)
+    _, _, _, table, categories = _read_checkpoint(directory)
+    return table, categories
 
 
 def load_model(directory: str | Path, world: SynthWorld) -> tuple[Model, LabelEmbeddingTable]:
     """Rebuild a model around the world's surrogate and load saved weights."""
-    directory = Path(directory)
-    meta, tensors, table = _read_checkpoint(directory)
-    with _checkpoint_errors(directory):
-        config = ModelConfig(**{key: meta[key] for key in field_kinds(ModelConfig)})
-        saved_split = LabelSplit(seen=meta["seen"], unseen=meta["unseen"])
+    config, saved_split, tensors, table, _ = _read_checkpoint(directory)
     if saved_split != world.split:
         raise BadCheckpoint("checkpoint split disagrees with the dataset's world")
     model = init_model(seed=0, world=world, config=config)

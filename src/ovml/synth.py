@@ -13,7 +13,6 @@ Construction guarantees that make end-to-end behavior checkable:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -26,11 +25,13 @@ from .labels import (
     build_label_table,
     init_prompt,
     read_vocabulary,
-    write_vocabulary,
+    vocabulary_text,
 )
 from .metrics import GroundTruthMatrix
 from .seeds import substream
-from .tensor_io import field_kinds, file_digests, key_values_text, read_key_values, read_tensor, write_tensor
+from .tensor_io import (
+    directory_digest, field_kinds, key_values_text, read_key_values, read_tensor, write_sealed, write_tensor
+)
 from .text_encoder import TextSurrogateParams, init_text_surrogate
 from .vit import check_heads, patchify
 
@@ -315,76 +316,56 @@ _WORLD_TEACHER = "world/wt.mkt1"
 _WORLD_Z = "world/z.mkt1"
 _WORLD_PROTO = "world/prototypes.mkt1"
 _WORLD_SPLIT = "world/split.txt"
-_MANIFEST = "manifest.txt"
-
-
 _WORLD_KINDS = {"seed": "int", "n_labels": "int", "seen_fraction": "float", **field_kinds(SynthConfig)}
 
 
-def dataset_hash(directory: str | Path) -> str:
-    """sha256 over the sorted per-file digests named in the manifest."""
-    directory = Path(directory)
-    manifest = (directory / _MANIFEST).read_text()
-    return hashlib.sha256(manifest.encode()).hexdigest()
-
-
 def write_dataset(directory: str | Path, dataset: Dataset) -> str:
-    """Write the directory layout and return its content hash."""
-    directory = Path(directory)
-    (directory / "world").mkdir(parents=True, exist_ok=True)
+    """Write the sealed directory layout and return its content hash."""
     world = dataset.world
     order = world.split.all_ids
 
-    write_tensor(directory / _IMAGES, dataset.images)
-    write_tensor(directory / _TEACHER, dataset.teacher)
-    (directory / _POSITIVES).write_text(
-        "".join(" ".join(str(lid) for lid in pos) + "\n" for pos in dataset.positives)
-    )
-    write_vocabulary(directory / _VOCAB, world.categories)
-    head = {"seed": world.seed, "n_labels": world.n_labels, "seen_fraction": world.seen_fraction}
-    (directory / _WORLD_CONFIG).write_text(key_values_text({**head, **asdict(world.config)}))
-    write_tensor(directory / _WORLD_TOKENS, np.stack([world.tokens[lid] for lid in order]))
-    write_tensor(directory / _WORLD_TEACHER, world.w_teacher)
-    write_tensor(directory / _WORLD_Z, world.z)
-    write_tensor(directory / _WORLD_PROTO, np.stack([world.prototypes[lid] for lid in order]))
-    (directory / _WORLD_SPLIT).write_text(
-        "seen\t" + " ".join(str(x) for x in world.split.seen) + "\n"
-        "unseen\t" + " ".join(str(x) for x in world.split.unseen) + "\n"
-    )
+    def fill(staging: Path) -> None:
+        (staging / "world").mkdir()
+        write_tensor(staging / _IMAGES, dataset.images)
+        write_tensor(staging / _TEACHER, dataset.teacher)
+        (staging / _POSITIVES).write_text(
+            "".join(" ".join(str(lid) for lid in pos) + "\n" for pos in dataset.positives)
+        )
+        (staging / _VOCAB).write_text(vocabulary_text(world.categories))
+        head = {"seed": world.seed, "n_labels": world.n_labels, "seen_fraction": world.seen_fraction}
+        (staging / _WORLD_CONFIG).write_text(key_values_text({**head, **asdict(world.config)}))
+        write_tensor(staging / _WORLD_TOKENS, np.stack([world.tokens[lid] for lid in order]))
+        write_tensor(staging / _WORLD_TEACHER, world.w_teacher)
+        write_tensor(staging / _WORLD_Z, world.z)
+        write_tensor(staging / _WORLD_PROTO, np.stack([world.prototypes[lid] for lid in order]))
+        (staging / _WORLD_SPLIT).write_text(
+            "seen\t" + " ".join(str(x) for x in world.split.seen) + "\n"
+            "unseen\t" + " ".join(str(x) for x in world.split.unseen) + "\n"
+        )
 
-    entries = [f"{rel}\t{digest}" for rel, digest in file_digests(directory, skip=_MANIFEST).items()]
-    (directory / _MANIFEST).write_text("\n".join(entries) + "\n")
-    return dataset_hash(directory)
+    return write_sealed(directory, fill)
 
 
-def read_dataset(directory: str | Path, verify: bool = True) -> Dataset:
-    """Rebuild the world from its recorded seed and load the samples.
+def read_dataset(directory: str | Path) -> Dataset:
+    """Verify the directory, rebuild the world from its recorded seed and
+    load the samples.
 
     Regeneration is cross-checked against the stored teacher map and
     embeddings so a stale or edited directory fails loudly.
     """
     directory = Path(directory)
-    if not directory.is_dir():
-        # never generated at all: a usage problem, not corruption
-        raise FileNotFoundError(f"dataset directory {directory} does not exist")
     try:
+        directory_digest(directory)  # verifies every file before any is parsed
         values = read_key_values((directory / _WORLD_CONFIG).read_text(), _WORLD_KINDS, complete=True)
         seed, d, seen_fraction = values.pop("seed"), values.pop("n_labels"), values.pop("seen_fraction")
         world = build_world(d, seen_fraction, seed, SynthConfig(**values))
 
-        if verify:
-            listed = dict(line.split("\t") for line in (directory / _MANIFEST).read_text().splitlines())
-            actual = file_digests(directory, skip=_MANIFEST)
-            if listed != actual:
-                bad = sorted(rel for rel in listed.keys() | actual.keys() if listed.get(rel) != actual.get(rel))
-                raise DatasetCorrupt(f"files disagree with the manifest: {bad}")
-            stored_wt = read_tensor(directory / _WORLD_TEACHER)
-            stored_z = read_tensor(directory / _WORLD_Z)
-            if not (np.array_equal(stored_wt, world.w_teacher) and np.array_equal(stored_z, world.z)):
-                raise DatasetCorrupt("regenerated world disagrees with stored tensors")
-            stored_vocab = read_vocabulary(directory / _VOCAB)
-            if stored_vocab != world.categories:
-                raise DatasetCorrupt("stored vocabulary disagrees with regenerated world")
+        stored_wt = read_tensor(directory / _WORLD_TEACHER)
+        stored_z = read_tensor(directory / _WORLD_Z)
+        if not (np.array_equal(stored_wt, world.w_teacher) and np.array_equal(stored_z, world.z)):
+            raise DatasetCorrupt("regenerated world disagrees with stored tensors")
+        if read_vocabulary(directory / _VOCAB) != world.categories:
+            raise DatasetCorrupt("stored vocabulary disagrees with regenerated world")
 
         images = read_tensor(directory / _IMAGES)
         teacher = read_tensor(directory / _TEACHER)
@@ -397,6 +378,8 @@ def read_dataset(directory: str | Path, verify: bool = True) -> Dataset:
                 f"row counts disagree: {images.shape[0]} images, "
                 f"{teacher.shape[0]} teacher rows, {len(positives)} positive lines"
             )
-    except (OSError, ValueError) as e:  # missing files and unparsable or inconsistent contents
+    except NotADirectoryError:
+        raise  # a path that is not a directory is a usage problem, not corruption
+    except (OSError, ValueError) as e:  # unparsable or inconsistent contents
         raise DatasetCorrupt(f"{directory}: {e}") from None
     return Dataset(images=images, teacher=teacher, positives=positives, world=world)

@@ -1,12 +1,13 @@
-"""On-disk formats: binary tensor files, checkpoint directories, and
-the key=value text of run configs, world configs and checkpoint meta.
+"""On-disk formats: binary tensor files, sealed directories, and the
+key=value text of run configs, world configs and checkpoint meta.
 
 Tensor file layout: magic "MKT1" (4 bytes), u8 rank, rank u64
 little-endian extents, then the row-major IEEE-754 f64 payload.
 
-A checkpoint is a directory holding one tensor file per parameter plus
-a manifest: text lines "name<TAB>filename", each filename a plain name
-inside the directory.
+A sealed directory (a dataset split or a checkpoint) holds its files and
+a manifest.txt of sorted "path<TAB>sha256" lines, written last in a fresh
+sibling that then moves into place. It is read only once its files are
+exactly those listed. A checkpoint's tensors are its *.mkt1 files.
 
 Key=value text: one `key=value` per line, `#` comments and blank lines
 skipped. Each key's type is a dataclass field's declared type: int,
@@ -16,7 +17,10 @@ float, str (optionally quoted), or a tuple of ints or of words.
 from __future__ import annotations
 
 import hashlib
+import secrets
+import shutil
 import struct
+from collections.abc import Callable
 from dataclasses import fields
 from pathlib import Path
 
@@ -27,6 +31,10 @@ MANIFEST = "manifest.txt"
 
 
 class BadTensorFile(ValueError):
+    pass
+
+
+class BadManifest(ValueError):
     pass
 
 
@@ -114,44 +122,69 @@ def read_tensor(path: str | Path) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f8", count=count).reshape(shape).copy()
 
 
-def save_checkpoint(directory: str | Path, tensors: dict[str, np.ndarray]) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for name in sorted(tensors):
-        fname = name.replace("/", "_") + ".mkt1"
-        write_tensor(directory / fname, tensors[name])
-        lines.append(f"{name}\t{fname}")
-    (directory / MANIFEST).write_text("\n".join(lines) + "\n")
+def _manifest(directory: Path) -> tuple[bytes, dict[str, str]]:
+    """The manifest the files now under a directory call for, and its path -> sha256 entries."""
+    rels = sorted(p.relative_to(directory).as_posix() for p in directory.rglob("*") if p.is_file())
+    digests = {rel: hashlib.sha256((directory / rel).read_bytes()).hexdigest() for rel in rels if rel != MANIFEST}
+    return "".join(f"{rel}\t{digest}\n" for rel, digest in digests.items()).encode(), digests
 
 
-def file_digests(directory: str | Path, skip: str = "") -> dict[str, str]:
-    """sha256 hex digest of every file under a directory but `skip`, by sorted relative path."""
+def seal(directory: str | Path) -> str:
+    """Write the manifest of the files now in a directory; return its digest."""
+    manifest, _ = _manifest(Path(directory))
+    (Path(directory) / MANIFEST).write_bytes(manifest)
+    return hashlib.sha256(manifest).hexdigest()
+
+
+def write_sealed(directory: str | Path, fill: Callable[[Path], None]) -> str:
+    """Have `fill` write a fresh sibling directory, seal it and move it to
+    `directory`; return its digest. Only an empty or sealed directory is
+    ever replaced, and a fill that raises leaves the target as it was."""
     directory = Path(directory)
-    rels = sorted(str(p.relative_to(directory)).replace("\\", "/") for p in directory.rglob("*") if p.is_file())
-    return {rel: hashlib.sha256((directory / rel).read_bytes()).hexdigest() for rel in rels if rel != skip}
+    if directory.exists() and not (directory / MANIFEST).is_file():
+        if directory.is_file() or any(directory.iterdir()):
+            raise FileExistsError(f"{directory} holds no {MANIFEST}; not replacing it")
+    staging = directory.parent / f".ovml-{directory.name}-{secrets.token_hex(4)}"
+    staging.mkdir(parents=True)
+    try:
+        fill(staging)
+        digest = seal(staging)
+        shutil.rmtree(directory, ignore_errors=True)
+        staging.rename(directory)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)  # left only by a fill that raised
+    return digest
 
 
 def directory_digest(directory: str | Path) -> str:
-    """Order-independent content hash of every file under a directory."""
-    h = hashlib.sha256()
-    for rel, digest in file_digests(directory).items():
-        h.update(rel.encode())
-        h.update(bytes.fromhex(digest))
-    return h.hexdigest()
+    """Content hash of a sealed directory, the sha256 of its manifest, once its
+    files are checked to be exactly those listed. A path that is not a
+    directory raises NotADirectoryError; a failed check, BadManifest."""
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise NotADirectoryError(f"{directory} is not a directory")
+    manifest = (directory / MANIFEST).read_bytes()
+    expected, actual = _manifest(directory)
+    if manifest != expected:
+        listed = dict(line.partition("\t")[::2] for line in manifest.decode(errors="replace").splitlines())
+        if any(len(digest) != 64 for digest in listed.values()):
+            raise BadManifest(f"{MANIFEST} is not a digest manifest (retrain a checkpoint saved before digests)")
+        bad = sorted(rel for rel in listed.keys() | actual.keys() if listed.get(rel) != actual.get(rel))
+        raise BadManifest(f"files disagree with {MANIFEST}: {bad or 'not one sorted line per file'}")
+    return hashlib.sha256(manifest).hexdigest()
+
+
+def save_checkpoint(directory: str | Path, tensors: dict[str, np.ndarray], texts: dict[str, str]) -> str:
+    """Write a sealed checkpoint of `<name>.mkt1` per tensor plus the given text files; return its digest."""
+    def fill(staging: Path) -> None:
+        for name, array in tensors.items():
+            write_tensor(staging / f"{name}.mkt1", array)
+        for rel, text in texts.items():
+            (staging / rel).write_text(text)
+    return write_sealed(directory, fill)
 
 
 def load_checkpoint(directory: str | Path) -> dict[str, np.ndarray]:
-    directory = Path(directory)
-    out: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate((directory / MANIFEST).read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        entry = line.split("\t")
-        if len(entry) != 2:
-            raise BadTensorFile(f"{directory / MANIFEST} line {lineno}: expected name<TAB>filename")
-        name, fname = entry
-        if fname in ("", "..") or Path(fname).name != fname:
-            raise BadTensorFile(f"{directory / MANIFEST} line {lineno}: {fname!r} names no file of the directory")
-        out[name] = read_tensor(directory / fname)
-    return out
+    """Every tensor of a verified checkpoint, named by its file's stem: `<name>.mkt1` holds `name`."""
+    directory_digest(directory)
+    return {path.stem: read_tensor(path) for path in sorted(Path(directory).glob("*.mkt1"))}

@@ -23,7 +23,7 @@ from ovml.metrics import evaluate
 from ovml.model import ModelConfig, fixed_table, init_model, score_batch
 from ovml.synth import SynthConfig, build_world, sample
 from ovml.training import TrainConfig, run_stage1, run_stage2
-from ovml.tensor_io import read_tensor, write_tensor
+from ovml.tensor_io import read_tensor, seal, write_tensor
 
 TINY = """
 # quick world for command tests
@@ -268,6 +268,14 @@ def _text_edit(rel, old, new):
     return edit
 
 
+def _sealed(edit):
+    """Apply an edit, then re-seal the manifest, so the edit reaches the parser check it is aimed at."""
+    def sealed_edit(directory):
+        edit(directory)
+        seal(directory)
+    return sealed_edit
+
+
 def _flip_last_byte(rel):
     def edit(directory):
         raw = bytearray((directory / rel).read_bytes())
@@ -287,7 +295,7 @@ def _truncate(rel, length):
     [
         _flip_last_byte("teacher.mkt1"),
         lambda ds: (ds / "manifest.txt").unlink(),
-        _text_edit("world/config.txt", "sigma=0.1\n", "sigma=fast\n"),
+        _sealed(_text_edit("world/config.txt", "sigma=0.1\n", "sigma=fast\n")),
         lambda ds: (ds / "extra.txt").write_text("not in the manifest\n"),
     ],
     ids=["teacher_flipped", "manifest_missing", "world_config_unparsable", "file_not_in_manifest"],
@@ -386,24 +394,24 @@ def _poison(z):
 
 
 def _entry_elsewhere(target):
-    """Point one manifest entry at a readable copy of its file outside the checkpoint."""
+    """Point one manifest entry at an identical copy of its file outside the checkpoint."""
     def edit(ck):
         shutil.copytree(ck, ck.parent / f"{ck.name}-other")
-        _text_edit("manifest.txt", "heads.global_b\theads.global_b.mkt1", f"heads.global_b\t{target(ck)}")(ck)
+        _text_edit("manifest.txt", "heads.global_b.mkt1\t", f"{target(ck)}\t")(ck)
     return edit
 
 
 @pytest.mark.parametrize(
     "edit",
     [
-        _text_edit("meta.txt", "\nk=3\n", "\n"),
-        _text_edit("meta.txt", "width=16", "width=sixteen"),
-        _text_edit("meta.txt", "head_mode=both", "head_mode=wide"),
-        _text_edit("meta.txt", "heads=2", "heads=0"),
-        _table_edit(lambda z: z[:-1]),
-        _table_edit(_poison),
-        _truncate("table.z.mkt1", 7),
-        _truncate("table.z.mkt1", 4),
+        _sealed(_text_edit("meta.txt", "\nk=3\n", "\n")),
+        _sealed(_text_edit("meta.txt", "width=16", "width=sixteen")),
+        _sealed(_text_edit("meta.txt", "head_mode=both", "head_mode=wide")),
+        _sealed(_text_edit("meta.txt", "heads=2", "heads=0")),
+        _sealed(_table_edit(lambda z: z[:-1])),
+        _sealed(_table_edit(_poison)),
+        _sealed(_truncate("table.z.mkt1", 7)),
+        _sealed(_truncate("table.z.mkt1", 4)),
         _text_edit("manifest.txt", "\t", " "),
         _entry_elsewhere(lambda ck: f"../{ck.name}-other/heads.global_b.mkt1"),
         _entry_elsewhere(lambda ck: f"{ck.parent}/{ck.name}-other/heads.global_b.mkt1"),
@@ -428,7 +436,7 @@ def test_checkpoint_faults_exit_three(workspace, tmp_path, capsys, edit):
 
 @pytest.mark.parametrize(
     "edit",
-    [_text_edit("vocab.tsv", "\t", " "), lambda ck: (ck / "vocab.tsv").unlink()],
+    [_sealed(_text_edit("vocab.tsv", "\t", " ")), lambda ck: (ck / "vocab.tsv").unlink()],
     ids=["vocab_line_without_tab", "vocab_missing"],
 )
 def test_retrieve_checkpoint_faults_exit_three(workspace, tmp_path, capsys, edit):
@@ -441,3 +449,68 @@ def test_retrieve_checkpoint_faults_exit_three(workspace, tmp_path, capsys, edit
     assert main(["retrieve", "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("invariant violation") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["eval", "retrieve"])
+def test_checkpoint_that_is_no_directory_is_config_error(workspace, tmp_path, capsys, command):
+    root, _ = workspace
+    (tmp_path / "a_file").write_text("not a checkpoint\n")
+    for checkpoint in (tmp_path / "stage2_typo", tmp_path / "a_file"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY + f"out_dir={tmp_path}/out\ndataset_dir={root}/out/dataset\ncheckpoint={checkpoint}\n")
+        assert main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"config error: {checkpoint} is not a directory\n"
+
+
+FUZZ = {
+    "truncate": lambda raw: raw[: len(raw) // 2],
+    "flip_bit": lambda raw: raw[:-1] + bytes([raw[-1] ^ 1]),
+    "delete": lambda raw: None,
+    "append": lambda raw: raw + b"\x00",
+}
+
+
+def _assert_commands_exit_three(commands, cfg, capsys, case):
+    for command in commands:
+        assert main([command, "--config", str(cfg)]) == 3, (command, case)
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation") and err.count("\n") == 1, (command, case, err)
+
+
+@pytest.mark.parametrize("edit", FUZZ)
+@pytest.mark.parametrize("target", ["checkpoint", "dataset"])
+def test_every_file_edit_exits_three(workspace, tmp_path, capsys, target, edit):
+    """Each file of a trained checkpoint or a test split, edited in one of four ways, fails verification."""
+    root, _ = workspace
+    source = root / "out" / ("stage2" if target == "checkpoint" else "dataset")
+    copy = tmp_path / target
+    shutil.copytree(source, copy)
+    data, ck = (root / "out" / "dataset", copy) if target == "checkpoint" else (copy, root / "out" / "stage2")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY + f"out_dir={tmp_path}/out\ndataset_dir={data}\ncheckpoint={ck}\n")
+    commands = ("eval", "retrieve") if target == "checkpoint" else ("eval",)
+    directory = ck if target == "checkpoint" else data / "test"
+    files = sorted(p for p in directory.rglob("*") if p.is_file())
+    assert len(files) > 10
+    for path in files:
+        raw = path.read_bytes()
+        edited = FUZZ[edit](raw)
+        if edited is None:
+            path.unlink()
+        else:
+            path.write_bytes(edited)
+        _assert_commands_exit_three(commands, cfg, capsys, path.relative_to(directory))
+        path.write_bytes(raw)
+
+
+def test_flipped_exponent_bit_in_a_weight_exits_three(workspace, tmp_path, capsys):
+    root, _ = workspace
+    ck = tmp_path / "ck"
+    shutil.copytree(root / "out" / "stage2", ck)
+    path = ck / "heads.global_w.mkt1"
+    raw = bytearray(path.read_bytes())
+    raw[5 + 2 * 8 + 6] ^= 0x10  # lowest exponent bit of the first value: doubles or halves it
+    path.write_bytes(bytes(raw))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY + f"out_dir={tmp_path}/out\ndataset_dir={root}/out/dataset\ncheckpoint={ck}\n")
+    _assert_commands_exit_three(("eval", "retrieve"), cfg, capsys, path.name)

@@ -3,14 +3,20 @@
 The literals below are what earlier versions of ovml wrote: a resolved
 run config, a dataset's world/config.txt (which quoted strings and
 listed the SynthConfig fields in another order) and a checkpoint's
-meta.txt. Each must still parse into the same settings.
+meta.txt. Each must still parse into the same settings. Dataset
+manifests keep their format; checkpoint manifests from before digests
+are refused.
 """
+
+import hashlib
 
 import pytest
 
+from ovml.cli import main
 from ovml.config import RunConfig, parse_config_text, resolved_text
 from ovml.model import ModelConfig, fixed_table, init_model, load_model, save_model
 from ovml.synth import SynthConfig, build_world, read_dataset, sample, write_dataset
+from ovml.tensor_io import directory_digest, seal
 
 from test_cli import TINY
 
@@ -123,7 +129,8 @@ def test_tiny_resolved_text_is_pinned():
 def test_old_world_config_reads_back(world, tmp_path):
     write_dataset(tmp_path, sample(world, 4, world.split.seen, 7))
     (tmp_path / "world" / "config.txt").write_text(OLD_WORLD_CONFIG)
-    back = read_dataset(tmp_path, verify=False).world
+    seal(tmp_path)
+    back = read_dataset(tmp_path).world
     assert back.config == WORLD
     assert (back.seed, back.n_labels, back.seen_fraction) == (7, 12, 0.75)
 
@@ -136,3 +143,47 @@ def test_meta_is_pinned_and_reads_back(world, tmp_path):
     assert loaded.config == MODEL
     assert table.label_ids == tuple(range(12))
     assert table.provenance == "fixed"
+
+
+def test_dataset_manifest_keeps_its_format(world, tmp_path):
+    """path<TAB>sha256 per file but the manifest, sorted by path; the hash
+    `ovml gen` prints is the sha256 of that text."""
+    ds = tmp_path / "ds"
+    write_dataset(ds, sample(world, 4, world.split.seen, 7))
+    rels = sorted(p.relative_to(ds).as_posix() for p in ds.rglob("*") if p.is_file() and p.name != "manifest.txt")
+    expected = "\n".join(f"{rel}\t{hashlib.sha256((ds / rel).read_bytes()).hexdigest()}" for rel in rels) + "\n"
+    assert "world/config.txt" in rels
+    assert (ds / "manifest.txt").read_text() == expected
+    assert directory_digest(ds) == hashlib.sha256(expected.encode()).hexdigest()
+    assert read_dataset(ds).world.config == WORLD
+
+
+def test_checkpoint_with_name_file_manifest_is_refused(world, tmp_path, capsys):
+    """Checkpoints saved before digests listed name<TAB>file; they are refused, not loaded unverified."""
+    ck = tmp_path / "ck"
+    model = init_model(5, world, MODEL)
+    save_model(ck, model, fixed_table(model))
+    names = sorted(p.stem for p in ck.glob("*.mkt1"))
+    (ck / "manifest.txt").write_text("".join(f"{name}\t{name}.mkt1\n" for name in names))
+    write_dataset(tmp_path / "data" / "test", sample(world, 6, world.split.all_ids, 7))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out_dir={tmp_path}/out\ndataset_dir={tmp_path}/data\ncheckpoint={ck}\n")
+    for command in ("eval", "retrieve"):
+        assert main([command, "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation") and err.count("\n") == 1, err
+        assert err.count(str(ck)) == 1 and "not a digest manifest" in err and "retrain" in err, err
+
+
+def test_retraining_shallower_into_one_out_dir_leaves_no_stale_files(tmp_path):
+    base = TINY + f"out_dir={tmp_path}/out\ncheckpoint={tmp_path}/out/stage2\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(base)
+    assert main(["gen", "--config", str(cfg)]) == 0
+    for depth in (2, 1):
+        cfg.write_text(base + f"depth={depth}\n")
+        assert main(["train", "--config", str(cfg)]) == 0
+    assert main(["eval", "--config", str(cfg)]) == 0
+    stage2 = tmp_path / "out" / "stage2"
+    assert (stage2 / "vit.b0.wo.mkt1").is_file() and not list(stage2.glob("vit.b1.*"))
+    assert not [p for p in (tmp_path / "out").iterdir() if p.name.startswith(".")]

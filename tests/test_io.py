@@ -11,6 +11,7 @@ from ovml.tensor_io import (
     load_checkpoint,
     read_tensor,
     save_checkpoint,
+    write_sealed,
     write_tensor,
 )
 
@@ -90,7 +91,7 @@ def test_checkpoint_round_trip(tmp_path):
         "heads.global_w": rng.normal(0, 1, (4, 3)),
         "prompt.context": rng.normal(0, 1, (2, 5)),
     }
-    save_checkpoint(tmp_path / "ck", tensors)
+    save_checkpoint(tmp_path / "ck", tensors, {})
     back = load_checkpoint(tmp_path / "ck")
     assert set(back) == set(tensors)
     for name in tensors:
@@ -100,10 +101,47 @@ def test_checkpoint_round_trip(tmp_path):
 def test_directory_digest_tracks_content_not_mtime(tmp_path):
     rng = np.random.default_rng(1)
     t = {"a": rng.normal(0, 1, 3), "b": rng.normal(0, 1, (2, 2))}
-    save_checkpoint(tmp_path / "x", t)
-    save_checkpoint(tmp_path / "y", t)
+    save_checkpoint(tmp_path / "x", t, {})
+    save_checkpoint(tmp_path / "y", t, {})
     assert directory_digest(tmp_path / "x") == directory_digest(tmp_path / "y")
 
     t["a"] = t["a"] + 1.0
-    save_checkpoint(tmp_path / "z", t)
+    save_checkpoint(tmp_path / "z", t, {})
     assert directory_digest(tmp_path / "x") != directory_digest(tmp_path / "z")
+
+
+def test_resave_replaces_the_whole_directory(tmp_path):
+    old_texts = {"meta.txt": "old\n", "notes.txt": "x\n"}
+    save_checkpoint(tmp_path / "ck", {"a": np.ones(2), "b": np.zeros(3)}, old_texts)
+    save_checkpoint(tmp_path / "ck", {"a": np.full(2, 2.0)}, {"meta.txt": "new\n"})
+    assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == ["a.mkt1", "manifest.txt", "meta.txt"]
+    assert (tmp_path / "ck" / "meta.txt").read_text() == "new\n"
+    assert load_checkpoint(tmp_path / "ck")["a"].tolist() == [2.0, 2.0]
+    assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+
+
+def test_writer_that_raises_leaves_no_half_directory(tmp_path):
+    def interrupted(staging):
+        write_tensor(staging / "a.mkt1", np.ones(2))
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        write_sealed(tmp_path / "ck", interrupted)
+    assert list(tmp_path.iterdir()) == []
+
+    save_checkpoint(tmp_path / "ck", {"a": np.zeros(2)}, {})
+    with pytest.raises(KeyboardInterrupt):
+        write_sealed(tmp_path / "ck", interrupted)
+    assert load_checkpoint(tmp_path / "ck")["a"].tolist() == [0.0, 0.0]
+    assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+
+
+def test_writer_never_replaces_a_directory_it_did_not_write(tmp_path):
+    (tmp_path / "notes").mkdir()
+    (tmp_path / "notes" / "todo.txt").write_text("keep me\n")
+    (tmp_path / "a_file").write_text("keep me too\n")
+    for target in (tmp_path / "notes", tmp_path / "a_file"):
+        with pytest.raises(FileExistsError):
+            save_checkpoint(target, {"a": np.ones(1)}, {})
+    assert (tmp_path / "notes" / "todo.txt").read_text() == "keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "notes"]

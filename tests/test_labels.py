@@ -16,7 +16,7 @@ from ovml.labels import (
     read_vocabulary,
     retrieval_accuracy,
     retrieve,
-    write_vocabulary,
+    vocabulary_text,
 )
 from ovml.seeds import substream
 from ovml.text_encoder import init_text_surrogate
@@ -134,5 +134,5 @@ def test_table_row_count_must_match_ids():
 def test_vocabulary_round_trip(tmp_path):
     cats = {0: 0, 1: 3, 7: 1, 2: 2}
     path = tmp_path / "vocab.tsv"
-    write_vocabulary(path, cats)
+    path.write_text(vocabulary_text(cats))
     assert read_vocabulary(path) == cats

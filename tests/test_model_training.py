@@ -23,7 +23,7 @@ from ovml.model import (
     score_batch,
 )
 from ovml.synth import SynthConfig, build_world, sample
-from ovml.tensor_io import directory_digest, write_tensor
+from ovml.tensor_io import directory_digest, seal, write_tensor
 from ovml.training import (
     FrozenViolation,
     NonFiniteLoss,
@@ -121,7 +121,8 @@ def test_load_model_rejects_nonfinite_weights(world, tmp_path):
     bad = model.streams.global_w.data.copy()
     bad[0, 0] = np.inf
     write_tensor(tmp_path / "ck" / "heads.global_w.mkt1", bad)
-    with pytest.raises(BadCheckpoint):
+    seal(tmp_path / "ck")  # reach the finiteness check behind the digests
+    with pytest.raises(BadCheckpoint, match="non-finite"):
         load_model(tmp_path / "ck", world)
 
 

@@ -15,12 +15,12 @@ from ovml.synth import (
     PoolTooSmall,
     SynthConfig,
     build_world,
-    dataset_hash,
     oracle_scores,
     read_dataset,
     sample,
     write_dataset,
 )
+from ovml.tensor_io import directory_digest
 
 CLEAN = SynthConfig(sigma=0.0)
 
@@ -194,7 +194,7 @@ class TestPersistence:
         ds = sample(w, 12, w.split.seen, seed=5)
         h1 = write_dataset(tmp_path / "a", ds)
         h2 = write_dataset(tmp_path / "b", ds)
-        assert h1 == h2 == dataset_hash(tmp_path / "a")
+        assert h1 == h2 == directory_digest(tmp_path / "a")
 
         back = read_dataset(tmp_path / "a")
         np.testing.assert_array_equal(back.images, ds.images)
@@ -211,11 +211,8 @@ class TestPersistence:
         raw = bytearray(target.read_bytes())
         raw[-1] ^= 0xFF
         target.write_bytes(bytes(raw))
-        with pytest.raises(DatasetCorrupt):
+        with pytest.raises(DatasetCorrupt, match="teacher.mkt1"):
             read_dataset(tmp_path / "d")
-        # verify=False skips the digest pass and loads the edited bytes
-        loose = read_dataset(tmp_path / "d", verify=False)
-        assert loose.images.shape == ds.images.shape
 
     def test_missing_config_detected(self, tmp_path):
         with pytest.raises(DatasetCorrupt):
