@@ -215,7 +215,9 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         cfg = _load_config(args)
-        return _COMMANDS[args.command](cfg)
+        # no numpy warnings before the one-line message: the Tensor and AdamW checks catch NaN/Inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](cfg)
     except (ConfigError, FileNotFoundError, FileExistsError, NotADirectoryError, PoolTooSmall,
             InfeasibleConstraint, KOutOfRange, TopNOutOfRange, UnknownLabel) as e:
         print(f"config error: {e}", file=sys.stderr)

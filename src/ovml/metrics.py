@@ -63,15 +63,31 @@ def average_precision(scores: np.ndarray, relevance: np.ndarray) -> float:
 def per_class_ap(scores: ScoreMatrix, gt: GroundTruthMatrix) -> tuple[list[float | None], list[int]]:
     """AP per column; None and a skip entry for columns without positives."""
     _check_aligned(scores, gt)
-    aps: list[float | None] = []
-    skipped: list[int] = []
-    for c, lid in enumerate(scores.label_ids):
-        if gt.y[:, c].sum() == 0:
-            aps.append(None)
-            skipped.append(lid)
-        else:
-            aps.append(average_precision(scores.scores[:, c], gt.y[:, c]))
-    return aps, skipped
+    aps = [
+        average_precision(scores.scores[:, c], gt.y[:, c]) if gt.y[:, c].any() else None
+        for c in range(len(scores.label_ids))
+    ]
+    return aps, [lid for lid, ap in zip(scores.label_ids, aps) if ap is None]
+
+
+def _mean_ap(aps: list[float | None], weights: np.ndarray | None = None) -> float:
+    keep = [c for c, ap in enumerate(aps) if ap is not None]
+    if not keep:
+        raise NoPositives("no class has positives")
+    vals = np.array([aps[c] for c in keep])
+    if weights is None:
+        return float(vals.mean())
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (len(aps),):
+        raise ShapeMismatch(f"weights {weights.shape} for {len(aps)} classes")
+    w = weights[keep]
+    if w.sum() <= 0:
+        raise ValueError("weights over evaluable classes sum to zero")
+    return float((vals * w).sum() / w.sum())
+
+
+def _weighted_map(aps: list[float | None], gt: GroundTruthMatrix) -> float:
+    return _mean_ap(aps, weights=gt.y.sum(axis=0).astype(np.float64))
 
 
 def mean_ap(scores: ScoreMatrix, gt: GroundTruthMatrix, weights: np.ndarray | None = None) -> float:
@@ -80,45 +96,29 @@ def mean_ap(scores: ScoreMatrix, gt: GroundTruthMatrix, weights: np.ndarray | No
     Weights align with columns and are renormalized over the evaluable
     classes. With weights = per-class positive counts this is WmAP.
     """
-    aps, _ = per_class_ap(scores, gt)
-    keep = [c for c, ap in enumerate(aps) if ap is not None]
-    if not keep:
-        raise NoPositives("no class has positives")
-    vals = np.array([aps[c] for c in keep])
-    if weights is None:
-        return float(vals.mean())
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (len(scores.label_ids),):
-        raise ShapeMismatch(f"weights {weights.shape} for {len(scores.label_ids)} classes")
-    w = weights[keep]
-    if w.sum() <= 0:
-        raise ValueError("weights over evaluable classes sum to zero")
-    return float((vals * w).sum() / w.sum())
+    return _mean_ap(per_class_ap(scores, gt)[0], weights)
 
 
 def weighted_map(scores: ScoreMatrix, gt: GroundTruthMatrix) -> float:
     """WmAP: AP weighted by each class's positive count."""
-    return mean_ap(scores, gt, weights=gt.y.sum(axis=0).astype(np.float64))
+    return _weighted_map(per_class_ap(scores, gt)[0], gt)
 
 
-def topk_sets(scores: ScoreMatrix, k: int) -> np.ndarray:
-    """Boolean B x d mask of each image's K highest-scoring labels.
+def _topk_masks(scores: np.ndarray, ks: tuple[int, ...]) -> dict[int, np.ndarray]:
+    """Boolean B x d mask of each row's K highest scores, per K, from one
+    stable ranking, so ties go to the lower label index."""
+    b, d = scores.shape
+    order = np.argsort(-scores, axis=1, kind="stable")
+    masks = {}
+    for k in map(int, ks):
+        if not 1 <= k <= d:
+            raise KOutOfRange(f"K={k} outside [1, {d}]")
+        masks[k] = np.zeros((b, d), dtype=bool)
+        masks[k][np.arange(b)[:, None], order[:, :k]] = True
+    return masks
 
-    Ties go to the lower label index.
-    """
-    b, d = scores.scores.shape
-    if not 1 <= k <= d:
-        raise KOutOfRange(f"K={k} outside [1, {d}]")
-    order = np.argsort(-scores.scores, axis=1, kind="stable")[:, :k]
-    mask = np.zeros((b, d), dtype=bool)
-    mask[np.arange(b)[:, None], order] = True
-    return mask
 
-
-def topk_prf(scores: ScoreMatrix, gt: GroundTruthMatrix, k: int) -> tuple[float, float, float]:
-    """Mean-per-label precision, recall, and F1 at K predictions per image."""
-    _check_aligned(scores, gt)
-    predicted = topk_sets(scores, k)
+def _prf(predicted: np.ndarray, gt: GroundTruthMatrix) -> tuple[float, float, float]:
     true_pos = int((predicted & (gt.y == 1)).sum())
     n_pred = int(predicted.sum())
     n_pos = int(gt.y.sum())
@@ -128,16 +128,27 @@ def topk_prf(scores: ScoreMatrix, gt: GroundTruthMatrix, k: int) -> tuple[float,
     return precision, recall, f1
 
 
+def topk_sets(scores: ScoreMatrix, k: int) -> np.ndarray:
+    """Boolean B x d mask of each image's K highest-scoring labels.
+
+    Ties go to the lower label index.
+    """
+    return _topk_masks(scores.scores, (k,))[k]
+
+
+def topk_prf(scores: ScoreMatrix, gt: GroundTruthMatrix, k: int) -> tuple[float, float, float]:
+    """Mean-per-label precision, recall, and F1 at K predictions per image."""
+    _check_aligned(scores, gt)
+    return _prf(topk_sets(scores, k), gt)
+
+
 def mask_task(matrix, split: LabelSplit, mode: str):
     """Restrict columns to the task vocabulary: ZSL keeps unseen (in split
     order), GZSL keeps everything. Works on ScoreMatrix and GroundTruthMatrix.
     """
     if mode not in ("ZSL", "GZSL"):
         raise ValueError(f"mode must be ZSL or GZSL, got {mode!r}")
-    if mode == "GZSL":
-        keep = list(split.all_ids)
-    else:
-        keep = list(split.unseen)
+    keep = list(split.all_ids if mode == "GZSL" else split.unseen)
     if not keep:
         raise EmptyTaskVocabulary(f"{mode} vocabulary is empty")
     col = {lid: i for i, lid in enumerate(matrix.label_ids)}
@@ -145,11 +156,9 @@ def mask_task(matrix, split: LabelSplit, mode: str):
         cols = [col[lid] for lid in keep]
     except KeyError as e:
         raise EmptyTaskVocabulary(f"label {e} absent from matrix") from None
-    arr = matrix.scores if isinstance(matrix, ScoreMatrix) else matrix.y
-    sub = arr[:, cols]
     if isinstance(matrix, ScoreMatrix):
-        return ScoreMatrix(scores=sub, label_ids=tuple(keep))
-    return GroundTruthMatrix(y=sub, label_ids=tuple(keep))
+        return ScoreMatrix(scores=matrix.scores[:, cols], label_ids=tuple(keep))
+    return GroundTruthMatrix(y=matrix.y[:, cols], label_ids=tuple(keep))
 
 
 def _check_aligned(scores: ScoreMatrix, gt: GroundTruthMatrix) -> None:
@@ -210,17 +219,15 @@ def evaluate(
     s = mask_task(scores, split, mode)
     g = mask_task(gt, split, mode)
     aps, skipped = per_class_ap(s, g)
-    report = MetricsReport(
+    return MetricsReport(
         task=mode,
         label_ids=s.label_ids,
         ap=aps,
         skipped_classes=skipped,
-        map=mean_ap(s, g),
-        wmap=weighted_map(s, g),
+        map=_mean_ap(aps),
+        wmap=_weighted_map(aps, g),
+        prf_at_k={k: _prf(mask, g) for k, mask in _topk_masks(s.scores, k_list).items()},
     )
-    for k in k_list:
-        report.prf_at_k[int(k)] = topk_prf(s, g, int(k))
-    return report
 
 
 def write_report(base: str | Path, report: MetricsReport) -> None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import MissingGrad, Tensor
+from .autodiff import MissingGrad, NonFinite, Tensor
 
 
 class AdamW:
@@ -16,6 +16,7 @@ class AdamW:
     The moments live in two flat buffers, one slot per parameter entry in
     dict order, so a step is one elementwise update over every parameter;
     each parameter's data then becomes its slice of the new flat weights.
+    A step that would make a weight NaN/Inf raises NonFinite and changes no weight.
     """
 
     def __init__(
@@ -58,6 +59,8 @@ class AdamW:
         v += (1.0 - self.beta2) * g * g
         update = (m / c1) / (np.sqrt(v / c2) + self.eps)
         w = w - self.lr * update - self.lr * self.weight_decay * w
+        if not np.isfinite(w).all():
+            raise NonFinite("the AdamW update makes a weight NaN/Inf")
         start = 0
         for p in params:
             stop = start + p.data.size

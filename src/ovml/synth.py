@@ -78,6 +78,9 @@ class SynthConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.surrogate_depth < 0:
             raise ValueError(f"surrogate_depth cannot be negative, got {self.surrogate_depth}")
+        for name in ("sigma", "token_jitter"):
+            if not 0.0 <= getattr(self, name) < np.inf:  # NaN fails every comparison
+                raise ValueError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
         if self.patch_size < 1 or self.image_size % self.patch_size:
             raise ValueError(f"patch {self.patch_size} does not tile {self.image_size}")
         check_heads(self.token_width, self.surrogate_heads, "token_width", "surrogate_heads")

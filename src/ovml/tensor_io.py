@@ -136,23 +136,31 @@ def seal(directory: str | Path) -> str:
     return hashlib.sha256(manifest).hexdigest()
 
 
+def remove_sealed(*directories: Path) -> None:
+    """Remove every given directory; when one is neither absent, empty nor
+    sealed, remove none and raise FileExistsError."""
+    for directory in directories:
+        if directory.exists() and not (directory / MANIFEST).is_file():
+            if directory.is_file() or any(directory.iterdir()):
+                raise FileExistsError(f"{directory} holds no {MANIFEST}; not replacing it")
+    for directory in directories:
+        shutil.rmtree(directory, ignore_errors=True)
+
+
 def write_sealed(directory: str | Path, fill: Callable[[Path], None]) -> str:
     """Have `fill` write a fresh sibling directory, seal it and move it to
     `directory`; return its digest. Only an empty or sealed directory is
     ever replaced, and a fill that raises leaves the target as it was."""
     directory = Path(directory)
-    if directory.exists() and not (directory / MANIFEST).is_file():
-        if directory.is_file() or any(directory.iterdir()):
-            raise FileExistsError(f"{directory} holds no {MANIFEST}; not replacing it")
     staging = directory.parent / f".ovml-{directory.name}-{secrets.token_hex(4)}"
     staging.mkdir(parents=True)
     try:
         fill(staging)
         digest = seal(staging)
-        shutil.rmtree(directory, ignore_errors=True)
+        remove_sealed(directory)
         staging.rename(directory)
     finally:
-        shutil.rmtree(staging, ignore_errors=True)  # left only by a fill that raised
+        shutil.rmtree(staging, ignore_errors=True)  # left only when the fill or the replacement raised
     return digest
 
 

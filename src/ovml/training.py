@@ -26,6 +26,7 @@ from .model import Model, encode, fixed_table, live_table, save_model, score_ima
 from .optim import AdamW
 from .seeds import substream
 from .synth import Dataset
+from .tensor_io import remove_sealed
 
 
 class NonFiniteLoss(RuntimeError):
@@ -51,8 +52,9 @@ class TrainConfig:
             raise ValueError("batch size must be positive")
         if min(self.epochs_stage1, self.epochs_stage2) < 0:
             raise ValueError("epoch counts cannot be negative")
-        if self.lambda_distill < 0:
-            raise ValueError("distillation weight cannot be negative")
+        for name in ("lambda_distill", "lr_stage1", "lr_stage2", "weight_decay"):
+            if not 0.0 <= getattr(self, name) < np.inf:  # NaN fails every comparison
+                raise ValueError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
 
 
 LogFn = Callable[[dict], None]
@@ -96,48 +98,49 @@ def _stage1_params(model: Model, cfg: TrainConfig) -> dict[str, Tensor]:
     return params
 
 
-def _total_loss(loss_rank: Tensor, loss_dist: Tensor | None, lam: float) -> Tensor:
-    if loss_dist is None or lam == 0.0:
-        return loss_rank
-    return ad.add(loss_rank, ad.scale(loss_dist, lam))
-
-
-def _check_finite(value: float, stage: int, epoch: int, step: int) -> None:
-    if not np.isfinite(value):
-        raise NonFiniteLoss(f"stage {stage} epoch {epoch} step {step}: loss {value}")
-
-
-def _batches(n: int, batch_size: int, rng: np.random.Generator):
-    perm = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield perm[start:start + batch_size]
+def _run_steps(
+    stage: int, params: dict[str, Tensor], lr: float, epochs: int, n: int, cfg: TrainConfig, seed: int,
+    losses: Callable[[np.ndarray], tuple[Tensor, Tensor, Tensor | None]], log: LogFn,
+) -> None:
+    """AdamW over `params`, one step per minibatch of each epoch's shuffle of
+    the `n` rows. `losses(batch)` builds the step's graph and returns its
+    (total, ranking, distillation or None) losses. A non-finite value
+    anywhere in a step, the optimizer update included, ends the stage.
+    """
+    opt = AdamW(params, lr=lr, weight_decay=cfg.weight_decay)
+    rng = substream(seed, f"train.stage{stage}")
+    step = 0
+    for epoch in range(epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            try:
+                total, loss_rank, loss_dist = losses(perm[start:start + cfg.batch_size])
+                opt.zero_grad()
+                ad.backward(total)
+                opt.step()
+            except NonFinite as e:
+                raise NonFiniteLoss(f"stage {stage} epoch {epoch} step {step}: {e}") from e
+            log({
+                "stage": stage, "epoch": epoch, "step": step, "loss_rank": float(loss_rank.data),
+                "loss_dist": None if loss_dist is None else float(loss_dist.data), "lr": lr,
+            })
+            step += 1
 
 
 def run_stage1(model: Model, dataset: Dataset, cfg: TrainConfig, seed: int, log: LogFn) -> None:
     table = fixed_table(model)
     positive = positive_mask(dataset, table.label_ids)
-    opt = AdamW(_stage1_params(model, cfg), lr=cfg.lr_stage1, weight_decay=cfg.weight_decay)
-    rng = substream(seed, "train.stage1")
-    step = 0
-    for epoch in range(cfg.epochs_stage1):
-        for batch in _batches(len(dataset), cfg.batch_size, rng):
-            try:
-                loss_rank, loss_dist = stage1_losses(
-                    model, dataset.images[batch], positive[batch], dataset.teacher[batch], table
-                )
-                total = _total_loss(loss_rank, loss_dist, cfg.lambda_distill)
-                _check_finite(float(total.data), 1, epoch, step)
-                opt.zero_grad()
-                ad.backward(total)
-            except NonFinite as e:
-                raise NonFiniteLoss(f"stage 1 epoch {epoch} step {step}: {e}") from e
-            opt.step()
-            log({
-                "stage": 1, "epoch": epoch, "step": step,
-                "loss_rank": float(loss_rank.data), "loss_dist": float(loss_dist.data),
-                "lr": cfg.lr_stage1,
-            })
-            step += 1
+    lam = cfg.lambda_distill
+
+    def losses(batch):
+        loss_rank, loss_dist = stage1_losses(
+            model, dataset.images[batch], positive[batch], dataset.teacher[batch], table
+        )
+        total = loss_rank if lam == 0.0 else ad.add(loss_rank, ad.scale(loss_dist, lam))
+        return total, loss_rank, loss_dist
+
+    params = _stage1_params(model, cfg)
+    _run_steps(1, params, cfg.lr_stage1, cfg.epochs_stage1, len(dataset), cfg, seed, losses, log)
 
 
 def frozen_params(model: Model) -> dict[str, Tensor]:
@@ -146,16 +149,6 @@ def frozen_params(model: Model) -> dict[str, Tensor]:
     frozen.update(model.streams.named("heads"))
     frozen.update(model.surrogate.named("surrogate"))
     return frozen
-
-
-def _frozen_snapshot(model: Model) -> dict[str, np.ndarray]:
-    return {name: t.data.copy() for name, t in frozen_params(model).items()}
-
-
-def _check_frozen(model: Model, snapshot: dict[str, np.ndarray]) -> None:
-    for name, t in frozen_params(model).items():
-        if not np.array_equal(t.data, snapshot[name]):
-            raise FrozenViolation(f"{name} changed during prompt tuning")
 
 
 def _embed_all(model: Model, images: np.ndarray, chunk: int) -> tuple[np.ndarray, np.ndarray]:
@@ -178,7 +171,7 @@ def run_stage2(
     Returns the whole-dataset ranking loss before the first and after the
     last step, so callers can verify tuning did not hurt.
     """
-    snapshot = _frozen_snapshot(model)
+    snapshot = {name: t.data.copy() for name, t in frozen_params(model).items()}
     cached_cls, cached_patch = _embed_all(model, dataset.images, cfg.batch_size)
     positive = positive_mask(dataset, model.split.all_ids)
 
@@ -198,30 +191,16 @@ def run_stage2(
         return total / len(dataset)
 
     start_loss = full_rank_loss()
-    opt = AdamW(
-        {"prompt.context": model.prompt.context},
-        lr=cfg.lr_stage2,
-        weight_decay=cfg.weight_decay,
-    )
-    rng = substream(seed, "train.stage2")
-    step = 0
-    for epoch in range(cfg.epochs_stage2):
-        for batch in _batches(len(dataset), cfg.batch_size, rng):
-            try:
-                loss_rank = stage2_loss(model, cached(batch), positive[batch])
-                _check_finite(float(loss_rank.data), 2, epoch, step)
-                opt.zero_grad()
-                ad.backward(loss_rank)
-            except NonFinite as e:
-                raise NonFiniteLoss(f"stage 2 epoch {epoch} step {step}: {e}") from e
-            opt.step()
-            log({
-                "stage": 2, "epoch": epoch, "step": step,
-                "loss_rank": float(loss_rank.data), "loss_dist": None,
-                "lr": cfg.lr_stage2,
-            })
-            step += 1
-    _check_frozen(model, snapshot)
+
+    def losses(batch):
+        loss_rank = stage2_loss(model, cached(batch), positive[batch])
+        return loss_rank, loss_rank, None
+
+    params = {"prompt.context": model.prompt.context}
+    _run_steps(2, params, cfg.lr_stage2, cfg.epochs_stage2, len(dataset), cfg, seed, losses, log)
+    for name, t in frozen_params(model).items():
+        if not np.array_equal(t.data, snapshot[name]):
+            raise FrozenViolation(f"{name} changed during prompt tuning")
     end_loss = full_rank_loss()
     log({"stage": 2, "event": "full_rank_loss", "start": start_loss, "end": end_loss})
     return start_loss, end_loss
@@ -232,9 +211,11 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig, seed: int, out_dir: 
 
     Returns the artifact paths. Deterministic for fixed inputs: the log
     carries no timestamps and checkpoints serialize in sorted name order.
+    An earlier run's checkpoints in `out_dir` go first, so none outlives a failed run.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    remove_sealed(out_dir / "stage1", out_dir / "stage2")
     log_path = out_dir / "train_log.jsonl"
     with open(log_path, "w") as fh:
         def log(record: dict) -> None:
@@ -244,8 +225,4 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig, seed: int, out_dir: 
         save_model(out_dir / "stage1", model, fixed_table(model))
         run_stage2(model, dataset, cfg, seed, log)
         save_model(out_dir / "stage2", model, fixed_table(model, provenance="tuned"))
-    return {
-        "log": log_path,
-        "stage1": out_dir / "stage1",
-        "stage2": out_dir / "stage2",
-    }
+    return {"log": log_path, "stage1": out_dir / "stage1", "stage2": out_dir / "stage2"}

@@ -250,13 +250,41 @@ def test_train_without_dataset_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_divergent_training_exits_two(workspace, capsys):
-    root, cfg_path = workspace
-    cfg2 = root / "diverge.cfg"
-    cfg2.write_text(tiny(out_dir=f"{root}/out", lr_stage1="1e150", epochs_stage1=3))
-    with np.errstate(over="ignore"):
-        assert main(["train", "--config", str(cfg2)]) == 2
+def test_divergent_training_exits_two(workspace, tmp_path, capsys, recwarn):
+    root, _ = workspace
+    cfg2 = tmp_path / "diverge.cfg"
+    cfg2.write_text(tiny(
+        out_dir=f"{tmp_path}/out", dataset_dir=f"{root}/out/dataset", lr_stage1="1e150", epochs_stage1=3
+    ))
+    assert main(["train", "--config", str(cfg2)]) == 2
     assert "numerical failure" in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_update_that_overflows_a_weight_stops_before_the_checkpoint(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(tiny(
+        out_dir=f"{tmp_path}/out", n_train=8, batch_size=8, epochs_stage1=1, lr_stage1="1e300", weight_decay="1e10"
+    ))
+    assert main(["gen", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: stage 1 epoch 0 step 0: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out" / "stage1").exists()
+
+
+def test_failed_retrain_leaves_no_earlier_checkpoint(workspace, tmp_path, capsys):
+    root, _ = workspace
+    for stage in ("stage1", "stage2"):
+        shutil.copytree(root / "out" / stage, tmp_path / "out" / stage)
+    cfg = tmp_path / "run.cfg"
+    settings = {"dataset_dir": f"{root}/out/dataset", "checkpoint": f"{tmp_path}/out/stage2"}
+    cfg.write_text(tiny(out_dir=f"{tmp_path}/out", width=8, lr_stage2="1e200", **settings))
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "width=8" in (tmp_path / "out" / "stage1" / "meta.txt").read_text()
+    assert main(["eval", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.endswith(f"config error: {tmp_path}/out/stage2 is not a directory\n")
 
 
 def _text_edit(rel, old, new):
@@ -340,6 +368,13 @@ def test_corrupted_dataset_exits_three(workspace, tmp_path, capsys, edit):
         ("sweep", "sweep_axis=head_mode;sweep_values=both wide"),
         ("sweep", "sweep_values=1 1.0"),  # two values naming one run
         ("sweep", "n_labels=20;k_list=25"),  # GZSL ranks 20 labels
+        ("train", "lr_stage1=nan"),
+        ("train", "lambda_distill=nan"),
+        ("train", "lr_stage2=-1"),
+        ("train", "weight_decay=inf"),
+        ("gen", "sigma=nan"),
+        ("gen", "sigma=-0.1"),
+        ("gen", "token_jitter=nan"),
     ],
 )
 def test_bad_component_value_is_config_error(workspace, tmp_path, capsys, command, line):

@@ -10,6 +10,7 @@ from ovml.tensor_io import (
     directory_digest,
     load_checkpoint,
     read_tensor,
+    remove_sealed,
     save_checkpoint,
     write_sealed,
     write_tensor,
@@ -140,8 +141,13 @@ def test_writer_never_replaces_a_directory_it_did_not_write(tmp_path):
     (tmp_path / "notes").mkdir()
     (tmp_path / "notes" / "todo.txt").write_text("keep me\n")
     (tmp_path / "a_file").write_text("keep me too\n")
+    save_checkpoint(tmp_path / "ck", {"a": np.ones(1)}, {})
     for target in (tmp_path / "notes", tmp_path / "a_file"):
         with pytest.raises(FileExistsError):
             save_checkpoint(target, {"a": np.ones(1)}, {})
+        with pytest.raises(FileExistsError):
+            remove_sealed(tmp_path / "ck", target)  # all or nothing: the sealed ck stays too
     assert (tmp_path / "notes" / "todo.txt").read_text() == "keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "ck", "notes"]
+    remove_sealed(tmp_path / "ck", tmp_path / "absent")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "notes"]

@@ -119,6 +119,12 @@ def test_random_matrices_match_loop_oracles(seed):
     got = topk_prf(s, g, k)
     np.testing.assert_allclose(got, brute_force_prf(scores, y, k), atol=1e-10)
 
+    # evaluate shares one AP list and one ranking across its metrics; each must equal its own function
+    report = evaluate(s, g, LabelSplit(seen=tuple(range(d)), unseen=()), "GZSL", tuple(range(1, d + 1)))
+    assert report.map == mean_ap(s, g)
+    assert report.wmap == weighted_map(s, g)
+    assert report.prf_at_k == {j: topk_prf(s, g, j) for j in range(1, d + 1)}
+
 
 def test_ap_tie_keeps_original_image_order():
     # scores tie; image 0 is negative and stays ranked first
