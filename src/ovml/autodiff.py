@@ -16,6 +16,10 @@ in the same order, so results are bit-identical to that composition.
 
 Every tensor is verified finite at construction, so a NaN/Inf produced
 anywhere surfaces immediately instead of propagating.
+
+Paths that never call `backward` (scoring, table snapshots, cached
+embeddings) run under `no_grad()`: ops compute the same data but record
+no graph, so every result is a constant leaf.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -98,10 +103,25 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
 
 
 _requires_grad = operator.attrgetter("requires_grad")
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Ops inside the block record no graph: each result keeps only its data
+    (no parents, no backward rule, requires_grad False). Forward arithmetic
+    is unchanged. Nested blocks restore the mode their caller had.
+    """
+    global _grad_enabled
+    before, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = before
 
 
 def _result(data, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    if any(map(_requires_grad, parents)):
+    if _grad_enabled and any(map(_requires_grad, parents)):
         return Tensor(data, True, parents, vjp)
     return Tensor(data)
 
@@ -424,15 +444,22 @@ def topk_mean_cols(x: Tensor, k: int, group: int | None = None) -> Tensor:
     if not 1 <= k <= size:
         raise KOutOfRange(f"k={k} outside [1, {size}]")
     blocks = x.data.reshape(n // size, size, d)
-    idx = _topk_index(blocks, k, axis=1)
+    # the k largest of each column, largest first, as a contiguous (m, k, d)
+    # array: the values and layout the stable ranking gathers, so the mean
+    # adds the same numbers in the same order (tied entries are equal, so
+    # which of them wins does not change the sum)
+    ranked = np.sort(np.ascontiguousarray(blocks.transpose(0, 2, 1)), axis=-1)
+    top = np.ascontiguousarray(ranked[:, :, ::-1][:, :, :k].transpose(0, 2, 1))
     out_shape = (d,) if group is None else (n // size, d)
 
     def vjp(g):
+        # the stable ranking of the forward's values: ties go to the lower index
+        idx = _topk_index(blocks, k, axis=1)
         out = np.zeros_like(blocks)
         np.put_along_axis(out, idx, g.reshape(-1, 1, d) / k, axis=1)
         return (out.reshape(n, d),)
 
-    return _result(np.take_along_axis(blocks, idx, axis=1).mean(axis=1).reshape(out_shape), (x,), vjp)
+    return _result(top.mean(axis=1).reshape(out_shape), (x,), vjp)
 
 
 def mean_all(x: Tensor) -> Tensor:
@@ -519,22 +546,23 @@ def finite_difference_check(
         leaf.zero_grad()
     backward(build())
     worst = 0.0
-    for leaf in leaves:
-        analytic = np.zeros_like(leaf.data) if leaf.grad is None else leaf.grad
-        flat = leaf.data.reshape(-1)
-        for i in range(flat.size):
-            x0 = flat[i]
-            h = 1e-6 * max(1.0, abs(x0))
-            flat[i] = x0 + h
-            up = build().item()
-            flat[i] = x0 - h
-            down = build().item()
-            flat[i] = x0
-            numeric = (up - down) / (2 * h)
-            a = analytic.reshape(-1)[i]
-            err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-            if err > worst:
-                worst = err
+    with no_grad():  # the perturbed losses are only read, never differentiated
+        for leaf in leaves:
+            analytic = np.zeros_like(leaf.data) if leaf.grad is None else leaf.grad
+            flat = leaf.data.reshape(-1)
+            for i in range(flat.size):
+                x0 = flat[i]
+                h = 1e-6 * max(1.0, abs(x0))
+                flat[i] = x0 + h
+                up = build().item()
+                flat[i] = x0 - h
+                down = build().item()
+                flat[i] = x0
+                numeric = (up - down) / (2 * h)
+                a = analytic.reshape(-1)[i]
+                err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
+                if err > worst:
+                    worst = err
     if worst > rel_tol:
         raise AssertionError(f"gradient mismatch: worst relative error {worst:.3e} > {rel_tol:g}")
     return worst

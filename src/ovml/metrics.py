@@ -41,6 +41,14 @@ class GroundTruthMatrix:
             raise ValueError("ground truth entries must be 0 or 1")
         self.y = self.y.astype(np.int64)
 
+    def columns(self, cols: list[int], label_ids: tuple[int, ...]) -> GroundTruthMatrix:
+        """The matrix of columns `cols`, named `label_ids`; its entries were
+        checked when this matrix was built, so they are not checked again.
+        """
+        out = object.__new__(GroundTruthMatrix)
+        out.y, out.label_ids = self.y[:, cols], label_ids
+        return out
+
 
 def average_precision(scores: np.ndarray, relevance: np.ndarray) -> float:
     """AP for one class column: sum of precision-at-hit over the positives count.
@@ -158,7 +166,7 @@ def mask_task(matrix, split: LabelSplit, mode: str):
         raise EmptyTaskVocabulary(f"label {e} absent from matrix") from None
     if isinstance(matrix, ScoreMatrix):
         return ScoreMatrix(scores=matrix.scores[:, cols], label_ids=tuple(keep))
-    return GroundTruthMatrix(y=matrix.y[:, cols], label_ids=tuple(keep))
+    return matrix.columns(cols, tuple(keep))
 
 
 def _check_aligned(scores: ScoreMatrix, gt: GroundTruthMatrix) -> None:

@@ -127,10 +127,8 @@ def fixed_table(model: Model, provenance: str = "fixed") -> LabelEmbeddingTable:
     """A constant snapshot of the current table; graphs built against it
     never touch the surrogate.
     """
-    live = live_table(model)
-    return LabelEmbeddingTable(
-        z=ad.tensor(live.matrix()), label_ids=live.label_ids, provenance=provenance
-    )
+    with ad.no_grad():
+        return live_table(model, provenance)
 
 
 def score_image(model: Model, emb: EmbeddingPair, table: LabelEmbeddingTable) -> Tensor:
@@ -144,11 +142,12 @@ SCORE_CHUNK = 16
 
 
 def score_batch(model: Model, images: np.ndarray, table: LabelEmbeddingTable) -> ScoreMatrix:
-    """Evaluation-only scoring, SCORE_CHUNK images per graph; gradients are discarded."""
-    rows = [
-        score_image(model, encode(model, images[start:start + SCORE_CHUNK]), table).data
-        for start in range(0, images.shape[0], SCORE_CHUNK)
-    ]
+    """Evaluation-only scoring, SCORE_CHUNK images per forward pass; no graph is recorded."""
+    with ad.no_grad():
+        rows = [
+            score_image(model, encode(model, images[start:start + SCORE_CHUNK]), table).data
+            for start in range(0, images.shape[0], SCORE_CHUNK)
+        ]
     return ScoreMatrix(scores=np.concatenate(rows), label_ids=table.label_ids)
 
 

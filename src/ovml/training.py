@@ -153,13 +153,14 @@ def frozen_params(model: Model) -> dict[str, Tensor]:
 
 def _embed_all(model: Model, images: np.ndarray, chunk: int) -> tuple[np.ndarray, np.ndarray]:
     """Constant (global, per-patch) embeddings of every image, `chunk`
-    images per graph so that only one chunk's graph is alive at a time.
+    images per forward pass, recording no graph.
     """
     e_cls, e_patch = [], []
-    for start in range(0, images.shape[0], chunk):
-        emb = encode(model, images[start:start + chunk])
-        e_cls.append(emb.e_cls.data)
-        e_patch.append(emb.e_patch.data.reshape(emb.e_cls.shape[0], -1, emb.e_cls.shape[1]))
+    with ad.no_grad():
+        for start in range(0, images.shape[0], chunk):
+            emb = encode(model, images[start:start + chunk])
+            e_cls.append(emb.e_cls.data)
+            e_patch.append(emb.e_patch.data.reshape(emb.e_cls.shape[0], -1, emb.e_cls.shape[1]))
     return np.concatenate(e_cls), np.concatenate(e_patch)
 
 
@@ -184,10 +185,11 @@ def run_stage2(
     def full_rank_loss() -> float:
         table = fixed_table(model)
         total = 0.0
-        for start in range(0, len(dataset), cfg.batch_size):
-            rows = slice(start, start + cfg.batch_size)
-            scores = score_image(model, cached(rows), table)
-            total += ranking_loss(scores, positive[rows]).item() * scores.shape[0]
+        with ad.no_grad():
+            for start in range(0, len(dataset), cfg.batch_size):
+                rows = slice(start, start + cfg.batch_size)
+                scores = score_image(model, cached(rows), table)
+                total += ranking_loss(scores, positive[rows]).item() * scores.shape[0]
         return total / len(dataset)
 
     start_loss = full_rank_loss()

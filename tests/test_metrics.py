@@ -245,6 +245,9 @@ class TestMaskTask:
 def test_ground_truth_must_be_binary():
     with pytest.raises(ValueError):
         GroundTruthMatrix(y=np.array([[0, 2]]), label_ids=(0, 1))
+    for bad in (0.5, -1, np.nan):
+        with pytest.raises(ValueError, match="0 or 1"):
+            GroundTruthMatrix(y=np.array([[1.0, 0.0], [0.0, bad]]), label_ids=(0, 1))
     with pytest.raises(ShapeMismatch):
         GroundTruthMatrix(y=np.zeros((2, 3)), label_ids=(0, 1))
 
@@ -264,3 +267,17 @@ def test_report_round_trip(tmp_path):
     # identical inputs emit identical bytes
     write_report(tmp_path / "rep2", evaluate(s, g, split, "GZSL", k_list=(1, 2)))
     assert (tmp_path / "rep.json").read_bytes() == (tmp_path / "rep2.json").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["ZSL", "GZSL"])
+def test_masked_ground_truth_equals_a_revalidated_one(mode):
+    rng = np.random.default_rng(7)
+    ids = (4, 0, 7, 2, 5, 1)
+    gt = GroundTruthMatrix(y=rng.integers(0, 2, (9, 6)), label_ids=ids)
+    split = LabelSplit(seen=(5, 7, 0), unseen=(2, 1))
+    masked = mask_task(gt, split, mode)
+    keep = split.all_ids if mode == "GZSL" else split.unseen
+    want = GroundTruthMatrix(y=gt.y[:, [ids.index(lid) for lid in keep]], label_ids=keep)
+    assert masked.label_ids == want.label_ids
+    assert masked.y.dtype == want.y.dtype
+    np.testing.assert_array_equal(masked.y, want.y)
