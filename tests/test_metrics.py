@@ -269,6 +269,38 @@ def test_report_round_trip(tmp_path):
     assert (tmp_path / "rep.json").read_bytes() == (tmp_path / "rep2.json").read_bytes()
 
 
+# The worked example's reports, byte for byte, as the reference implementation wrote them.
+PINNED_REPORTS = {
+    "ZSL": (
+        '{\n  "WmAP": 0.7222222222222222,\n  "ap": [\n    0.8055555555555555,\n    0.6388888888888888\n  ],\n'
+        '  "label_ids": [\n    2,\n    3\n  ],\n  "mAP": 0.7222222222222221,\n  "skipped_classes": [],\n'
+        '  "task": "ZSL",\n  "topk": {\n    "1": {\n      "F1": 0.4,\n      "P": 0.5,\n'
+        '      "R": 0.3333333333333333\n    },\n    "2": {\n      "F1": 0.8571428571428571,\n'
+        '      "P": 0.75,\n      "R": 1.0\n    }\n  }\n}',
+        "task     ZSL\nmAP      0.722222\nWmAP     0.722222\n"
+        "K=1     P 0.500000  R 0.333333  F1 0.400000\nK=2     P 0.750000  R 1.000000  F1 0.857143\n"
+        "skipped  none\nlabel    AP\n2        0.805556\n3        0.638889\n",
+    ),
+    "GZSL": (
+        '{\n  "WmAP": 0.7333333333333332,\n  "ap": [\n    0.75,\n    0.75,\n    0.8055555555555555,\n'
+        '    0.6388888888888888\n  ],\n  "label_ids": [\n    0,\n    1,\n    2,\n    3\n  ],\n'
+        '  "mAP": 0.736111111111111,\n  "skipped_classes": [],\n  "task": "GZSL",\n  "topk": {\n'
+        '    "1": {\n      "F1": 0.28571428571428575,\n      "P": 0.5,\n      "R": 0.2\n    },\n'
+        '    "2": {\n      "F1": 0.4444444444444445,\n      "P": 0.5,\n      "R": 0.4\n    }\n  }\n}',
+        "task     GZSL\nmAP      0.736111\nWmAP     0.733333\n"
+        "K=1     P 0.500000  R 0.200000  F1 0.285714\nK=2     P 0.500000  R 0.400000  F1 0.444444\n"
+        "skipped  none\nlabel    AP\n0        0.750000\n1        0.750000\n2        0.805556\n3        0.638889\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["ZSL", "GZSL"])
+def test_report_bytes_are_pinned(mode):
+    s, g = mats()
+    report = evaluate(s, g, LabelSplit(seen=(0, 1), unseen=(2, 3)), mode, k_list=(1, 2))
+    assert (report.to_json(), report.to_text()) == PINNED_REPORTS[mode]
+
+
 @pytest.mark.parametrize("mode", ["ZSL", "GZSL"])
 def test_masked_ground_truth_equals_a_revalidated_one(mode):
     rng = np.random.default_rng(7)
