@@ -24,6 +24,7 @@ no graph, so every result is a constant leaf.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import operator
@@ -130,7 +131,8 @@ def backward(loss: Tensor) -> None:
     """Populate .grad on every requires_grad leaf reachable from `loss`.
 
     The seed gradient is 1. Grads accumulate into leaves, so per-image
-    losses of a batch may be backwarded one by one.
+    losses of a batch may be backwarded one by one. A node joins a max-heap on
+    `_id` at its first gradient and pops after all its (newer) consumers.
     """
     if loss.data.shape != ():
         raise NotScalar(f"backward needs a scalar, got shape {loss.data.shape}")
@@ -138,20 +140,11 @@ def backward(loss: Tensor) -> None:
         raise DoubleBackward("backward already ran for this graph output")
     loss._spent = True
 
-    nodes: dict[int, Tensor] = {}
-    stack = [loss]
-    while stack:
-        t = stack.pop()
-        if id(t) in nodes or not t.requires_grad:
-            continue
-        nodes[id(t)] = t
-        stack.extend(t._parents)
-
     grads: dict[int, np.ndarray] = {id(loss): np.ones(())}
-    for t in sorted(nodes.values(), key=lambda n: n._id, reverse=True):
-        g = grads.pop(id(t), None)
-        if g is None:
-            continue
+    heap = [(-loss._id, loss)] if loss.requires_grad else []
+    while heap:
+        t = heapq.heappop(heap)[1]
+        g = grads.pop(id(t))
         if t._vjp is None:
             t.grad = g.copy() if t.grad is None else t.grad + g
             continue
@@ -159,7 +152,11 @@ def backward(loss: Tensor) -> None:
             if pg is None or not parent.requires_grad:
                 continue
             acc = grads.get(id(parent))
-            grads[id(parent)] = pg if acc is None else acc + pg
+            if acc is None:
+                grads[id(parent)] = pg
+                heapq.heappush(heap, (-parent._id, parent))
+            else:
+                grads[id(parent)] = acc + pg
 
 
 # ----------------------------------------------------------------------

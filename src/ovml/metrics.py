@@ -1,7 +1,7 @@
-"""Multi-label evaluation: per-class AP, mAP/WmAP, top-K P/R/F1, task masking.
+"""Multi-label evaluation: per-class AP, mAP/WmAP, top-K P/R/F1 over a task vocabulary.
 
 All sorting is stable with original-index tie-breaks so every metric is
-deterministic. Classes without a single positive under the current mask
+deterministic. Classes without a single positive in the task vocabulary
 are excluded from mAP/WmAP and reported as skipped.
 """
 
@@ -28,7 +28,7 @@ class EmptyTaskVocabulary(ValueError):
 
 @dataclass
 class GroundTruthMatrix:
-    """Binary relevance, aligned column-for-column with a ScoreMatrix."""
+    """Binary relevance per image and label; column j is label `label_ids[j]`."""
 
     y: np.ndarray  # B x d of {0, 1}
     label_ids: tuple[int, ...]
@@ -40,14 +40,6 @@ class GroundTruthMatrix:
         if not np.isin(self.y, (0, 1)).all():
             raise ValueError("ground truth entries must be 0 or 1")
         self.y = self.y.astype(np.int64)
-
-    def columns(self, cols: list[int], label_ids: tuple[int, ...]) -> GroundTruthMatrix:
-        """The matrix of columns `cols`, named `label_ids`; its entries were
-        checked when this matrix was built, so they are not checked again.
-        """
-        out = object.__new__(GroundTruthMatrix)
-        out.y, out.label_ids = self.y[:, cols], label_ids
-        return out
 
 
 def average_precision(scores: np.ndarray, relevance: np.ndarray) -> float:
@@ -68,48 +60,34 @@ def average_precision(scores: np.ndarray, relevance: np.ndarray) -> float:
     return float((precision_at * rel).sum() / n_pos)
 
 
+def _per_class_ap(
+    scores: np.ndarray, y: np.ndarray, label_ids: tuple[int, ...]
+) -> tuple[list[float | None], list[int]]:
+    aps = [average_precision(scores[:, c], y[:, c]) if y[:, c].any() else None for c in range(len(label_ids))]
+    return aps, [lid for lid, ap in zip(label_ids, aps) if ap is None]
+
+
 def per_class_ap(scores: ScoreMatrix, gt: GroundTruthMatrix) -> tuple[list[float | None], list[int]]:
     """AP per column; None and a skip entry for columns without positives."""
     _check_aligned(scores, gt)
-    aps = [
-        average_precision(scores.scores[:, c], gt.y[:, c]) if gt.y[:, c].any() else None
-        for c in range(len(scores.label_ids))
-    ]
-    return aps, [lid for lid, ap in zip(scores.label_ids, aps) if ap is None]
+    return _per_class_ap(scores.scores, gt.y, scores.label_ids)
 
 
 def _mean_ap(aps: list[float | None], weights: np.ndarray | None = None) -> float:
+    """Mean AP over the classes that have a positive, weighted by `weights` (one per column) when given."""
     keep = [c for c, ap in enumerate(aps) if ap is not None]
     if not keep:
         raise NoPositives("no class has positives")
     vals = np.array([aps[c] for c in keep])
     if weights is None:
         return float(vals.mean())
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (len(aps),):
-        raise ShapeMismatch(f"weights {weights.shape} for {len(aps)} classes")
     w = weights[keep]
-    if w.sum() <= 0:
-        raise ValueError("weights over evaluable classes sum to zero")
     return float((vals * w).sum() / w.sum())
 
 
-def _weighted_map(aps: list[float | None], gt: GroundTruthMatrix) -> float:
-    return _mean_ap(aps, weights=gt.y.sum(axis=0).astype(np.float64))
-
-
-def mean_ap(scores: ScoreMatrix, gt: GroundTruthMatrix, weights: np.ndarray | None = None) -> float:
-    """Mean AP over evaluable classes; pass per-class weights for WmAP.
-
-    Weights align with columns and are renormalized over the evaluable
-    classes. With weights = per-class positive counts this is WmAP.
-    """
-    return _mean_ap(per_class_ap(scores, gt)[0], weights)
-
-
-def weighted_map(scores: ScoreMatrix, gt: GroundTruthMatrix) -> float:
-    """WmAP: AP weighted by each class's positive count."""
-    return _weighted_map(per_class_ap(scores, gt)[0], gt)
+def mean_ap(scores: ScoreMatrix, gt: GroundTruthMatrix) -> float:
+    """Mean AP over the classes that have a positive."""
+    return _mean_ap(per_class_ap(scores, gt)[0])
 
 
 def _topk_masks(scores: np.ndarray, ks: tuple[int, ...]) -> dict[int, np.ndarray]:
@@ -126,47 +104,37 @@ def _topk_masks(scores: np.ndarray, ks: tuple[int, ...]) -> dict[int, np.ndarray
     return masks
 
 
-def _prf(predicted: np.ndarray, gt: GroundTruthMatrix) -> tuple[float, float, float]:
-    true_pos = int((predicted & (gt.y == 1)).sum())
+def _prf(predicted: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    true_pos = int((predicted & (y == 1)).sum())
     n_pred = int(predicted.sum())
-    n_pos = int(gt.y.sum())
+    n_pos = int(y.sum())
     precision = true_pos / n_pred if n_pred else 0.0
     recall = true_pos / n_pos if n_pos else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return precision, recall, f1
 
 
-def topk_sets(scores: ScoreMatrix, k: int) -> np.ndarray:
-    """Boolean B x d mask of each image's K highest-scoring labels.
-
-    Ties go to the lower label index.
-    """
-    return _topk_masks(scores.scores, (k,))[k]
-
-
 def topk_prf(scores: ScoreMatrix, gt: GroundTruthMatrix, k: int) -> tuple[float, float, float]:
-    """Mean-per-label precision, recall, and F1 at K predictions per image."""
+    """Precision, recall and F1 at K predictions per image, from true-positive,
+    prediction and positive counts summed over all images and labels."""
     _check_aligned(scores, gt)
-    return _prf(topk_sets(scores, k), gt)
+    return _prf(_topk_masks(scores.scores, (k,))[k], gt.y)
 
 
-def mask_task(matrix, split: LabelSplit, mode: str):
-    """Restrict columns to the task vocabulary: ZSL keeps unseen (in split
-    order), GZSL keeps everything. Works on ScoreMatrix and GroundTruthMatrix.
-    """
+def _task_columns(label_ids: tuple[int, ...], split: LabelSplit, mode: str) -> tuple[tuple[int, ...], list[int]]:
+    """The task vocabulary and its columns in a matrix whose columns are
+    `label_ids`: ZSL keeps the unseen labels in split order, GZSL keeps the
+    seen then the unseen ones."""
     if mode not in ("ZSL", "GZSL"):
         raise ValueError(f"mode must be ZSL or GZSL, got {mode!r}")
-    keep = list(split.all_ids if mode == "GZSL" else split.unseen)
+    keep = split.all_ids if mode == "GZSL" else split.unseen
     if not keep:
         raise EmptyTaskVocabulary(f"{mode} vocabulary is empty")
-    col = {lid: i for i, lid in enumerate(matrix.label_ids)}
+    col = {lid: i for i, lid in enumerate(label_ids)}
     try:
-        cols = [col[lid] for lid in keep]
+        return tuple(keep), [col[lid] for lid in keep]
     except KeyError as e:
         raise EmptyTaskVocabulary(f"label {e} absent from matrix") from None
-    if isinstance(matrix, ScoreMatrix):
-        return ScoreMatrix(scores=matrix.scores[:, cols], label_ids=tuple(keep))
-    return matrix.columns(cols, tuple(keep))
 
 
 def _check_aligned(scores: ScoreMatrix, gt: GroundTruthMatrix) -> None:
@@ -223,18 +191,22 @@ def evaluate(
     mode: str,
     k_list: tuple[int, ...],
 ) -> MetricsReport:
-    """Mask to the task vocabulary, then compute the full report."""
-    s = mask_task(scores, split, mode)
-    g = mask_task(gt, split, mode)
-    aps, skipped = per_class_ap(s, g)
+    """The full report over the task vocabulary. Each matrix's task columns are
+    found by its own label ids, so the two may order their labels differently."""
+    label_ids, cols = _task_columns(scores.label_ids, split, mode)
+    s = scores.scores[:, cols]
+    y = gt.y[:, _task_columns(gt.label_ids, split, mode)[1]]
+    if s.shape != y.shape:
+        raise ShapeMismatch(f"scores {scores.scores.shape} vs gt {gt.y.shape}")
+    aps, skipped = _per_class_ap(s, y, label_ids)
     return MetricsReport(
         task=mode,
-        label_ids=s.label_ids,
+        label_ids=label_ids,
         ap=aps,
         skipped_classes=skipped,
         map=_mean_ap(aps),
-        wmap=_weighted_map(aps, g),
-        prf_at_k={k: _prf(mask, g) for k, mask in _topk_masks(s.scores, k_list).items()},
+        wmap=_mean_ap(aps, weights=y.sum(axis=0).astype(np.float64)),
+        prf_at_k={k: _prf(mask, y) for k, mask in _topk_masks(s, k_list).items()},
     )
 
 

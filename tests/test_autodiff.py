@@ -16,7 +16,10 @@ from ovml.autodiff import (
     ShapeMismatch,
     finite_difference_check,
 )
+from ovml.model import encode, fixed_table, init_model
 from ovml.seeds import substream
+from ovml.synth import build_world, sample
+from ovml.training import positive_mask, stage1_losses, stage2_loss
 
 
 def rng_for(name):
@@ -162,6 +165,84 @@ def test_grads_accumulate_across_separate_graphs():
     ad.backward(ad.mean_all(x))
     ad.backward(ad.mean_all(x))
     np.testing.assert_allclose(x.grad, [1.0, 1.0])  # 0.5 + 0.5 per coordinate
+
+
+def _two_pass_backward(loss):
+    """The reference walk: collect every requires-grad node reachable from
+    `loss` depth first, then visit them in descending `_id` order."""
+    nodes = {}
+    stack = [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) in nodes or not t.requires_grad:
+            continue
+        nodes[id(t)] = t
+        stack.extend(t._parents)
+    grads = {id(loss): np.ones(())}
+    for t in sorted(nodes.values(), key=lambda n: n._id, reverse=True):
+        g = grads.pop(id(t), None)
+        if g is None:
+            continue
+        if t._vjp is None:
+            t.grad = g.copy() if t.grad is None else t.grad + g
+            continue
+        for parent, pg in zip(t._parents, t._vjp(g)):
+            if pg is None or not parent.requires_grad:
+                continue
+            acc = grads.get(id(parent))
+            grads[id(parent)] = pg if acc is None else acc + pg
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_backward_matches_the_two_pass_walk_bit_for_bit(stage):
+    world = build_world(12, 0.75, 0)
+    data = sample(world, 6, world.split.seen, seed=0, stream="sample.train")
+    model = init_model(1, world)
+    params = model.named_params()
+
+    def loss():
+        if stage == 1:
+            table = fixed_table(model)
+            rank, dist = stage1_losses(model, data.images, positive_mask(data, table.label_ids), data.teacher, table)
+            return ad.add(rank, ad.scale(dist, 0.5))
+        with ad.no_grad():
+            emb = encode(model, data.images)
+        return stage2_loss(model, emb, positive_mask(data, model.split.all_ids))
+
+    grads = {}
+    for walk in (_two_pass_backward, ad.backward):
+        for t in params.values():
+            t.zero_grad()
+        walk(loss())
+        grads[walk] = {name: t.grad for name, t in params.items()}
+    want, got = grads[_two_pass_backward], grads[ad.backward]
+    assert sum(g is not None for g in got.values()) == (len(params) - 1 if stage == 1 else 1)
+    for name in params:
+        assert (want[name] is None) == (got[name] is None), name
+        if got[name] is not None:
+            assert np.array_equal(want[name], got[name]), name
+
+
+def test_backward_skips_nodes_without_a_gradient():
+    x = ad.tensor(np.ones(3), requires_grad=True)
+    calls = []
+
+    def unreached_vjp(g):
+        calls.append(g)
+        return (g,)
+
+    dead = ad._result(2 * x.data, (x,), unreached_vjp)
+    # consumes `dead` and x, but sends a gradient to x only
+    loss = ad._result(np.array(dead.data.sum() + x.data.sum()), (dead, x), lambda g: (None, np.full(3, g)))
+    ad.backward(loss)
+    assert calls == []
+    np.testing.assert_array_equal(x.grad, np.ones(3))
+
+    y = ad.tensor(np.ones(3), requires_grad=True)
+    with ad.no_grad():
+        constant = ad.mean_all(y)
+    ad.backward(constant)
+    assert y.grad is None
 
 
 @given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 2**32 - 1))

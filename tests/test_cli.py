@@ -12,6 +12,7 @@ import pytest
 
 from ovml.cli import main
 from ovml.config import (
+    _KINDS,
     ConfigError,
     RunConfig,
     parse_config,
@@ -405,6 +406,23 @@ def test_negative_seed_override_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1, err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", sorted(_KINDS))
+def test_every_config_key_takes_odd_values_without_a_traceback(key, tmp_path, monkeypatch, capsys):
+    for i, value in enumerate(("0", "-1", "1e400", "nan", "0.5", "", "word")):
+        # a fresh working directory per value: values such as out_dir=0 write relative paths
+        run = tmp_path / str(i)
+        run.mkdir()
+        monkeypatch.chdir(run)
+        Path("run.cfg").write_text(tiny(**{"checkpoint": "runs/out/stage2", key: value}))
+        for command in ("gen", "train", "eval"):
+            try:
+                code = main([command, "--config", "run.cfg"])
+            except Exception as e:  # an escaping exception is the failure this test looks for
+                pytest.fail(f"{key}={value!r}: {command} raised {e!r}")
+            err = capsys.readouterr().err
+            assert 0 <= code <= 3 and err.count("\n") <= 1 and "Traceback" not in err, (key, value, command, err)
 
 
 def test_seed_and_out_overrides(tmp_path, capsys):

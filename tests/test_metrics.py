@@ -22,12 +22,9 @@ from ovml.metrics import (
     NoPositives,
     average_precision,
     evaluate,
-    mask_task,
     mean_ap,
     per_class_ap,
     topk_prf,
-    topk_sets,
-    weighted_map,
     write_report,
 )
 
@@ -56,6 +53,11 @@ def mats(scores=WORKED_SCORES, truth=WORKED_TRUTH, ids=None):
     return ScoreMatrix(scores=scores, label_ids=ids), GroundTruthMatrix(y=truth, label_ids=ids)
 
 
+def full_report(s, g, k_list=(1,)):
+    """evaluate over every column, in column order."""
+    return evaluate(s, g, LabelSplit(seen=s.label_ids, unseen=()), "GZSL", k_list)
+
+
 class TestWorkedExample:
     def test_per_class_ap(self):
         s, g = mats()
@@ -74,7 +76,7 @@ class TestWorkedExample:
         s, g = mats()
         counts = WORKED_TRUTH.sum(axis=0)  # 2, 2, 3, 3
         want = sum(c * a for c, a in zip(counts, WORKED_APS)) / counts.sum()
-        assert weighted_map(s, g) == pytest.approx(float(want), abs=1e-12)
+        assert full_report(s, g).wmap == pytest.approx(float(want), abs=1e-12)
 
 
 def brute_force_ap(scores, rel):
@@ -112,17 +114,18 @@ def test_random_matrices_match_loop_oracles(seed):
     y[rng.integers(0, b), :] = 1  # every class evaluable
     s, g = mats(scores, y, ids=range(d))
 
-    want = np.mean([brute_force_ap(scores[:, j], y[:, j]) for j in range(d)])
-    assert mean_ap(s, g) == pytest.approx(want, abs=1e-10)
+    aps = [brute_force_ap(scores[:, j], y[:, j]) for j in range(d)]
+    assert mean_ap(s, g) == pytest.approx(np.mean(aps), abs=1e-10)
 
     k = int(rng.integers(1, d + 1))
     got = topk_prf(s, g, k)
     np.testing.assert_allclose(got, brute_force_prf(scores, y, k), atol=1e-10)
 
     # evaluate shares one AP list and one ranking across its metrics; each must equal its own function
-    report = evaluate(s, g, LabelSplit(seen=tuple(range(d)), unseen=()), "GZSL", tuple(range(1, d + 1)))
+    report = full_report(s, g, tuple(range(1, d + 1)))
     assert report.map == mean_ap(s, g)
-    assert report.wmap == weighted_map(s, g)
+    counts = y.sum(axis=0)
+    assert report.wmap == pytest.approx(np.dot(counts, aps) / counts.sum(), abs=1e-10)
     assert report.prf_at_k == {j: topk_prf(s, g, j) for j in range(1, d + 1)}
 
 
@@ -177,19 +180,20 @@ def test_wmap_renormalizes_over_evaluable_classes():
     s, g = mats(WORKED_SCORES, y)
     counts = y.sum(axis=0)
     want = sum(counts[j] * WORKED_APS[j] for j in (1, 2, 3)) / counts.sum()
-    assert weighted_map(s, g) == pytest.approx(float(want), abs=1e-12)
+    assert full_report(s, g).wmap == pytest.approx(float(want), abs=1e-12)
 
 
 class TestTopK:
     def test_ties_to_lower_label_index(self):
-        s = ScoreMatrix(scores=np.array([[0.5, 0.7, 0.5]]), label_ids=(0, 1, 2))
-        np.testing.assert_array_equal(topk_sets(s, 2), [[True, True, False]])
+        # labels 0 and 2 tie for the second place; the only positive is label 2, so P=0 unless the tie went to it
+        s, g = mats(np.array([[0.5, 0.7, 0.5]]), np.array([[0, 0, 1]]))
+        assert topk_prf(s, g, 2) == (0.0, 0.0, 0.0)
 
     def test_k_bounds(self):
-        s = ScoreMatrix(scores=np.zeros((2, 3)), label_ids=(0, 1, 2))
+        s, g = mats(np.zeros((2, 3)), np.ones((2, 3), dtype=int))
         for k in (0, 4):
             with pytest.raises(KOutOfRange):
-                topk_sets(s, k)
+                topk_prf(s, g, k)
 
     def test_prf_hand_case(self):
         # one image, top-2 of [9, 8, 1], truth {0, 2}: TP=1, pred=2, pos=2
@@ -212,13 +216,11 @@ class TestMaskTask:
 
     def test_zsl_keeps_unseen_in_split_order(self):
         s, g = self.make()
-        zs = mask_task(s, self.split, "ZSL")
-        assert zs.label_ids == (4, 3)
-        np.testing.assert_array_equal(zs.scores, s.scores[:, [4, 3]])
         # GZSL columns follow split order (seen then unseen), not input order
-        zg = mask_task(g, self.split, "GZSL")
-        assert zg.label_ids == (0, 1, 2, 4, 3)
-        np.testing.assert_array_equal(zg.y, g.y[:, [0, 1, 2, 4, 3]])
+        for mode, cols in (("ZSL", [4, 3]), ("GZSL", [0, 1, 2, 4, 3])):
+            report = evaluate(s, g, self.split, mode, (1,))
+            assert report.label_ids == tuple(cols)
+            assert report.ap == [average_precision(s.scores[:, c], g.y[:, c]) for c in cols]
 
     def test_zsl_ignores_seen_column_poisoning(self):
         s, g = self.make()
@@ -232,14 +234,31 @@ class TestMaskTask:
     def test_empty_vocabulary_rejected(self):
         s, g = self.make()
         with pytest.raises(EmptyTaskVocabulary):
-            mask_task(s, LabelSplit(seen=(0, 1, 2, 3, 4), unseen=()), "ZSL")
+            evaluate(s, g, LabelSplit(seen=(0, 1, 2, 3, 4), unseen=()), "ZSL", (1,))
         with pytest.raises(EmptyTaskVocabulary):
-            mask_task(s, LabelSplit(seen=(0,), unseen=(9,)), "ZSL")
+            evaluate(s, g, LabelSplit(seen=(0,), unseen=(9,)), "ZSL", (1,))
+        # a label the ground truth lacks
+        g3 = GroundTruthMatrix(y=g.y[:, :3], label_ids=(0, 1, 2))
+        with pytest.raises(EmptyTaskVocabulary):
+            evaluate(s, g3, self.split, "ZSL", (1,))
 
     def test_bad_mode_rejected(self):
-        s, _ = self.make()
+        s, g = self.make()
         with pytest.raises(ValueError):
-            mask_task(s, self.split, "zsl")
+            evaluate(s, g, self.split, "zsl", (1,))
+
+    @pytest.mark.parametrize("mode", ["ZSL", "GZSL"])
+    def test_ground_truth_columns_may_be_permuted(self, mode):
+        s, g = self.make()
+        perm = [3, 0, 4, 2, 1]
+        shuffled = GroundTruthMatrix(y=g.y[:, perm], label_ids=tuple(g.label_ids[c] for c in perm))
+        want = evaluate(s, g, self.split, mode, (1, 2))
+        assert evaluate(s, shuffled, self.split, mode, (1, 2)).to_json() == want.to_json()
+
+    def test_row_counts_must_match(self):
+        s, g = self.make()
+        with pytest.raises(ShapeMismatch):
+            evaluate(s, GroundTruthMatrix(y=g.y[1:], label_ids=g.label_ids), self.split, "GZSL", (1,))
 
 
 def test_ground_truth_must_be_binary():
@@ -299,17 +318,3 @@ def test_report_bytes_are_pinned(mode):
     s, g = mats()
     report = evaluate(s, g, LabelSplit(seen=(0, 1), unseen=(2, 3)), mode, k_list=(1, 2))
     assert (report.to_json(), report.to_text()) == PINNED_REPORTS[mode]
-
-
-@pytest.mark.parametrize("mode", ["ZSL", "GZSL"])
-def test_masked_ground_truth_equals_a_revalidated_one(mode):
-    rng = np.random.default_rng(7)
-    ids = (4, 0, 7, 2, 5, 1)
-    gt = GroundTruthMatrix(y=rng.integers(0, 2, (9, 6)), label_ids=ids)
-    split = LabelSplit(seen=(5, 7, 0), unseen=(2, 1))
-    masked = mask_task(gt, split, mode)
-    keep = split.all_ids if mode == "GZSL" else split.unseen
-    want = GroundTruthMatrix(y=gt.y[:, [ids.index(lid) for lid in keep]], label_ids=keep)
-    assert masked.label_ids == want.label_ids
-    assert masked.y.dtype == want.y.dtype
-    np.testing.assert_array_equal(masked.y, want.y)
