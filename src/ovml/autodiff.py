@@ -1,18 +1,21 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 The op set is deliberately closed: exactly the operations the pipeline
-composes (matrix product, linear layer, additions, concat/row slice/
-transpose/reshape, row softmax, multi-head self-attention, layer norm,
-GELU, top-k mean pooling, L2 row normalization, pairwise hinge, L1
+composes (matrix product, linear layer, additions, scaling, concat/row
+slice/transpose/reshape, row softmax, multi-head self-attention, layer
+norm, GELU, top-k mean pooling, L2 row normalization, pairwise hinge, L1
 distance, mean). There is no broadcasting engine.
 
 A minibatch is one graph: images (or labels) are stacked row-wise, and
 the ops that must not mix them (attention, top-k pooling, the per-block
-row slice) work within fixed-size groups of consecutive rows.
+row slice) work within fixed-size groups of consecutive rows. Each takes
+its group explicitly; a single sequence is the one group of all its rows.
 
 `linear` and `self_attention` are fused: each is one node that does the
 arithmetic of the matmul / add_rowvec / concat subgraph it stands for,
 in the same order, so results are bit-identical to that composition.
+`softmax_rows` runs the softmax kernel of `self_attention`, and
+`topk_mean` is one column of `topk_mean_cols`, the pooling the heads use.
 
 Every tensor is verified finite at construction, so a NaN/Inf produced
 anywhere surfaces immediately instead of propagating.
@@ -185,14 +188,14 @@ def _check_product(name: str, a: Tensor, b: Tensor) -> None:
         raise ShapeMismatch(f"{name} inner dims differ: {a.shape} @ {b.shape}")
 
 
+def _product_vjp(a: Tensor, b: Tensor, g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+    # no gradient for a constant operand (input patches, a fixed label table)
+    return (g @ b.data.T if a.requires_grad else None, a.data.T @ g if b.requires_grad else None)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_product("matmul", a, b)
-
-    def vjp(g):
-        # no gradient for a constant operand (input patches, a fixed label table)
-        return (g @ b.data.T if a.requires_grad else None, a.data.T @ g if b.requires_grad else None)
-
-    return _result(_gemm(a.data, b.data), (a, b), vjp)
+    return _result(_gemm(a.data, b.data), (a, b), lambda g: _product_vjp(a, b, g))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -202,11 +205,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatch(f"linear bias {b.shape} for output width {w.shape[1]}")
 
     def vjp(g):
-        return (
-            g @ w.data.T if x.requires_grad else None,
-            x.data.T @ g if w.requires_grad else None,
-            g.sum(axis=0) if b.requires_grad else None,
-        )
+        return (*_product_vjp(x, w, g), g.sum(axis=0) if b.requires_grad else None)
 
     return _result(_gemm(x.data, w.data) + b.data, (x, w, b), vjp)
 
@@ -253,37 +252,29 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _result(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), vjp)
 
 
-def slice_rows(x: Tensor, start: int, stop: int, group: int | None = None) -> Tensor:
-    """Rows start:stop of x, or of each block of `group` consecutive rows,
-    the blocks' slices still row-stacked in block order.
+def _blocks(a: np.ndarray, group: int) -> np.ndarray:
+    """a's rows as consecutive blocks of `group`: shape (n // group, group, ...)."""
+    n = a.shape[0]
+    if group < 1 or n % group:
+        raise ShapeMismatch(f"{n} rows do not split into groups of {group}")
+    return a.reshape((n // group, group) + a.shape[1:])
+
+
+def slice_rows(x: Tensor, start: int, stop: int, group: int) -> Tensor:
+    """Rows start:stop of each block of `group` consecutive rows of x, the
+    blocks' slices still row-stacked in block order.
     """
-    n = x.shape[0]
-    size = n if group is None else group
-    if size < 1 or n % size or not (0 <= start < stop <= size):
-        raise ShapeMismatch(f"slice_rows [{start}:{stop}] of blocks of {size} out of {x.shape}")
+    blocks = _blocks(x.data, group)
+    if not 0 <= start < stop <= group:
+        raise ShapeMismatch(f"slice_rows [{start}:{stop}] of blocks of {group} out of {x.shape}")
     rest = x.shape[1:]
-    blocks = x.data.reshape((n // size, size) + rest)
 
     def vjp(g):
         full = np.zeros_like(blocks)
-        full[:, start:stop] = g.reshape((n // size, stop - start) + rest)
+        full[:, start:stop] = g.reshape((len(blocks), stop - start) + rest)
         return (full.reshape(x.shape),)
 
     return _result(blocks[:, start:stop].copy().reshape((-1,) + rest), (x,), vjp)
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax with per-row max subtraction."""
-    if x.data.ndim != 2:
-        raise ShapeMismatch(f"softmax_rows needs 2-D, got {x.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        return (p * (g - (g * p).sum(axis=1, keepdims=True)),)
-
-    return _result(p, (x,), vjp)
 
 
 def _last_axis_max(a: np.ndarray) -> np.ndarray:
@@ -292,6 +283,24 @@ def _last_axis_max(a: np.ndarray) -> np.ndarray:
     """
     rows = a.reshape(-1, a.shape[-1])
     return np.maximum.reduce(np.ascontiguousarray(rows.T), axis=0).reshape(a.shape[:-1] + (1,))
+
+
+def _softmax(a: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, with the max subtracted first."""
+    e = np.exp(a - _last_axis_max(a))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+
+
+def softmax_rows(x: Tensor) -> Tensor:
+    """Row-wise softmax: the attention kernel on a matrix."""
+    if x.data.ndim != 2:
+        raise ShapeMismatch(f"softmax_rows needs 2-D, got {x.shape}")
+    p = _softmax(x.data)
+    return _result(p, (x,), lambda g: (_softmax_vjp(p, g),))
 
 
 def self_attention(
@@ -316,9 +325,7 @@ def self_attention(
     for w in weights:
         if w.shape != (width, d_h):
             raise ShapeMismatch(f"self_attention head weight {w.shape} for input {x.shape}")
-    if group < 1 or n % group:
-        raise ShapeMismatch(f"{n} rows do not split into groups of {group}")
-    m = n // group
+    m = len(_blocks(x.data, group))
     c = 1.0 / np.sqrt(d_h)
     products = np.empty((3 * heads, n, d_h))
     for w, buf in zip(weights, products):
@@ -329,15 +336,14 @@ def self_attention(
     logits = (q @ k.swapaxes(2, 3)) * c
     if not np.isfinite(logits).all():
         raise NonFinite("attention logits hold NaN/Inf values")
-    e = np.exp(logits - _last_axis_max(logits))
-    p = e / e.sum(axis=3, keepdims=True)
+    p = _softmax(logits)
     # heads side by side in each row: the column-wise concat of their outputs
     out = (p @ v).transpose(1, 2, 0, 3).reshape(n, heads * d_h)
 
     def vjp(g):
         gb = g.reshape(m, group, heads, d_h).transpose(2, 0, 1, 3)
         dp = gb @ v.swapaxes(2, 3)
-        ds = p * (dp - (dp * p).sum(axis=3, keepdims=True)) * c
+        ds = _softmax_vjp(p, dp) * c
         d_products = (ds @ k, ds.swapaxes(2, 3) @ q, p.swapaxes(2, 3) @ gb)
         gx = None
         gw = [None] * len(weights)
@@ -404,59 +410,40 @@ def gelu(x: Tensor) -> Tensor:
     return _result(0.5 * d * (1.0 + t), (x,), vjp)
 
 
-def _topk_index(data: np.ndarray, k: int, axis: int = 0) -> np.ndarray:
-    # stable argsort on the negated values: ties resolve to the lower index
-    return np.argsort(-data, axis=axis, kind="stable").take(range(k), axis=axis)
-
-
 def topk_mean(v: Tensor, k: int) -> Tensor:
     """Mean of the k largest entries of a vector; ties go to lower indices."""
     if v.data.ndim != 1:
         raise ShapeMismatch(f"topk_mean needs a vector, got {v.shape}")
     n = v.shape[0]
-    if not 1 <= k <= n:
-        raise KOutOfRange(f"k={k} outside [1, {n}]")
-    idx = _topk_index(v.data, k)
-
-    def vjp(g):
-        out = np.zeros_like(v.data)
-        out[idx] = g / k
-        return (out,)
-
-    return _result(v.data[idx].mean(), (v,), vjp)
+    return reshape(topk_mean_cols(reshape(v, (n, 1)), k, group=n), ())
 
 
-def topk_mean_cols(x: Tensor, k: int, group: int | None = None) -> Tensor:
-    """Column-wise topk_mean within each block of `group` consecutive rows.
-
-    An (m * group)-by-d matrix gives an m-by-d matrix; without `group` the
-    whole n-by-d matrix is one block and the result is a d-vector.
+def topk_mean_cols(x: Tensor, k: int, group: int) -> Tensor:
+    """Mean of the k largest entries of each column within each block of
+    `group` consecutive rows: an (m * group)-by-d matrix gives m-by-d.
+    Ties go to the lower row.
     """
     if x.data.ndim != 2:
         raise ShapeMismatch(f"topk_mean_cols needs 2-D, got {x.shape}")
-    n, d = x.shape
-    size = n if group is None else group
-    if size < 1 or n % size:
-        raise ShapeMismatch(f"{n} rows do not split into groups of {size}")
-    if not 1 <= k <= size:
-        raise KOutOfRange(f"k={k} outside [1, {size}]")
-    blocks = x.data.reshape(n // size, size, d)
+    blocks = _blocks(x.data, group)
+    if not 1 <= k <= group:
+        raise KOutOfRange(f"k={k} outside [1, {group}]")
+    m, _, d = blocks.shape
     # the k largest of each column, largest first, as a contiguous (m, k, d)
     # array: the values and layout the stable ranking gathers, so the mean
     # adds the same numbers in the same order (tied entries are equal, so
     # which of them wins does not change the sum)
     ranked = np.sort(np.ascontiguousarray(blocks.transpose(0, 2, 1)), axis=-1)
     top = np.ascontiguousarray(ranked[:, :, ::-1][:, :, :k].transpose(0, 2, 1))
-    out_shape = (d,) if group is None else (n // size, d)
 
     def vjp(g):
-        # the stable ranking of the forward's values: ties go to the lower index
-        idx = _topk_index(blocks, k, axis=1)
+        # the stable ranking of the forward's values: ties go to the lower row
+        idx = np.argsort(-blocks, axis=1, kind="stable")[:, :k]
         out = np.zeros_like(blocks)
-        np.put_along_axis(out, idx, g.reshape(-1, 1, d) / k, axis=1)
-        return (out.reshape(n, d),)
+        np.put_along_axis(out, idx, g.reshape(m, 1, d) / k, axis=1)
+        return (out.reshape(x.shape),)
 
-    return _result(top.mean(axis=1).reshape(out_shape), (x,), vjp)
+    return _result(top.mean(axis=1), (x,), vjp)
 
 
 def mean_all(x: Tensor) -> Tensor:

@@ -4,7 +4,8 @@ Subcommands: gen, train, eval, retrieve, sweep, gradcheck. Every run
 writes its fully resolved config next to its outputs and produces
 byte-identical primary artifacts when repeated with the same config and
 seed. Exit codes: 0 ok, 1 usage or config problem (a dataset or checkpoint
-path that is not a directory), 2 numerical failure, 3 invariant violation.
+path that is not a directory, a test split that cannot be scored), 2
+numerical failure, 3 invariant violation.
 """
 
 from __future__ import annotations
@@ -92,7 +93,15 @@ def cmd_train(cfg: RunConfig) -> int:
 def _evaluate(
     model: Model, table: LabelEmbeddingTable, test: Dataset, k_lists: dict[str, tuple[int, ...]]
 ) -> dict[str, MetricsReport]:
-    """Score the test split once and report each task mode at its K values."""
+    """Score the test split once and report each task mode at its K values.
+    A task with no label on any test image is a config error: seen_fraction
+    left it no labels, or n_test too few images.
+    """
+    for mode in k_lists:
+        ids = set(test.world.split.unseen if mode == "ZSL" else test.world.split.all_ids)
+        if not any(ids.intersection(positives) for positives in test.positives):
+            key = f"n_test={len(test)}" if ids else f"seen_fraction={test.world.seen_fraction}"
+            raise ConfigError(f"{key} leaves no {mode} label on any test image to score")
     scores = score_batch(model, test.images, table)
     gt = test.ground_truth(table.label_ids)
     return {mode: evaluate(scores, gt, test.world.split, mode, ks) for mode, ks in k_lists.items()}
@@ -147,11 +156,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     columns = ["untrained_zsl_map", "zsl_map", "gzsl_map", f"gzsl_f1@{k_eval}"]
     show = lambda values: " ".join(f"{c} {v:.4f}" for c, v in zip(columns, values))
     rows = []
-    for seed in cfg.sweep_seeds or (cfg.seed,):
-        train_ds, test_ds = _datasets(replace(cfg, seed=seed))
-        # score every baseline before the first run, so a value that cannot score leaves no output
-        baselines = [_untrained_zsl_map(seed, cfg_v.model, test_ds) for _, cfg_v in points]
-        for (name, cfg_v), untrained in zip(points, baselines):
+    data = {seed: _datasets(replace(cfg, seed=seed)) for seed in cfg.sweep_seeds or (cfg.seed,)}
+    # score every baseline before the first run, so a value or seed that cannot score leaves no output
+    baselines = {seed: [_untrained_zsl_map(seed, cfg_v.model, test_ds) for _, cfg_v in points]
+                 for seed, (_, test_ds) in data.items()}
+    for seed, (train_ds, test_ds) in data.items():
+        for (name, cfg_v), untrained in zip(points, baselines[seed]):
             run_dir = out_dir / f"seed_{seed}" / f"{cfg.sweep_axis}_{name}"
             paths = train(init_model(seed, train_ds.world, cfg_v.model), train_ds, cfg_v.train, seed, run_dir)
             trained = load_model(paths["stage2"], test_ds.world)

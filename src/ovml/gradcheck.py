@@ -62,18 +62,12 @@ def _topk_safe_vector(rng, n: int, k: int) -> np.ndarray:
             return v
 
 
-def _scalarize(t: Tensor) -> Tensor:
-    if t.data.shape == ():
-        return t
-    return ad.mean_all(t)
-
-
 # --- single-op checks ---
 
 
 def _check_matmul(rng):
     a, b = _param(rng, 3, 4), _param(rng, 4, 2)
-    return lambda: _scalarize(ad.matmul(a, b)), [a, b]
+    return lambda: ad.mean_all(ad.matmul(a, b)), [a, b]
 
 
 def _check_softmax(rng):
@@ -98,22 +92,15 @@ def _check_topk_mean(rng):
     return lambda: ad.topk_mean(v, k), [v]
 
 
-def _check_topk_mean_cols(rng):
-    k = int(rng.integers(1, 4))
-    x = ad.tensor(_topk_safe_groups(rng, 1, 5, 3, k), requires_grad=True)
-    return lambda: ad.mean_all(ad.topk_mean_cols(x, k)), [x]
-
-
-def _topk_safe_groups(rng, groups: int, n: int, d: int, k: int) -> np.ndarray:
-    """(groups * n) x d values with safe top-k gaps in every group's columns."""
-    blocks = [np.stack([_topk_safe_vector(rng, n, k) for _ in range(d)], axis=1) for _ in range(groups)]
-    return np.concatenate(blocks, axis=0)
-
-
-def _check_topk_mean_groups(rng):
-    k = int(rng.integers(1, 4))
-    x = ad.tensor(_topk_safe_groups(rng, 2, 5, 4, k), requires_grad=True)
-    return lambda: ad.mean_all(ad.topk_mean_cols(x, k, group=5)), [x]
+def _topk_cols_check(groups: int, d: int):
+    """Top-k pooling over `groups` blocks of 5 rows by d columns, each
+    column of each block with safe top-k gaps."""
+    def check(rng):
+        k = int(rng.integers(1, 4))
+        blocks = [np.stack([_topk_safe_vector(rng, 5, k) for _ in range(d)], axis=1) for _ in range(groups)]
+        x = ad.tensor(np.concatenate(blocks, axis=0), requires_grad=True)
+        return lambda: ad.mean_all(ad.topk_mean_cols(x, k, group=5)), [x]
+    return check
 
 
 def _check_self_attention(rng):
@@ -168,7 +155,7 @@ def _check_linear_ops(rng):
     def build():
         joined = ad.concat([a, b], axis=0)             # 5 x 4
         shifted = ad.add_rowvec(joined, c)
-        cut = ad.slice_rows(shifted, 1, 5)             # 4 x 4
+        cut = ad.slice_rows(shifted, 1, 5, group=5)    # 4 x 4
         mapped = ad.linear(cut, w, bias)
         inner = ad.slice_rows(mapped, 1, 2, group=2)   # row 1 of each pair, 2 x 4
         flipped = ad.transpose(inner)                  # 4 x 2
@@ -190,12 +177,12 @@ def _check_msa(rng):
     x = _param(rng, 4, 4)
     leaves = [x, *block.wq, *block.wk, *block.wv, block.wo]
     _randomize(leaves, rng)
-    return lambda: ad.mean_all(msa(x, block)), leaves
+    return lambda: ad.mean_all(msa(x, block, group=4)), leaves
 
 
 def _check_vit_forward(rng):
     params = init_vit(rng, patch_len=4, n_patches=3, width=4, heads=2, depth=1)
-    seq = PatchSequence(ad.tensor(rng.normal(0.0, 1.0, (6, 4))), patch_size=2, channels=1, images=2)
+    seq = PatchSequence(ad.tensor(rng.normal(0.0, 1.0, (6, 4))), images=2)
     leaves = list(params.named().values())
     _randomize(leaves, rng)
     def build():
@@ -352,8 +339,8 @@ CHECKS = [
     ("layer_norm", _check_layernorm),
     ("gelu", _check_gelu),
     ("topk_mean", _check_topk_mean),
-    ("topk_mean_cols", _check_topk_mean_cols),
-    ("topk_mean_groups", _check_topk_mean_groups),
+    ("topk_mean_cols", _topk_cols_check(groups=1, d=3)),
+    ("topk_mean_groups", _topk_cols_check(groups=2, d=4)),
     ("pairwise_hinge", _check_pairwise_hinge),
     ("linear_ops", _check_linear_ops),
     ("l2_normalize", _check_l2_normalize),

@@ -30,10 +30,6 @@ class TextSurrogateParams:
     def token_width(self) -> int:
         return self.out_proj.shape[0]
 
-    @property
-    def embed_dim(self) -> int:
-        return self.out_proj.shape[1]
-
     def named(self, prefix: str = "surrogate") -> dict[str, Tensor]:
         out: dict[str, Tensor] = {f"{prefix}.out_proj": self.out_proj}
         for i, blk in enumerate(self.blocks):
@@ -70,20 +66,19 @@ def init_text_surrogate(
     return TextSurrogateParams(blocks=blocks, out_proj=out_proj, tokens=tokens)
 
 
-def text_surrogate_encode(context: Tensor, label_token: Tensor, params: TextSurrogateParams) -> Tensor:
-    """Encode [context..., label token] into a unit-norm label embedding.
+def text_surrogate_encode(context: Tensor, tokens: Tensor, params: TextSurrogateParams) -> Tensor:
+    """Encode [context..., token] for each row of the d x D_t token matrix
+    `tokens` into a d x D_e matrix of unit-norm label embeddings.
 
-    `label_token` is one (D_t,) token, giving a (D_e,) embedding, or a
-    d x D_t matrix of tokens, giving d x D_e: the d sequences share the
-    context and run as one row-stacked pass. Gradients reach only the
-    context rows; all surrogate weights and the tokens are frozen leaves.
+    The d sequences share the context and run as one row-stacked pass; a
+    single label is a one-row matrix. Gradients reach only the context
+    rows; all surrogate weights and the tokens are frozen leaves.
     """
     if context.data.ndim != 2 or context.shape[1] != params.token_width:
         raise ShapeMismatch(f"context shape {context.shape} vs token width {params.token_width}")
-    if label_token.data.ndim not in (1, 2) or label_token.shape[-1] != params.token_width:
-        raise ShapeMismatch(f"label token shape {label_token.shape}")
+    if tokens.data.ndim != 2 or tokens.shape[1] != params.token_width:
+        raise ShapeMismatch(f"label tokens shape {tokens.shape}, expected d x {params.token_width}")
     m, width = context.shape
-    tokens = ad.reshape(label_token, (-1, width))
     d = tokens.shape[0]
     # one row per label: [context row 1, ..., context row M, label token] flattened
     shared = ad.matmul(ad.tensor(np.ones((d, 1))), ad.reshape(context, (1, m * width)))
@@ -91,5 +86,4 @@ def text_surrogate_encode(context: Tensor, label_token: Tensor, params: TextSurr
     for block in params.blocks:
         x = encoder_block(x, block, group=m + 1)
     _, last = split_rows(x, m + 1, m)
-    projected = ad.matmul(last, params.out_proj)
-    return ad.l2_normalize(ad.reshape(projected, label_token.shape[:-1] + (params.embed_dim,)))
+    return ad.l2_normalize(ad.matmul(last, params.out_proj))

@@ -27,12 +27,10 @@ class BadPatchSize(ValueError):
 @dataclass
 class PatchSequence:
     """Raster-order flattened patches of `images` images, stacked row-wise:
-    images * count rows of length patch_size**2 * channels.
+    images * count rows, one per patch.
     """
 
     patches: Tensor
-    patch_size: int
-    channels: int
     images: int = 1
 
     @property
@@ -57,7 +55,7 @@ def patchify(image: np.ndarray, patch_size: int) -> PatchSequence:
         raise BadPatchSize(f"patch size {patch_size} does not tile {h}x{w}")
     gh, gw = h // patch_size, w // patch_size
     grid = image.reshape(b, c, gh, patch_size, gw, patch_size).transpose(0, 2, 4, 1, 3, 5)
-    return PatchSequence(ad.tensor(grid.reshape(b * gh * gw, -1)), patch_size, c, images=b)
+    return PatchSequence(ad.tensor(grid.reshape(b * gh * gw, -1)), images=b)
 
 
 @dataclass
@@ -174,11 +172,10 @@ def init_vit(
     )
 
 
-def msa(x: Tensor, block: BlockParams, group: int | None = None) -> Tensor:
-    """Multi-head self-attention within each block of `group` rows (all
-    rows when None): scaled dot-product per head, concat, project.
+def msa(x: Tensor, block: BlockParams, group: int) -> Tensor:
+    """Multi-head self-attention within each block of `group` rows:
+    scaled dot-product per head, concat, project.
     """
-    group = x.shape[0] if group is None else group
     merged = ad.self_attention(x, block.wq, block.wk, block.wv, group)
     return ad.matmul(merged, block.wo)
 
@@ -188,7 +185,7 @@ def _mlp(x: Tensor, block: BlockParams) -> Tensor:
     return ad.linear(h, block.mlp_w2, block.mlp_b2)
 
 
-def encoder_block(x: Tensor, block: BlockParams, group: int | None = None) -> Tensor:
+def encoder_block(x: Tensor, block: BlockParams, group: int) -> Tensor:
     y = ad.add(x, msa(ad.layer_norm(x, block.ln1_gain, block.ln1_bias), block, group))
     return ad.add(y, _mlp(ad.layer_norm(y, block.ln2_gain, block.ln2_bias), block))
 

@@ -92,8 +92,8 @@ def test_label_table_matches_per_label_encoding(world):
     context.zero_grad()
     d = len(table.label_ids)
     for row, lid in enumerate(table.label_ids):
-        emb = text_surrogate_encode(context, model.surrogate.tokens[lid], model.surrogate)
-        np.testing.assert_allclose(table.z.data[row], emb.data, rtol=0, atol=1e-12)
+        emb = text_surrogate_encode(context, model.surrogate.token_rows([lid]), model.surrogate)
+        np.testing.assert_allclose(table.z.data[row], emb.data[0], rtol=0, atol=1e-12)
         ad.backward(ad.scale(ad.mean_all(emb), 1.0 / d))
     assert np.abs(batch_grad - context.grad).max() <= 1e-12 * np.abs(context.grad).max()
 

@@ -399,6 +399,35 @@ def test_sweep_with_fewer_unseen_labels_than_k(tmp_path, capsys):
     assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 2
 
 
+# seen_fraction=1.0 leaves ZSL no labels; one test image at seed 0 carries no unseen label
+@pytest.mark.parametrize("settings", [{"seen_fraction": 1.0}, {"n_test": 1, "seed": 0}], ids=["no_unseen", "one_image"])
+def test_eval_of_a_split_that_cannot_be_scored_is_config_error(tmp_path, capsys, settings):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(tiny(out_dir=f"{tmp_path}/out", checkpoint=f"{tmp_path}/out/stage2", **settings))
+    assert main(["gen", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    key = next(iter(settings))
+    assert err.startswith(f"config error: {key}=") and err.count("\n") == 1, err
+    assert not list((tmp_path / "out").glob("report_*"))
+
+
+# seed 1 can score its one test image and seed 0 cannot, so no seed may train first
+@pytest.mark.parametrize(
+    "settings", [{"seen_fraction": 1.0}, {"n_test": 1, "sweep_seeds": "1 0"}], ids=["no_unseen", "one_image"]
+)
+def test_sweep_of_a_split_that_cannot_be_scored_is_config_error(tmp_path, capsys, settings):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(tiny(out_dir=f"{tmp_path}/sw", **settings))
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    key = next(iter(settings))
+    assert err.startswith(f"config error: {key}=") and err.count("\n") == 1, err
+    assert not (tmp_path / "sw").exists()
+
+
 def test_negative_seed_override_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(TINY)

@@ -1,7 +1,8 @@
 """Forward-only graphs: `ad.no_grad()` keeps every op's data and drops its
 graph, the model's evaluation paths record no graph, the sort-based
-`topk_mean_cols` forward matches a stable ranking bit for bit, and the
-gradient checker still catches a wrong backward rule.
+`topk_mean_cols` forward matches a stable ranking bit for bit, the
+gradient suite reaches every op, and the gradient checker still catches
+a wrong backward rule.
 """
 
 import inspect
@@ -11,6 +12,7 @@ import pytest
 
 from ovml import autodiff as ad
 from ovml.autodiff import Tensor, finite_difference_check
+from ovml.gradcheck import run_suite
 from ovml.model import encode, fixed_table, init_model, score_batch, score_image
 from ovml.seeds import substream
 from ovml.synth import SynthConfig, build_world, sample
@@ -58,12 +60,30 @@ OPS = {
 NOT_OPS = {"tensor", "backward", "no_grad", "finite_difference_check"}
 
 
-def test_every_op_is_covered():
-    public = {
+def _public_ops() -> set[str]:
+    return {
         name for name, fn in vars(ad).items()
         if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and not name.startswith("_")
-    }
-    assert public - NOT_OPS == set(OPS)
+    } - NOT_OPS
+
+
+def test_every_op_is_covered():
+    assert _public_ops() == set(OPS)
+
+
+def _recording(name, op, called):
+    def recorded(*args, **kwargs):
+        called.add(name)
+        return op(*args, **kwargs)
+    return recorded
+
+
+def test_gradient_suite_reaches_every_op(monkeypatch):
+    ops, called = _public_ops(), set()
+    for name in ops:
+        monkeypatch.setattr(ad, name, _recording(name, getattr(ad, name), called))
+    assert all(r.ok for r in run_suite(instances=1))
+    assert called == ops
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
@@ -160,15 +180,13 @@ def test_fixed_table_and_embedding_cache_record_no_graph(world, images, tensor_c
 # --- topk_mean_cols ---
 
 
-def topk_reference(x: np.ndarray, k: int, group: int | None) -> np.ndarray:
+def topk_reference(x: np.ndarray, k: int, group: int) -> np.ndarray:
     """The stable-ranking forward: gather each column's k largest, ties to
     the lower row, largest first, then average over them."""
     n, d = x.shape
-    size = n if group is None else group
-    blocks = x.reshape(n // size, size, d)
+    blocks = x.reshape(n // group, group, d)
     idx = np.argsort(-blocks, axis=1, kind="stable")[:, :k]
-    out = np.take_along_axis(blocks, idx, axis=1).mean(axis=1)
-    return out.reshape(d) if group is None else out
+    return np.take_along_axis(blocks, idx, axis=1).mean(axis=1)
 
 
 def _ties(rng, shape):
@@ -178,10 +196,10 @@ def _ties(rng, shape):
 
 CASES = {
     "ties": (lambda r: _ties(r, (12, 5)), 2, 4),
-    "ties_ungrouped": (lambda r: _ties(r, (9, 6)), 4, None),
+    "ties_one_block": (lambda r: _ties(r, (9, 6)), 4, 9),
     "k1": (lambda r: r.normal(0, 1, (12, 5)), 1, 3),
     "k_is_group": (lambda r: r.normal(0, 1, (12, 5)), 4, 4),
-    "group_none": (lambda r: r.normal(0, 1, (7, 4)), 3, None),
+    "one_block": (lambda r: r.normal(0, 1, (7, 4)), 3, 7),
     "group10_k9": (lambda r: r.normal(0, 1, (30, 7)), 9, 10),
     "group10_k9_ties": (lambda r: _ties(r, (30, 7)) + r.normal(0, 1, 7), 9, 10),
 }

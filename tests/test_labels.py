@@ -119,8 +119,8 @@ def test_build_label_table_rows_follow_split_order():
     from ovml.text_encoder import text_surrogate_encode
 
     for row, lid in enumerate(table.label_ids):
-        want = text_surrogate_encode(prompt.context, tower.tokens[lid], tower)
-        np.testing.assert_array_equal(table.z.data[row], want.data)
+        want = text_surrogate_encode(prompt.context, tower.token_rows([lid]), tower)
+        np.testing.assert_array_equal(table.z.data[row], want.data[0])
     assert table.row_of(2) == 2
     with pytest.raises(UnknownLabel):
         table.row_of(7)

@@ -97,7 +97,7 @@ def test_msa_matches_numpy_reimplementation():
             t.data[...] = rng.normal(0, 0.5, t.shape)
     block.wo.data[...] = rng.normal(0, 0.5, block.wo.shape)
     x = rng.normal(0, 1.0, (5, 8))
-    np.testing.assert_allclose(msa(ad.tensor(x), block).data, _numpy_msa(x, block), atol=1e-12)
+    np.testing.assert_allclose(msa(ad.tensor(x), block, group=5).data, _numpy_msa(x, block), atol=1e-12)
 
 
 def _grouped_attention(q, k, v, group):
@@ -191,8 +191,8 @@ def test_patch_outputs_permutation_equivariant_without_positions():
     patches = rng.normal(0, 1, (6, 4))
     perm = rng.permutation(6)
 
-    base = vit_forward(PatchSequence(ad.tensor(patches), 2, 1), params)
-    moved = vit_forward(PatchSequence(ad.tensor(patches[perm]), 2, 1), params)
+    base = vit_forward(PatchSequence(ad.tensor(patches), images=1), params)
+    moved = vit_forward(PatchSequence(ad.tensor(patches[perm]), images=1), params)
 
     np.testing.assert_allclose(moved.o_cls.data, base.o_cls.data, atol=1e-12)
     np.testing.assert_allclose(moved.o_patch.data, base.o_patch.data[perm], atol=1e-12)
@@ -223,7 +223,7 @@ def test_backbone_gradients_against_finite_differences():
     patches = rng.normal(0, 1, (3, 4))
 
     def build():
-        out = vit_forward(PatchSequence(ad.tensor(patches), 2, 1), params)
+        out = vit_forward(PatchSequence(ad.tensor(patches), images=1), params)
         return ad.mean_all(ad.concat([out.o_cls, out.o_patch], axis=0))
 
     assert ad.finite_difference_check(build, leaves) < 1e-4
