@@ -452,61 +452,58 @@ def mean_all(x: Tensor) -> Tensor:
     return _result(x.data.mean(), (x,), lambda g: (np.full(shape, g / n),))
 
 
-def l2_normalize(v: Tensor) -> Tensor:
-    """Scale a vector, or each row of a matrix, to unit L2 norm."""
-    if v.data.ndim not in (1, 2):
-        raise ShapeMismatch(f"l2_normalize needs a vector or matrix, got {v.shape}")
-    n = np.sqrt(np.vecdot(v.data, v.data))[..., None]
+def l2_normalize(x: Tensor) -> Tensor:
+    """Scale each row of a matrix to unit L2 norm."""
+    if x.data.ndim != 2:
+        raise ShapeMismatch(f"l2_normalize needs a matrix, got {x.shape}")
+    n = np.sqrt(np.vecdot(x.data, x.data))[:, None]
     if n.min() < 1e-30:
         raise NonFinite("cannot normalize a zero vector")
-    y = v.data / n
+    y = x.data / n
 
     def vjp(g):
-        return ((g - y * np.vecdot(y, g)[..., None]) / n,)
+        return ((g - y * np.vecdot(y, g)[:, None]) / n,)
 
-    return _result(y, (v,), vjp)
+    return _result(y, (x,), vjp)
 
 
 def l1_distance(a: Tensor, b: Tensor) -> Tensor:
-    """Sum of absolute differences along the last axis (per row of a
-    matrix, a scalar for vectors); subgradient at ties is 0.
+    """Sum of absolute differences of each row pair of two equal-shape
+    matrices, a vector with one entry per row; subgradient at ties is 0.
     """
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"l1_distance shapes differ: {a.shape} vs {b.shape}")
+    if a.data.ndim != 2 or a.shape != b.shape:
+        raise ShapeMismatch(f"l1_distance needs two equal-shape matrices, got {a.shape} and {b.shape}")
     s = np.sign(a.data - b.data)
 
     def vjp(g):
-        g = np.asarray(g)[..., None]
-        return g * s, -g * s
+        return g[:, None] * s, -g[:, None] * s
 
-    return _result(np.abs(a.data - b.data).sum(axis=-1), (a, b), vjp)
+    return _result(np.abs(a.data - b.data).sum(axis=1), (a, b), vjp)
 
 
-def pairwise_hinge(scores: Tensor, pos, neg) -> Tensor:
-    """Per row, the sum over (p, n) pairs of max(1 + s_n - s_p, 0).
+def pairwise_hinge(scores: Tensor, pos: np.ndarray, neg: np.ndarray) -> Tensor:
+    """Per row of a B-by-d score matrix, the sum over (p, n) pairs of
+    max(1 + s_n - s_p, 0): a B-vector.
 
-    `pos` and `neg` select entries of `scores`: index arrays for a score
-    vector, boolean masks shaped like it for a batch of score rows. Pairs
-    never cross rows. A vector gives a scalar, a B-by-d matrix a B-vector.
+    `pos` and `neg` are boolean masks shaped like `scores` that select each
+    row's positive and negative entries; pairs never cross rows.
     Subgradient at the kink is 0: only strictly violated pairs carry
     gradient.
     """
-    if scores.data.ndim not in (1, 2):
-        raise ShapeMismatch(f"pairwise_hinge needs score rows, got {scores.shape}")
-    s = scores.data
-    is_pos = np.zeros(s.shape, dtype=bool)
-    is_neg = np.zeros(s.shape, dtype=bool)
-    is_pos[pos] = True
-    is_neg[neg] = True
-    # margins[..., p, n] = 1 + s_n - s_p
-    margins = 1.0 + s[..., None, :] - s[..., :, None]
-    active = is_pos[..., :, None] & is_neg[..., None, :] & (margins > 0.0)
+    s, pos, neg = scores.data, np.asarray(pos), np.asarray(neg)
+    if s.ndim != 2 or pos.dtype != bool or neg.dtype != bool or not s.shape == pos.shape == neg.shape:
+        raise ShapeMismatch(
+            f"pairwise_hinge needs bool masks shaped like its score rows, got {s.shape} scores, "
+            f"masks {pos.dtype} {pos.shape} and {neg.dtype} {neg.shape}"
+        )
+    # margins[b, p, n] = 1 + s_n - s_p
+    margins = 1.0 + s[:, None, :] - s[:, :, None]
+    active = pos[:, :, None] & neg[:, None, :] & (margins > 0.0)
 
     def vjp(g):
-        g = np.asarray(g)[..., None]
-        return (g * (active.sum(axis=-2) - active.sum(axis=-1)),)
+        return (g[:, None] * (active.sum(axis=1) - active.sum(axis=2)),)
 
-    return _result(np.where(active, margins, 0.0).sum(axis=(-2, -1)), (scores,), vjp)
+    return _result(np.where(active, margins, 0.0).sum(axis=(1, 2)), (scores,), vjp)
 
 
 # ----------------------------------------------------------------------
@@ -514,17 +511,16 @@ def pairwise_hinge(scores: Tensor, pos, neg) -> Tensor:
 # ----------------------------------------------------------------------
 
 
-def finite_difference_check(
-    build: Callable[[], Tensor],
-    leaves: Sequence[Tensor],
-    rel_tol: float = 1e-4,
-) -> float:
+GRAD_REL_TOL = 1e-4
+
+
+def finite_difference_check(build: Callable[[], Tensor], leaves: Sequence[Tensor]) -> float:
     """Compare analytic gradients against central finite differences.
 
     `build` must reconstruct the scalar loss from the current leaf data
     on every call. Steps are 1e-6 * max(1, |x|) per coordinate; the error
     measure is |a - n| / max(1, |a|, |n|). Returns the worst error seen
-    and raises AssertionError if it exceeds `rel_tol`.
+    and raises AssertionError if it exceeds `GRAD_REL_TOL`.
     """
     for leaf in leaves:
         leaf.zero_grad()
@@ -547,6 +543,6 @@ def finite_difference_check(
                 err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
                 if err > worst:
                     worst = err
-    if worst > rel_tol:
-        raise AssertionError(f"gradient mismatch: worst relative error {worst:.3e} > {rel_tol:g}")
+    if worst > GRAD_REL_TOL:
+        raise AssertionError(f"gradient mismatch: worst relative error {worst:.3e} > {GRAD_REL_TOL:g}")
     return worst

@@ -2,10 +2,10 @@
 
 Each named check draws small random instances, rebuilds its scalar loss
 from leaf data, and compares analytic against central-difference
-gradients at relative tolerance 1e-4. Instance generators steer clear
-of subgradient kinks (hinge margins at zero, top-k boundary ties, L1
-ties); the exact-zero subgradient convention at those points is pinned
-by unit tests instead.
+gradients at relative tolerance `autodiff.GRAD_REL_TOL` (1e-4).
+Instance generators steer clear of subgradient kinks (hinge margins at
+zero, top-k boundary ties, L1 ties); the exact-zero subgradient
+convention at those points is pinned by unit tests instead.
 """
 
 from __future__ import annotations
@@ -356,7 +356,7 @@ CHECKS = [
 ]
 
 
-def run_suite(instances: int = 20, rel_tol: float = 1e-4, seed: int = 0) -> list[CheckResult]:
+def run_suite(instances: int = 20, seed: int = 0) -> list[CheckResult]:
     results = []
     for name, maker in CHECKS:
         rng = substream(seed, f"gradcheck.{name}")
@@ -364,7 +364,7 @@ def run_suite(instances: int = 20, rel_tol: float = 1e-4, seed: int = 0) -> list
         for _ in range(instances):
             build, leaves = maker(rng)
             try:
-                worst = max(worst, finite_difference_check(build, leaves, rel_tol))
+                worst = max(worst, finite_difference_check(build, leaves))
             except AssertionError:
                 ok = False
                 worst = np.inf

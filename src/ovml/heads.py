@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import KOutOfRange, ShapeMismatch, Tensor
+from .autodiff import ShapeMismatch, Tensor
 from .labels import LabelEmbeddingTable
 from .vit import BackboneOutput
 
@@ -82,8 +82,6 @@ def score(emb: EmbeddingPair, labels: LabelEmbeddingTable, k: int, heads: str = 
     if emb.e_patch.shape[0] % b:
         raise ShapeMismatch(f"{emb.e_patch.shape[0]} patch rows for {b} images")
     n = emb.e_patch.shape[0] // b
-    if heads != "global" and not 1 <= k <= n:
-        raise KOutOfRange(f"k={k} outside [1, {n}] patches")
 
     z_t = ad.transpose(labels.z)
     terms = []

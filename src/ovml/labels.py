@@ -57,11 +57,12 @@ class LabelEmbeddingTable:
     z: Tensor  # d x D_e
     label_ids: tuple[int, ...]
     provenance: str = "fixed"
-    _index: dict[int, int] = field(default_factory=dict, repr=False)
+    _index: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self._index:
-            self._index = {lid: i for i, lid in enumerate(self.label_ids)}
+        self._index = {lid: i for i, lid in enumerate(self.label_ids)}
+        if self.z.data.ndim != 2:
+            raise ValueError(f"label table must be a matrix, got shape {self.z.shape}")
         if self.z.shape[0] != len(self.label_ids):
             raise ValueError(f"{self.z.shape[0]} rows for {len(self.label_ids)} label ids")
 

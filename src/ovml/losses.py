@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeMismatch, Tensor
+from .autodiff import Tensor
 
 
 class DegenerateImageWarning(UserWarning):
@@ -28,27 +28,24 @@ def ranking_loss(scores: Tensor, positive: np.ndarray) -> Tensor:
     negative. An image with no positives or no negatives is degenerate:
     warn, and let it contribute 0 to the mean.
     """
-    positive = np.asarray(positive)
-    if positive.dtype != bool or positive.shape != scores.shape:
-        raise ShapeMismatch(f"positive mask {positive.dtype} {positive.shape} vs scores {scores.shape}")
-    n_pos = positive.sum(axis=-1)
-    if np.any((n_pos == 0) | (n_pos == positive.shape[-1])):
+    # logical_not, not ~, so that any non-bool mask reaches the hinge's check
+    per_image = ad.pairwise_hinge(scores, positive, np.logical_not(positive))
+    n_pos = np.count_nonzero(positive, axis=1)
+    if np.any((n_pos == 0) | (n_pos == scores.shape[1])):
         warnings.warn("image has no positive/negative pair", DegenerateImageWarning, stacklevel=2)
-    return batch_mean(ad.pairwise_hinge(scores, positive, ~positive))
+    return batch_mean(per_image)
 
 
-def distill_loss(student: Tensor, teacher: np.ndarray | Tensor) -> Tensor:
-    """Mean over images of the L1 distance between each student row and
-    its frozen teacher row; no gradient flows teacher-side.
+def distill_loss(student: Tensor, teacher: np.ndarray) -> Tensor:
+    """Mean over images of the L1 distance between each student row and its
+    teacher row. The teacher array enters as a constant leaf, so no
+    gradient reaches it.
     """
-    teacher_t = teacher if isinstance(teacher, Tensor) else ad.tensor(teacher)
-    if teacher_t.requires_grad:
-        raise ShapeMismatch("teacher embedding must be a frozen leaf")
-    return batch_mean(ad.l1_distance(student, teacher_t))
+    return batch_mean(ad.l1_distance(student, ad.tensor(teacher)))
 
 
 def batch_mean(per_image: Tensor) -> Tensor:
-    """Mean of a vector of per-image losses (a scalar is one image)."""
+    """Mean of a vector of per-image losses."""
     if per_image.data.size == 0:
         raise ValueError("empty batch")
     return ad.mean_all(per_image)

@@ -376,6 +376,12 @@ def read_dataset(directory: str | Path) -> Dataset:
             tuple(int(x) for x in line.split())
             for line in (directory / _POSITIVES).read_text().splitlines()
         ]
+        c = world.config
+        want = (c.channels, c.image_size, c.image_size), (c.embed_dim,)
+        if (images.shape[1:], teacher.shape[1:]) != want:
+            raise DatasetCorrupt(
+                f"image, teacher rows {images.shape[1:]}, {teacher.shape[1:]} do not fit the world's {want}"
+            )
         if images.shape[0] != teacher.shape[0] or images.shape[0] != len(positives):
             raise DatasetCorrupt(
                 f"row counts disagree: {images.shape[0]} images, "

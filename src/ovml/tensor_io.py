@@ -17,6 +17,7 @@ float, str (optionally quoted), or a tuple of ints or of words.
 from __future__ import annotations
 
 import hashlib
+import math
 import secrets
 import shutil
 import struct
@@ -115,7 +116,7 @@ def read_tensor(path: str | Path) -> np.ndarray:
     if len(blob) < header_end:
         raise BadTensorFile(f"{path}: header holds {len(blob)} bytes, rank {rank} needs {header_end}")
     shape = struct.unpack(f"<{rank}Q", blob[5:header_end])
-    count = int(np.prod(shape)) if rank else 1
+    count = math.prod(shape)  # exact, where np.prod wraps at int64; 1 for rank 0
     payload = blob[header_end:]
     if len(payload) != 8 * count:
         raise BadTensorFile(f"{path}: payload holds {len(payload)} bytes, expected {8 * count}")

@@ -334,50 +334,73 @@ class TestTopK:
         np.testing.assert_allclose(got, want, atol=0)
 
 
+def row_mask(*bits):
+    """A one-row boolean mask."""
+    return np.array([bits], dtype=bool)
+
+
 class TestHinge:
     def test_single_pair_value(self):
-        s = ad.tensor([0.5, 0.2])
-        loss = ad.pairwise_hinge(s, np.array([0]), np.array([1]))
-        assert loss.item() == pytest.approx(0.7)
+        s = ad.tensor([[0.5, 0.2]])
+        loss = ad.pairwise_hinge(s, row_mask(1, 0), row_mask(0, 1))
+        assert loss.shape == (1,)
+        assert loss.data[0] == pytest.approx(0.7)
 
     def test_satisfied_pair_is_zero(self):
-        s = ad.tensor([2.0, 0.5])
-        assert ad.pairwise_hinge(s, np.array([0]), np.array([1])).item() == 0.0
+        s = ad.tensor([[2.0, 0.5]])
+        assert ad.pairwise_hinge(s, row_mask(1, 0), row_mask(0, 1)).data[0] == 0.0
 
     def test_kink_subgradient_is_zero(self):
         # margin exactly 0: s_p - s_n = 1
-        s = ad.tensor([1.0, 0.0], requires_grad=True)
-        loss = ad.pairwise_hinge(s, np.array([0]), np.array([1]))
-        assert loss.item() == 0.0
-        ad.backward(loss)
-        np.testing.assert_allclose(s.grad, [0.0, 0.0])
+        s = ad.tensor([[1.0, 0.0]], requires_grad=True)
+        loss = ad.pairwise_hinge(s, row_mask(1, 0), row_mask(0, 1))
+        assert loss.data[0] == 0.0
+        ad.backward(ad.mean_all(loss))
+        np.testing.assert_allclose(s.grad, [[0.0, 0.0]])
 
     def test_gradient_counts_active_pairs(self):
         # pos 0 vs negs 1,2; both pairs violated
-        s = ad.tensor([0.0, 0.5, 0.9], requires_grad=True)
-        loss = ad.pairwise_hinge(s, np.array([0]), np.array([1, 2]))
-        assert loss.item() == pytest.approx(1.5 + 1.9)
-        ad.backward(loss)
-        np.testing.assert_allclose(s.grad, [-2.0, 1.0, 1.0])
+        s = ad.tensor([[0.0, 0.5, 0.9]], requires_grad=True)
+        loss = ad.pairwise_hinge(s, row_mask(1, 0, 0), row_mask(0, 1, 1))
+        assert loss.data[0] == pytest.approx(1.5 + 1.9)
+        ad.backward(ad.mean_all(loss))
+        np.testing.assert_allclose(s.grad, [[-2.0, 1.0, 1.0]])
 
 
 def test_l1_distance_tie_subgradient_zero():
-    a = ad.tensor([1.0, 3.0], requires_grad=True)
-    loss = ad.l1_distance(a, ad.tensor([1.0, 0.0]))
-    assert loss.item() == pytest.approx(3.0)
-    ad.backward(loss)
-    np.testing.assert_allclose(a.grad, [0.0, 1.0])
+    a = ad.tensor([[1.0, 3.0]], requires_grad=True)
+    loss = ad.l1_distance(a, ad.tensor([[1.0, 0.0]]))
+    assert loss.shape == (1,)
+    assert loss.data[0] == pytest.approx(3.0)
+    ad.backward(ad.mean_all(loss))
+    np.testing.assert_allclose(a.grad, [[0.0, 1.0]])
 
 
 def test_l2_normalize_zero_vector_rejected():
     with pytest.raises(NonFinite):
-        ad.l2_normalize(ad.tensor(np.zeros(4)))
+        ad.l2_normalize(ad.tensor([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
 
 
 def test_l2_normalize_unit_output():
     rng = rng_for("l2")
-    out = ad.l2_normalize(ad.tensor(rng.normal(0, 2, 6)))
-    assert np.linalg.norm(out.data) == pytest.approx(1.0, abs=1e-12)
+    out = ad.l2_normalize(ad.tensor(rng.normal(0, 2, (3, 6))))
+    np.testing.assert_allclose(np.linalg.norm(out.data, axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ad.l2_normalize(ad.tensor([3.0, 4.0])),
+        lambda: ad.l1_distance(ad.tensor([1.0, 3.0]), ad.tensor([1.0, 0.0])),
+        lambda: ad.pairwise_hinge(ad.tensor([0.5, 0.2]), np.array([True, False]), np.array([False, True])),
+        lambda: ad.pairwise_hinge(ad.tensor([[0.5, 0.2]]), np.array([0]), np.array([1])),
+        lambda: ad.pairwise_hinge(ad.tensor([[0.5, 0.2]]), np.array([[1, 0]]), np.array([[0, 1]])),
+    ],
+    ids=["l2_normalize_vector", "l1_distance_vectors", "hinge_vector", "hinge_index_arrays", "hinge_int_masks"],
+)
+def test_loss_ops_take_only_score_rows_and_bool_masks(call):
+    with pytest.raises(ShapeMismatch):
+        call()
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))

@@ -313,6 +313,12 @@ def _flip_last_byte(rel):
     return edit
 
 
+def _tensor_edit(rel, change):
+    def edit(directory):
+        write_tensor(directory / rel, change(read_tensor(directory / rel)))
+    return edit
+
+
 def _truncate(rel, length):
     def edit(directory):
         (directory / rel).write_bytes((directory / rel).read_bytes()[:length])
@@ -338,6 +344,25 @@ def test_corrupted_dataset_exits_three(workspace, tmp_path, capsys, edit):
     assert main(["train", "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("invariant violation") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        # 12 x 12 images widened to 12 x 14: 14 is no multiple of the 4-pixel patch
+        _sealed(_tensor_edit("images.mkt1", lambda x: np.concatenate([x, x[..., :2]], axis=-1))),
+        _sealed(_tensor_edit("teacher.mkt1", lambda t: t[:, :-1])),
+    ],
+    ids=["images_12x14", "teacher_short_a_column"],
+)
+def test_dataset_tensor_that_does_not_fit_the_world_exits_three(workspace, tmp_path, capsys, edit):
+    root, _ = workspace
+    shutil.copytree(root / "out" / "dataset", tmp_path / "dataset")
+    for split in ("train", "test"):
+        edit(tmp_path / "dataset" / split)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY + f"out_dir={tmp_path}/out\ndataset_dir={tmp_path}/dataset\ncheckpoint={root}/out/stage2\n")
+    _assert_commands_exit_three(("train", "eval"), cfg, capsys, "dataset")
 
 
 @pytest.mark.parametrize(
@@ -463,13 +488,6 @@ def test_seed_and_out_overrides(tmp_path, capsys):
     assert "seed=11" in resolved.splitlines()
 
 
-def _table_edit(change):
-    def edit(ck):
-        z = read_tensor(ck / "table.z.mkt1")
-        write_tensor(ck / "table.z.mkt1", change(z.copy()))
-    return edit
-
-
 def _poison(z):
     z[0, 0] = np.nan
     return z
@@ -490,8 +508,8 @@ def _entry_elsewhere(target):
         _sealed(_text_edit("meta.txt", "width=16", "width=sixteen")),
         _sealed(_text_edit("meta.txt", "head_mode=both", "head_mode=wide")),
         _sealed(_text_edit("meta.txt", "heads=2", "heads=0")),
-        _sealed(_table_edit(lambda z: z[:-1])),
-        _sealed(_table_edit(_poison)),
+        _sealed(_tensor_edit("table.z.mkt1", lambda z: z[:-1])),
+        _sealed(_tensor_edit("table.z.mkt1", _poison)),
         _sealed(_truncate("table.z.mkt1", 7)),
         _sealed(_truncate("table.z.mkt1", 4)),
         _text_edit("manifest.txt", "\t", " "),
@@ -531,6 +549,18 @@ def test_retrieve_checkpoint_faults_exit_three(workspace, tmp_path, capsys, edit
     assert main(["retrieve", "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("invariant violation") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("change", [lambda z: z[:, 0], lambda z: z[:, :, None]], ids=["table_1d", "table_3d"])
+def test_label_table_that_is_no_matrix_exits_three(workspace, tmp_path, capsys, change):
+    # one entry per label id, so only the table's rank is wrong
+    root, _ = workspace
+    ck = tmp_path / "ck"
+    shutil.copytree(root / "out" / "stage2", ck)
+    _sealed(_tensor_edit("table.z.mkt1", change))(ck)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY + f"out_dir={tmp_path}/out\ndataset_dir={root}/out/dataset\ncheckpoint={ck}\n")
+    _assert_commands_exit_three(("eval", "retrieve"), cfg, capsys, "table.z")
 
 
 @pytest.mark.parametrize("command", ["eval", "retrieve"])

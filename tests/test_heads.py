@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ovml import autodiff as ad
-from ovml.autodiff import KOutOfRange
+from ovml.autodiff import KOutOfRange, ShapeMismatch
 from ovml.heads import (
     EmbeddingPair,
     init_two_stream,
@@ -82,6 +82,13 @@ def test_k_validation_only_where_local_stream_runs():
     score(emb, t, k=99, heads="global")  # global head never consults k
     with pytest.raises(ValueError):
         score(emb, t, k=1, heads="wide")
+
+
+def test_patch_rows_must_split_evenly_over_the_images():
+    # 8 patch rows for 3 images would otherwise pool as 4 images of 2 rows each
+    emb = pair(np.zeros((3, 3)), np.zeros((8, 3)))
+    with pytest.raises(ShapeMismatch, match="8 patch rows for 3 images"):
+        score(emb, table_of(np.eye(3)), k=1, heads="local")
 
 
 def test_two_stream_shapes_and_structure():

@@ -1,5 +1,8 @@
 """Binary tensor format and checkpoint directory round trips."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +77,15 @@ def test_truncated_header_rejected(tmp_path, length):
     write_tensor(p, np.ones((3, 3)))
     p.write_bytes(p.read_bytes()[:length])
     with pytest.raises(BadTensorFile, match="header"):
+        read_tensor(p)
+
+
+@pytest.mark.parametrize("shape", [(2**32, 2**32), (3, 2**62)], ids=["product_2_64", "product_3_2_62"])
+def test_header_whose_size_overflows_int64_rejected(tmp_path, shape):
+    # the element count is exact: it neither wraps to 0 nor turns negative
+    p = tmp_path / "x.mkt1"
+    p.write_bytes(b"MKT1" + struct.pack("<B2Q", 2, *shape))
+    with pytest.raises(BadTensorFile, match=f"payload holds 0 bytes, expected {8 * math.prod(shape)}$"):
         read_tensor(p)
 
 

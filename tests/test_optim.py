@@ -39,7 +39,7 @@ def test_five_steps_match_numpy_recurrence_on_quadratic():
     lr, wd, b1, b2, eps = 0.05, 0.01, 0.9, 0.999, 1e-8
 
     p = ad.tensor(w0.copy(), requires_grad=True)
-    opt = AdamW({"w": p}, lr=lr, weight_decay=wd, betas=(b1, b2), eps=eps)
+    opt = AdamW({"w": p}, lr=lr, weight_decay=wd)
 
     w = w0.copy()
     m = np.zeros_like(w)
