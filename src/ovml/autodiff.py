@@ -11,11 +11,11 @@ the ops that must not mix them (attention, top-k pooling, the per-block
 row slice) work within fixed-size groups of consecutive rows. Each takes
 its group explicitly; a single sequence is the one group of all its rows.
 
-`linear` and `self_attention` are fused: each is one node that does the
-arithmetic of the matmul / add_rowvec / concat subgraph it stands for,
-in the same order, so results are bit-identical to that composition.
-`softmax_rows` runs the softmax kernel of `self_attention`, and
-`topk_mean` is one column of `topk_mean_cols`, the pooling the heads use.
+`linear`, `self_attention` and `vit.encoder_block` are fused: one node
+each, doing the arithmetic of the subgraph it stands for in the same
+order, so results are bit-identical to it. The block runs the ops' array
+kernels (`_linear`, `_attention`, `_layer_norm`, `_gelu`); `softmax_rows`
+runs the softmax kernel, and `topk_mean` is one column of `topk_mean_cols`.
 
 Every tensor is verified finite at construction, so a NaN/Inf produced
 anywhere surfaces immediately instead of propagating.
@@ -167,47 +167,47 @@ def backward(loss: Tensor) -> None:
 # ----------------------------------------------------------------------
 
 
-def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a @ b for a 2-D a, written into `out` when given."""
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a 2-D a."""
     if a.shape[0] == 1:
         # numpy hands a one-row product to gemv, which rounds differently
         # from the gemm that computes each row of a taller product; going
         # through gemm keeps every row's value independent of its batch
-        row = (np.concatenate([a, a]) @ b)[:1]
-        if out is None:
-            return row
-        out[...] = row
-        return out
-    return np.matmul(a, b, out=out)
+        return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b
 
 
-def _check_product(name: str, a: Tensor, b: Tensor) -> None:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeMismatch(f"{name} needs 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"{name} inner dims differ: {a.shape} @ {b.shape}")
+def _check_product(name: str, a: np.ndarray, b: np.ndarray) -> None:
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeMismatch(f"{name} needs 2-D operands with equal inner dims, got {a.shape} @ {b.shape}")
 
 
-def _product_vjp(a: Tensor, b: Tensor, g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+def _product_vjp(a: np.ndarray, b: Tensor, g: np.ndarray, need_a: bool) -> tuple:
     # no gradient for a constant operand (input patches, a fixed label table)
-    return (g @ b.data.T if a.requires_grad else None, a.data.T @ g if b.requires_grad else None)
+    return (g @ b.data.T if need_a else None, a.T @ g if b.requires_grad else None)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _check_product("matmul", a, b)
-    return _result(_gemm(a.data, b.data), (a, b), lambda g: _product_vjp(a, b, g))
+    _check_product("matmul", a.data, b.data)
+    return _result(_gemm(a.data, b.data), (a, b), lambda g: _product_vjp(a.data, b, g, a.requires_grad))
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w plus the vector b on every row: add_rowvec(matmul(x, w), b) as one node."""
-    _check_product("linear", x, w)
+def _linear(x: np.ndarray, w: Tensor, b: Tensor, need_x: bool):
+    """`linear` on an array x: the output, and a vjp giving x's (if `need_x`), w's and b's gradients."""
+    _check_product("linear", x, w.data)
     if b.data.ndim != 1 or b.shape[0] != w.shape[1]:
         raise ShapeMismatch(f"linear bias {b.shape} for output width {w.shape[1]}")
 
     def vjp(g):
-        return (*_product_vjp(x, w, g), g.sum(axis=0) if b.requires_grad else None)
+        return (*_product_vjp(x, w, g, need_x), g.sum(axis=0) if b.requires_grad else None)
 
-    return _result(_gemm(x.data, w.data) + b.data, (x, w, b), vjp)
+    return _gemm(x, w.data) + b.data, vjp
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w plus the vector b on every row: add_rowvec(matmul(x, w), b) as one node."""
+    out, vjp = _linear(x.data, w, b, x.requires_grad)
+    return _result(out, (x, w, b), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -303,33 +303,19 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _result(p, (x,), lambda g: (_softmax_vjp(p, g),))
 
 
-def self_attention(
-    x: Tensor, wq: Sequence[Tensor], wk: Sequence[Tensor], wv: Sequence[Tensor], group: int
-) -> Tensor:
-    """Multi-head scaled dot-product self-attention within each block of
-    `group` consecutive rows: block-diagonal attention over a row-stacked
-    batch of equal-length sequences.
-
-    Head h computes softmax(q k^T / sqrt(d_h)) v from q = x @ wq[h],
-    k = x @ wk[h], v = x @ wv[h]; the heads' outputs are concatenated
-    column-wise. Each head keeps its own products (one gemm per weight),
-    and x's gradient sums head H-1's v, k, q terms first, then head H-2's,
-    and so on: the order a backward through the per-head graph uses.
-    """
+def _attention(x: np.ndarray, wq: Sequence[Tensor], wk: Sequence[Tensor], wv: Sequence[Tensor], group: int):
+    """`self_attention` on an array x: the output, and a vjp giving x's and the weights' gradients."""
     heads = len(wq)
-    if x.data.ndim != 2 or heads < 1 or len(wk) != heads or len(wv) != heads:
+    if x.ndim != 2 or heads < 1 or len(wk) != heads or len(wv) != heads:
         raise ShapeMismatch(f"self_attention over {x.shape} with {len(wq)}/{len(wk)}/{len(wv)} head weights")
     n, width = x.shape
     d_h = wq[0].shape[-1]
     weights = (*wq, *wk, *wv)
-    for w in weights:
-        if w.shape != (width, d_h):
-            raise ShapeMismatch(f"self_attention head weight {w.shape} for input {x.shape}")
-    m = len(_blocks(x.data, group))
+    if any(w.shape != (width, d_h) for w in weights):
+        raise ShapeMismatch(f"self_attention head weights {[w.shape for w in weights]} for input {x.shape}")
+    m = len(_blocks(x, group))
     c = 1.0 / np.sqrt(d_h)
-    products = np.empty((3 * heads, n, d_h))
-    for w, buf in zip(weights, products):
-        _gemm(x.data, w.data, out=buf)
+    products = np.concatenate([_gemm(x, w.data) for w in weights])
     # (heads, m, group, d_h) each: every head's sequences stacked; the
     # matrix products below still run once per head and sequence
     q, k, v = products.reshape(3, heads, m, group, d_h)
@@ -337,8 +323,6 @@ def self_attention(
     if not np.isfinite(logits).all():
         raise NonFinite("attention logits hold NaN/Inf values")
     p = _softmax(logits)
-    # heads side by side in each row: the column-wise concat of their outputs
-    out = (p @ v).transpose(1, 2, 0, 3).reshape(n, heads * d_h)
 
     def vjp(g):
         gb = g.reshape(m, group, heads, d_h).transpose(2, 0, 1, 3)
@@ -351,14 +335,29 @@ def self_attention(
             for role in (2, 1, 0):  # v, k, q
                 d = d_products[role][h].reshape(n, d_h)
                 w = weights[role * heads + h]
-                if x.requires_grad:
-                    term = d @ w.data.T
-                    gx = term if gx is None else gx + term
+                term = d @ w.data.T
+                gx = term if gx is None else gx + term
                 if w.requires_grad:
-                    gw[role * heads + h] = x.data.T @ d
+                    gw[role * heads + h] = x.T @ d
         return (gx, *gw)
 
-    return _result(out, (x, *weights), vjp)
+    # heads side by side in each row: the column-wise concat of their outputs
+    return (p @ v).transpose(1, 2, 0, 3).reshape(n, heads * d_h), vjp
+
+
+def self_attention(x: Tensor, wq: Sequence[Tensor], wk: Sequence[Tensor], wv: Sequence[Tensor], group: int) -> Tensor:
+    """Multi-head scaled dot-product self-attention within each block of
+    `group` consecutive rows: block-diagonal attention over a row-stacked
+    batch of equal-length sequences.
+
+    Head h computes softmax(q k^T / sqrt(d_h)) v from q = x @ wq[h],
+    k = x @ wk[h], v = x @ wv[h]; the heads' outputs are concatenated
+    column-wise. Each head keeps its own products (one gemm per weight),
+    and x's gradient sums head H-1's v, k, q terms first, then head H-2's,
+    and so on: the order a backward through the per-head graph uses.
+    """
+    out, vjp = _attention(x.data, wq, wk, wv, group)
+    return _result(out, (x, *wq, *wk, *wv), vjp)
 
 
 LAYER_NORM_EPS = 1e-5
@@ -369,45 +368,46 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize each row to zero mean / unit variance, then affine."""
-    if x.data.ndim != 2:
-        raise ShapeMismatch(f"layer_norm needs 2-D input, got {x.shape}")
-    d = x.shape[1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeMismatch(f"layer_norm affine shapes {gain.shape}/{bias.shape} for width {d}")
-    mu = _row_mean(x.data)
-    xc = x.data - mu
-    var = _row_mean(xc * xc)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+def _layer_norm(x: np.ndarray, gain: Tensor, bias: Tensor):
+    """`layer_norm` on an array x: the output, and a vjp giving x's, gain's and bias's gradients."""
+    if x.ndim != 2 or gain.shape != x.shape[1:] or bias.shape != x.shape[1:]:
+        raise ShapeMismatch(f"layer_norm of {x.shape} with affine shapes {gain.shape}/{bias.shape}")
+    xc = x - _row_mean(x)
+    inv = 1.0 / np.sqrt(_row_mean(xc * xc) + LAYER_NORM_EPS)
     xhat = xc * inv
 
     def vjp(g):
         dxhat = g * gain.data
-        dx = inv * (
-            dxhat
-            - _row_mean(dxhat)
-            - xhat * _row_mean(dxhat * xhat)
-        )
-        return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+        dx = inv * (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat))
+        return dx, (g * xhat).sum(axis=0) if gain.requires_grad else None, g.sum(axis=0) if bias.requires_grad else None
 
-    return _result(xhat * gain.data + bias.data, (x, gain, bias), vjp)
+    return xhat * gain.data + bias.data, vjp
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize each row to zero mean / unit variance, then affine."""
+    out, vjp = _layer_norm(x.data, gain, bias)
+    return _result(out, (x, gain, bias), vjp)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Elementwise tanh-form GELU."""
-    d = x.data
+def _gelu(d: np.ndarray):
+    """`gelu` on an array: the output and its vjp."""
     # d * d * d, not d**3: numpy sends a float power to the generic pow
     t = np.tanh(_GELU_C * (d + 0.044715 * (d * d * d)))
 
     def vjp(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * d * d)
-        return (g * (0.5 * (1.0 + t) + 0.5 * d * (1.0 - t * t) * du),)
+        return g * (0.5 * (1.0 + t) + 0.5 * d * (1.0 - t * t) * (_GELU_C * (1.0 + 3 * 0.044715 * d * d)))
 
-    return _result(0.5 * d * (1.0 + t), (x,), vjp)
+    return 0.5 * d * (1.0 + t), vjp
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Elementwise tanh-form GELU."""
+    out, vjp = _gelu(x.data)
+    return _result(out, (x,), lambda g: (vjp(g),))
 
 
 def topk_mean(v: Tensor, k: int) -> Tensor:

@@ -387,6 +387,15 @@ def read_dataset(directory: str | Path) -> Dataset:
                 f"row counts disagree: {images.shape[0]} images, "
                 f"{teacher.shape[0]} teacher rows, {len(positives)} positive lines"
             )
+        labels = set(world.split.all_ids)
+        for line, ids in enumerate(positives, start=1):
+            unknown = sorted(set(ids) - labels)
+            if unknown:
+                raise DatasetCorrupt(
+                    f"{_POSITIVES} line {line}: label {unknown[0]} is not one of the world's {len(labels)}"
+                )
+            if len(set(ids)) < len(ids):
+                raise DatasetCorrupt(f"{_POSITIVES} line {line} lists a label twice: {' '.join(map(str, ids))}")
     except NotADirectoryError:
         raise  # a path that is not a directory is a usage problem, not corruption
     except (OSError, ValueError) as e:  # unparsable or inconsistent contents

@@ -5,6 +5,11 @@ position embedding, each block applies multi-head self-attention and a
 two-layer GELU MLP, both on normalized inputs inside the residual
 branch. The final sequence splits into a class row and patch rows.
 
+`encoder_block` is one fused graph node: it runs autodiff's array kernels
+(layer norm, attention, linear, GELU) and records no intermediate tensor,
+bit-identical to the composition of those ops. `msa` stays the separate
+attention sublayer that gradcheck verifies.
+
 A batch of B images runs as one graph: the B token sequences are
 stacked row-wise, (B * (1 + N)) x D, and attention stays within each
 image's 1 + N rows. One image is the B = 1 case.
@@ -180,14 +185,46 @@ def msa(x: Tensor, block: BlockParams, group: int) -> Tensor:
     return ad.matmul(merged, block.wo)
 
 
-def _mlp(x: Tensor, block: BlockParams) -> Tensor:
-    h = ad.gelu(ad.linear(x, block.mlp_w1, block.mlp_b1))
-    return ad.linear(h, block.mlp_w2, block.mlp_b2)
-
-
 def encoder_block(x: Tensor, block: BlockParams, group: int) -> Tensor:
-    y = ad.add(x, msa(ad.layer_norm(x, block.ln1_gain, block.ln1_bias), block, group))
-    return ad.add(y, _mlp(ad.layer_norm(y, block.ln2_gain, block.ln2_bias), block))
+    """One pre-norm block as one graph node, attention within each block of
+    `group` rows: y = x + msa(layer_norm(x)), then y + mlp(layer_norm(y)),
+    where mlp is linear, gelu, linear.
+
+    It runs autodiff's kernels of those ops, and its vjp does the nine-op
+    composition's arithmetic in the same order, so results are bit-identical
+    to it: the residual's gradient comes first in each sum at x and y, every
+    product goes through the kernels' gemm, and a weight gets a gradient only
+    when it requires one. The attention logits and the output are checked
+    finite, so an overflow anywhere in the block raises NonFinite here.
+    """
+    b = block
+    if x.data.ndim != 2 or b.wo.shape[-1] != x.shape[1] or b.mlp_w2.shape[-1] != x.shape[1]:
+        raise ShapeMismatch(f"encoder block over {x.shape} with wo {b.wo.shape} and mlp_w2 {b.mlp_w2.shape}")
+    h1, ln1_vjp = ad._layer_norm(x.data, b.ln1_gain, b.ln1_bias)
+    att, att_vjp = ad._attention(h1, b.wq, b.wk, b.wv, group)
+    ad._check_product("encoder_block", att, b.wo.data)
+    y = x.data + ad._gemm(att, b.wo.data)
+    h2, ln2_vjp = ad._layer_norm(y, b.ln2_gain, b.ln2_bias)
+    u, mlp1_vjp = ad._linear(h2, b.mlp_w1, b.mlp_b1, need_x=True)
+    a, gelu_vjp = ad._gelu(u)
+    m, mlp2_vjp = ad._linear(a, b.mlp_w2, b.mlp_b2, need_x=True)
+
+    def vjp(g):
+        ga, gw2, gb2 = mlp2_vjp(g)
+        gh2, gw1, gb1 = mlp1_vjp(gelu_vjp(ga))
+        gy_ln, g_gain2, g_bias2 = ln2_vjp(gh2)
+        gy = g + gy_ln
+        gatt, gwo = ad._product_vjp(att, b.wo, gy, need_a=True)
+        gh1, *g_heads = att_vjp(gatt)
+        gx_ln, g_gain1, g_bias1 = ln1_vjp(gh1)
+        gx = gy + gx_ln if x.requires_grad else None
+        return gx, *g_heads, gwo, gw1, gb1, gw2, gb2, g_gain1, g_bias1, g_gain2, g_bias2
+
+    parents = (
+        x, *b.wq, *b.wk, *b.wv, b.wo, b.mlp_w1, b.mlp_b1, b.mlp_w2, b.mlp_b2,
+        b.ln1_gain, b.ln1_bias, b.ln2_gain, b.ln2_bias,
+    )
+    return ad._result(y + m, parents, vjp)
 
 
 def split_rows(x: Tensor, seq_len: int, first: int) -> tuple[Tensor, Tensor]:

@@ -365,6 +365,37 @@ def test_dataset_tensor_that_does_not_fit_the_world_exits_three(workspace, tmp_p
     _assert_commands_exit_three(("train", "eval"), cfg, capsys, "dataset")
 
 
+def _first_positives_line(change):
+    """Replace the first line of positives.txt with `change` of its label ids."""
+    def edit(directory):
+        path = directory / "positives.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[0] = " ".join(change(lines[0].split())) + "\n"
+        path.write_text("".join(lines))
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_sealed(_first_positives_line(lambda ids: ["999"])), "line 1: label 999 is not one of the world's 12"),
+        (_sealed(_first_positives_line(lambda ids: [ids[0], *ids])), "line 1 lists a label twice"),
+    ],
+    ids=["unknown_label_999", "label_twice"],
+)
+def test_positives_line_the_world_cannot_hold_exits_three(workspace, tmp_path, capsys, edit, message):
+    root, _ = workspace
+    shutil.copytree(root / "out" / "dataset", tmp_path / "dataset")
+    for split in ("train", "test"):
+        edit(tmp_path / "dataset" / split)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY + f"out_dir={tmp_path}/out\ndataset_dir={tmp_path}/dataset\ncheckpoint={root}/out/stage2\n")
+    for command in ("train", "eval"):
+        assert main([command, "--config", str(cfg)]) == 3, command
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation") and err.count("\n") == 1 and message in err, (command, err)
+
+
 @pytest.mark.parametrize(
     "command, line",
     [

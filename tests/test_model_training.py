@@ -6,6 +6,7 @@ acceptance suite.
 """
 
 import json
+import traceback
 
 import numpy as np
 import pytest
@@ -229,6 +230,18 @@ def test_huge_learning_rate_raises_nonfinite(world, dataset):
     cfg = TrainConfig(lr_stage1=1e150, epochs_stage1=3, epochs_stage2=0, batch_size=8)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteLoss):
         run_stage1(model, dataset, cfg, seed=8, log=silent)
+
+
+def test_overflow_in_a_vit_block_stops_stage1_at_its_first_step(world, dataset):
+    model = init_model(8, world)
+    block = model.vit.blocks[0]
+    block.mlp_b1.data[...] = 10.0  # gelu(10) = 10, so the block's MLP output overflows
+    block.mlp_w2.data[...] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteLoss) as excinfo:
+        run_stage1(model, dataset, QUICK, seed=8, log=silent)
+    assert str(excinfo.value) == "stage 1 epoch 0 step 0: tensor holds NaN/Inf values"
+    frames = [frame.name for frame in traceback.extract_tb(excinfo.value.__cause__.__traceback__)]
+    assert frames[-3:] == ["encoder_block", "_result", "__init__"]
 
 
 def test_train_writes_deterministic_artifacts(world, dataset, tmp_path):

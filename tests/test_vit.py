@@ -162,6 +162,72 @@ def test_msa_equals_per_head_composition_bit_for_bit(heads, rows, group, trainab
             assert np.array_equal(got, want)
 
 
+def _composed_block(x, block, group):
+    """The encoder block as the nine-op graph it replaced: the reference the
+    fused op must match bit for bit.
+    """
+    y = ad.add(x, msa(ad.layer_norm(x, block.ln1_gain, block.ln1_bias), block, group))
+    h = ad.gelu(ad.linear(ad.layer_norm(y, block.ln2_gain, block.ln2_bias), block.mlp_w1, block.mlp_b1))
+    return ad.add(y, ad.linear(h, block.mlp_w2, block.mlp_b2))
+
+
+@pytest.mark.parametrize("trainable", [True, False], ids=["trainable", "frozen"])
+@pytest.mark.parametrize("rows, group", [(6, 3), (6, 1), (1, 1)])
+@pytest.mark.parametrize("heads", [1, 2])
+def test_encoder_block_equals_composition_bit_for_bit(heads, rows, group, trainable):
+    rng = substream(heads * 100 + rows * 10 + group, "test.vit.block_exact")
+    block = vit.init_block(rng, width=8, heads=heads, trainable=trainable)
+    params = list(vit.block_named("b", 0, block).values())
+    for t in params:
+        t.data = rng.normal(0, 0.5, t.shape)
+    x0 = rng.normal(0, 1.0, (rows, 8))
+    outer = ad.tensor(rng.normal(0, 1.0, (rows * 8, 1)))
+
+    def run(forward):
+        for t in params:
+            t.zero_grad()
+        x = ad.tensor(x0, requires_grad=True)
+        out = forward(x, block, group)
+        ad.backward(ad.mean_all(ad.matmul(ad.reshape(ad.gelu(out), (1, rows * 8)), outer)))
+        return [out.data, x.grad] + [t.grad for t in params]
+
+    got, want = run(vit.encoder_block), run(_composed_block)
+    assert want[1] is not None and (want[2] is None) == (not trainable)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+        else:
+            assert np.array_equal(g, w)
+
+
+def _raise_site(excinfo):
+    """The innermost frames of a raised exception, by function name."""
+    return [entry.name for entry in excinfo.traceback]
+
+
+def test_overflow_in_the_block_mlp_raises_nonfinite_from_the_block():
+    rng = substream(0, "test.vit.block_overflow")
+    block = vit.init_block(rng, width=8, heads=2)
+    block.mlp_b1.data[...] = 10.0  # gelu(10) = 10, so the MLP output is about 8 * 10 * 1e308
+    block.mlp_w2.data[...] = 1e308
+    x = ad.tensor(rng.normal(0, 1.0, (6, 8)), requires_grad=True)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ad.NonFinite) as excinfo:
+        vit.encoder_block(x, block, group=3)
+    # checked when the block's own output tensor is built, not at an inner op
+    assert _raise_site(excinfo)[-3:] == ["encoder_block", "_result", "__init__"]
+
+
+def test_overflowing_attention_logits_raise_nonfinite_from_the_block():
+    rng = substream(1, "test.vit.block_overflow")
+    block = vit.init_block(rng, width=8, heads=2)
+    for t in [*block.wq, *block.wk]:
+        t.data[...] = 1e200  # layer-normed rows have entries near 1, so q k^T overflows
+    x = ad.tensor(rng.normal(0, 1.0, (6, 8)))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ad.NonFinite, match="logits") as excinfo:
+        vit.encoder_block(x, block, group=3)
+    assert _raise_site(excinfo)[-2:] == ["encoder_block", "_attention"]
+
+
 @pytest.mark.parametrize("first", [1, 3])
 def test_split_rows_matches_plain_slicing(first):
     rng = substream(first, "test.vit.split")
