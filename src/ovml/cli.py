@@ -22,7 +22,7 @@ from .autodiff import KOutOfRange, NonFinite, NotScalar, ShapeMismatch
 from .config import ConfigError, RunConfig, parse_config, write_resolved
 from .gradcheck import run_suite
 from .labels import LabelEmbeddingTable, TopNOutOfRange, UnknownLabel, retrieval_accuracy, retrieve
-from .metrics import EmptyTaskVocabulary, MetricsReport, NoPositives, evaluate, write_report
+from .metrics import EmptyTaskVocabulary, MetricsReport, NoPositives, evaluate, task_labels, write_report
 from .model import (
     BadCheckpoint,
     Model,
@@ -98,7 +98,7 @@ def _evaluate(
     left it no labels, or n_test too few images.
     """
     for mode in k_lists:
-        ids = set(test.world.split.unseen if mode == "ZSL" else test.world.split.all_ids)
+        ids = set(task_labels(test.world.split, mode))
         if not any(ids.intersection(positives) for positives in test.positives):
             key = f"n_test={len(test)}" if ids else f"seen_fraction={test.world.seen_fraction}"
             raise ConfigError(f"{key} leaves no {mode} label on any test image to score")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .model import ModelConfig
 from .synth import SynthConfig
-from .tensor_io import field_kinds, key_values_text, read_key_values
+from .tensor_io import check_at_least, field_kinds, key_values_text, read_key_values
 from .training import TrainConfig
 
 
@@ -70,9 +70,7 @@ class RunConfig:
             raise ConfigError(f"sweep_axis must be one of {tuple(_SWEEP_AXES)}")
         if not self.k_list or min(self.k_list) < 1:
             raise ConfigError(f"k_list must hold positive values, got {self.k_list}")
-        for name in ("n_labels", "n_train", "n_test"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        check_at_least(self, 1, "n_labels", "n_train", "n_test")
         if not 0.0 < self.seen_fraction <= 1.0:
             raise ConfigError(f"seen_fraction {self.seen_fraction} outside (0, 1]")
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,20 +57,12 @@ class LabelEmbeddingTable:
     z: Tensor  # d x D_e
     label_ids: tuple[int, ...]
     provenance: str = "fixed"
-    _index: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._index = {lid: i for i, lid in enumerate(self.label_ids)}
         if self.z.data.ndim != 2:
             raise ValueError(f"label table must be a matrix, got shape {self.z.shape}")
         if self.z.shape[0] != len(self.label_ids):
             raise ValueError(f"{self.z.shape[0]} rows for {len(self.label_ids)} label ids")
-
-    def row_of(self, label_id: int) -> int:
-        try:
-            return self._index[label_id]
-        except KeyError:
-            raise UnknownLabel(f"label {label_id} not in table") from None
 
     def matrix(self) -> np.ndarray:
         return self.z.data
@@ -104,7 +96,9 @@ def retrieve(query_label: int, table: LabelEmbeddingTable, topn: int) -> list[in
     d = len(table.label_ids)
     if not 1 <= topn < d:
         raise TopNOutOfRange(f"topn={topn} outside [1, {d - 1}]")
-    qi = table.row_of(query_label)
+    if query_label not in table.label_ids:
+        raise UnknownLabel(f"label {query_label} not in table")
+    qi = table.label_ids.index(query_label)
     z = table.matrix()
     norms = np.linalg.norm(z, axis=1)
     sims = (z @ z[qi]) / (norms * norms[qi])

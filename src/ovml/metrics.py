@@ -121,18 +121,22 @@ def topk_prf(scores: ScoreMatrix, gt: GroundTruthMatrix, k: int) -> tuple[float,
     return _prf(_topk_masks(scores.scores, (k,))[k], gt.y)
 
 
-def _task_columns(label_ids: tuple[int, ...], split: LabelSplit, mode: str) -> tuple[tuple[int, ...], list[int]]:
-    """The task vocabulary and its columns in a matrix whose columns are
-    `label_ids`: ZSL keeps the unseen labels in split order, GZSL keeps the
-    seen then the unseen ones."""
+def task_labels(split: LabelSplit, mode: str) -> tuple[int, ...]:
+    """A task's vocabulary in split order: ZSL is the unseen labels, GZSL
+    the seen then the unseen ones."""
     if mode not in ("ZSL", "GZSL"):
         raise ValueError(f"mode must be ZSL or GZSL, got {mode!r}")
-    keep = split.all_ids if mode == "GZSL" else split.unseen
+    return split.all_ids if mode == "GZSL" else split.unseen
+
+
+def _task_columns(label_ids: tuple[int, ...], split: LabelSplit, mode: str) -> tuple[tuple[int, ...], list[int]]:
+    """The task vocabulary and its columns in a matrix whose columns are `label_ids`."""
+    keep = task_labels(split, mode)
     if not keep:
         raise EmptyTaskVocabulary(f"{mode} vocabulary is empty")
     col = {lid: i for i, lid in enumerate(label_ids)}
     try:
-        return tuple(keep), [col[lid] for lid in keep]
+        return keep, [col[lid] for lid in keep]
     except KeyError as e:
         raise EmptyTaskVocabulary(f"label {e} absent from matrix") from None
 

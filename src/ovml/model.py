@@ -33,6 +33,7 @@ from .labels import (
 from .seeds import substream
 from .synth import SynthWorld
 from .tensor_io import (
+    check_at_least,
     field_kinds,
     key_values_text,
     load_checkpoint,
@@ -56,15 +57,11 @@ class ModelConfig:
     head_mode: str = "both"
 
     def __post_init__(self):
-        if self.width < 1:
-            raise ValueError(f"width must be positive, got {self.width}")
-        if self.depth < 0:
-            raise ValueError(f"depth cannot be negative, got {self.depth}")
+        check_at_least(self, 1, "width", "k")
+        check_at_least(self, 0, "depth")
         check_heads(self.width, self.heads)
         if self.head_mode not in HEAD_MODES:
             raise ValueError(f"head mode must be one of {HEAD_MODES}, got {self.head_mode!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
 
 
 @dataclass
@@ -136,9 +133,23 @@ def score_image(model: Model, emb: EmbeddingPair, table: LabelEmbeddingTable) ->
     return score(emb, table, k=model.config.k, heads=model.config.head_mode)
 
 
-# Images per graph in score_batch: bounds peak memory whatever the
-# number of images asked for, and fixes the arithmetic of every row.
+# Images per forward-only pass (embed_batch, score_batch): bounds peak
+# memory whatever the number of images asked for.
 SCORE_CHUNK = 16
+
+
+def embed_batch(model: Model, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Constant (global B x D_e, per-patch B x N x D_e) embeddings of a
+    batch, SCORE_CHUNK images per forward pass; no graph is recorded. An
+    image's embeddings are the same bits in any chunking.
+    """
+    e_cls, e_patch = [], []
+    with ad.no_grad():
+        for start in range(0, images.shape[0], SCORE_CHUNK):
+            emb = encode(model, images[start:start + SCORE_CHUNK])
+            e_cls.append(emb.e_cls.data)
+            e_patch.append(emb.e_patch.data.reshape(emb.e_cls.shape[0], -1, emb.e_cls.shape[1]))
+    return np.concatenate(e_cls), np.concatenate(e_patch)
 
 
 def score_batch(model: Model, images: np.ndarray, table: LabelEmbeddingTable) -> ScoreMatrix:
@@ -188,12 +199,16 @@ def _read_checkpoint(directory: str | Path):
         config = ModelConfig(**{key: meta[key] for key in field_kinds(ModelConfig)})
         split = LabelSplit(seen=meta["seen"], unseen=meta["unseen"])
         table = LabelEmbeddingTable(ad.tensor(tensors.pop("table.z")), meta["table_ids"], meta["table_provenance"])
-        return config, split, tensors, table, read_vocabulary(directory / _VOCAB)
+        categories = read_vocabulary(directory / _VOCAB)
+        for lid in table.label_ids:
+            if lid not in categories:
+                raise BadCheckpoint(f"{_VOCAB} lacks table label {lid}")
+        return config, split, tensors, table, categories
     except NotADirectoryError:
         raise  # a path that is not a directory is a usage problem, not corruption
     except KeyError as e:
         raise BadCheckpoint(f"{directory}: missing {e}") from None
-    except (OSError, ValueError) as e:  # unparsable files, a table off its ids or non-finite
+    except (OSError, ValueError) as e:  # unparsable or non-finite files, a table off its ids
         raise BadCheckpoint(f"{directory}: {e}") from None
 
 
@@ -216,7 +231,5 @@ def load_model(directory: str | Path, world: SynthWorld) -> tuple[Model, LabelEm
     for name, param in named.items():
         if param.shape != tensors[name].shape:
             raise BadCheckpoint(f"{name}: shape {tensors[name].shape} vs expected {param.shape}")
-        if not np.isfinite(tensors[name]).all():
-            raise BadCheckpoint(f"{name}: non-finite values in checkpoint")
         param.data = tensors[name]
     return model, table

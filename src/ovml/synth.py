@@ -30,7 +30,8 @@ from .labels import (
 from .metrics import GroundTruthMatrix
 from .seeds import substream
 from .tensor_io import (
-    directory_digest, field_kinds, key_values_text, read_key_values, read_tensor, write_sealed, write_tensor
+    check_at_least, directory_digest, field_kinds, key_values_text, read_key_values, read_tensor, write_sealed,
+    write_tensor,
 )
 from .text_encoder import TextSurrogateParams, init_text_surrogate
 from .vit import check_heads, patchify
@@ -49,9 +50,6 @@ class DatasetCorrupt(ValueError):
 
 
 _BACKGROUNDS = ("zero", "noise")
-_POSITIVE_SIZES = (
-    "n_categories", "max_labels", "channels", "image_size", "token_width", "embed_dim", "prompt_length",
-)
 
 
 @dataclass(frozen=True)
@@ -73,14 +71,12 @@ class SynthConfig:
     background: str = "zero"
 
     def __post_init__(self):
-        for name in _POSITIVE_SIZES:
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.surrogate_depth < 0:
-            raise ValueError(f"surrogate_depth cannot be negative, got {self.surrogate_depth}")
-        for name in ("sigma", "token_jitter"):
-            if not 0.0 <= getattr(self, name) < np.inf:  # NaN fails every comparison
-                raise ValueError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
+        check_at_least(
+            self, 1, "n_categories", "max_labels", "channels", "image_size", "token_width", "embed_dim",
+            "prompt_length",
+        )
+        check_at_least(self, 0, "surrogate_depth")
+        check_at_least(self, 0.0, "sigma", "token_jitter")
         if self.patch_size < 1 or self.image_size % self.patch_size:
             raise ValueError(f"patch {self.patch_size} does not tile {self.image_size}")
         check_heads(self.token_width, self.surrogate_heads, "token_width", "surrogate_heads")
@@ -116,33 +112,27 @@ class SynthWorld:
 
 
 def _pick_split(d: int, seen_fraction: float, n_categories: int) -> tuple[LabelSplit, dict[int, int]]:
-    """Round-robin category assignment; unseen labels are taken one per
-    category from the back, never leaving a category with fewer than two
-    seen labels (the convex construction needs a pair).
+    """Label `lid` falls in category `lid % n_categories`. Unseen labels are
+    taken in round-robin passes from the back of each category, never
+    leaving one with fewer than two seen labels (the convex construction
+    needs a pair). In closed form: the candidates are the ids with two
+    smaller ids in their category, `lid >= 2 * n_categories`; pass r holds
+    those with r larger ids in their category, `(d - 1 - lid) // n_categories`,
+    in category order; the first `n_unseen` candidates in that order are unseen.
     """
     if not 0.0 < seen_fraction <= 1.0:
         raise ValueError(f"seen fraction {seen_fraction} outside (0, 1]")
-    categories = {lid: lid % n_categories for lid in range(d)}
     n_unseen = d - int(round(d * seen_fraction))
-    by_cat: dict[int, list[int]] = {}
-    for lid in range(d):
-        by_cat.setdefault(categories[lid], []).append(lid)
-    unseen: list[int] = []
-    cat_cycle = sorted(by_cat)
-    while len(unseen) < n_unseen:
-        took = False
-        for cat in cat_cycle:
-            if len(unseen) == n_unseen:
-                break
-            members = [lid for lid in by_cat[cat] if lid not in unseen]
-            if len(members) >= 3:  # keep two seen for the pair
-                unseen.append(members[-1])
-                took = True
-        if not took:
-            raise InfeasibleConstraint(
-                f"cannot place {n_unseen} unseen labels over {n_categories} categories of {d}"
-            )
+    candidates = sorted(
+        range(2 * n_categories, d), key=lambda lid: ((d - 1 - lid) // n_categories, lid % n_categories)
+    )
+    if len(candidates) < n_unseen:
+        raise InfeasibleConstraint(
+            f"cannot place {n_unseen} unseen labels over {n_categories} categories of {d}"
+        )
+    unseen = set(candidates[:n_unseen])
     seen = tuple(lid for lid in range(d) if lid not in unseen)
+    categories = {lid: lid % n_categories for lid in range(d)}
     return LabelSplit(seen=seen, unseen=tuple(sorted(unseen))), categories
 
 

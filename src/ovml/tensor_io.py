@@ -2,7 +2,8 @@
 key=value text of run configs, world configs and checkpoint meta.
 
 Tensor file layout: magic "MKT1" (4 bytes), u8 rank, rank u64
-little-endian extents, then the row-major IEEE-754 f64 payload.
+little-endian extents, then the row-major IEEE-754 f64 payload, whose
+values must all be finite.
 
 A sealed directory (a dataset split or a checkpoint) holds its files and
 a manifest.txt of sorted "path<TAB>sha256" lines, written last in a fresh
@@ -46,6 +47,15 @@ class BadKeyValues(ValueError):
 def field_kinds(*classes) -> dict[str, str]:
     """Key -> declared type name for every field of the given dataclasses."""
     return {f.name: f.type for cls in classes for f in fields(cls)}
+
+
+def check_at_least(obj, low: float, *names: str) -> None:
+    """Raise ValueError naming the first field of `obj` among `names` that is
+    not a finite number at least `low`; NaN fails the comparison."""
+    for name in names:
+        value = getattr(obj, name)
+        if not low <= value < math.inf:
+            raise ValueError(f"{name} must be finite and at least {low}, got {value}")
 
 
 def _convert(kind: str, raw: str):
@@ -107,6 +117,8 @@ def write_tensor(path: str | Path, array: np.ndarray) -> None:
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
+    """The array a tensor file holds; a malformed file, or one holding NaN or
+    Inf, raises BadTensorFile naming the path."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != MAGIC:
@@ -120,7 +132,10 @@ def read_tensor(path: str | Path) -> np.ndarray:
     payload = blob[header_end:]
     if len(payload) != 8 * count:
         raise BadTensorFile(f"{path}: payload holds {len(payload)} bytes, expected {8 * count}")
-    return np.frombuffer(payload, dtype="<f8", count=count).reshape(shape).copy()
+    array = np.frombuffer(payload, dtype="<f8", count=count).reshape(shape)
+    if not np.isfinite(array).all():
+        raise BadTensorFile(f"{path}: non-finite values")
+    return array.copy()
 
 
 def _manifest(directory: Path) -> tuple[bytes, dict[str, str]]:

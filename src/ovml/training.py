@@ -22,11 +22,11 @@ from .autodiff import NonFinite, Tensor
 from .heads import EmbeddingPair
 from .labels import LabelEmbeddingTable
 from .losses import distill_loss, ranking_loss
-from .model import Model, encode, fixed_table, live_table, save_model, score_image
+from .model import Model, embed_batch, encode, fixed_table, live_table, save_model, score_image
 from .optim import AdamW
 from .seeds import substream
 from .synth import Dataset
-from .tensor_io import remove_sealed
+from .tensor_io import check_at_least, remove_sealed
 
 
 class NonFiniteLoss(RuntimeError):
@@ -48,13 +48,9 @@ class TrainConfig:
     batch_size: int = 16
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch size must be positive")
-        if min(self.epochs_stage1, self.epochs_stage2) < 0:
-            raise ValueError("epoch counts cannot be negative")
-        for name in ("lambda_distill", "lr_stage1", "lr_stage2", "weight_decay"):
-            if not 0.0 <= getattr(self, name) < np.inf:  # NaN fails every comparison
-                raise ValueError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
+        check_at_least(self, 1, "batch_size")
+        check_at_least(self, 0, "epochs_stage1", "epochs_stage2")
+        check_at_least(self, 0.0, "lambda_distill", "lr_stage1", "lr_stage2", "weight_decay")
 
 
 LogFn = Callable[[dict], None]
@@ -151,19 +147,6 @@ def frozen_params(model: Model) -> dict[str, Tensor]:
     return frozen
 
 
-def _embed_all(model: Model, images: np.ndarray, chunk: int) -> tuple[np.ndarray, np.ndarray]:
-    """Constant (global, per-patch) embeddings of every image, `chunk`
-    images per forward pass, recording no graph.
-    """
-    e_cls, e_patch = [], []
-    with ad.no_grad():
-        for start in range(0, images.shape[0], chunk):
-            emb = encode(model, images[start:start + chunk])
-            e_cls.append(emb.e_cls.data)
-            e_patch.append(emb.e_patch.data.reshape(emb.e_cls.shape[0], -1, emb.e_cls.shape[1]))
-    return np.concatenate(e_cls), np.concatenate(e_patch)
-
-
 def run_stage2(
     model: Model, dataset: Dataset, cfg: TrainConfig, seed: int, log: LogFn
 ) -> tuple[float, float]:
@@ -173,7 +156,7 @@ def run_stage2(
     last step, so callers can verify tuning did not hurt.
     """
     snapshot = {name: t.data.copy() for name, t in frozen_params(model).items()}
-    cached_cls, cached_patch = _embed_all(model, dataset.images, cfg.batch_size)
+    cached_cls, cached_patch = embed_batch(model, dataset.images)
     positive = positive_mask(dataset, model.split.all_ids)
 
     def cached(rows) -> EmbeddingPair:

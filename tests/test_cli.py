@@ -4,7 +4,10 @@ Every command runs in-process through main(argv) so the asserted return
 values are exactly the process exit codes.
 """
 
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -396,6 +399,56 @@ def test_positives_line_the_world_cannot_hold_exits_three(workspace, tmp_path, c
         assert err.startswith("invariant violation") and err.count("\n") == 1 and message in err, (command, err)
 
 
+def _poison_first(value):
+    def change(x):
+        x.flat[0] = value
+        return x
+    return change
+
+
+@pytest.mark.parametrize(
+    "command, split, rel, value",
+    [
+        ("train", "train", "images.mkt1", np.nan),
+        ("train", "train", "teacher.mkt1", np.inf),
+        ("eval", "test", "images.mkt1", np.nan),
+    ],
+    ids=["train_images_nan", "train_teacher_inf", "test_images_nan"],
+)
+def test_non_finite_dataset_tensor_exits_three(workspace, tmp_path, capsys, command, split, rel, value):
+    root, _ = workspace
+    shutil.copytree(root / "out" / "dataset", tmp_path / "dataset")
+    _sealed(_tensor_edit(rel, _poison_first(value)))(tmp_path / "dataset" / split)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY + f"out_dir={tmp_path}/out\ndataset_dir={tmp_path}/dataset\ncheckpoint={root}/out/stage2\n")
+    assert main([command, "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation") and err.count("\n") == 1, err
+    assert err.endswith(f"{tmp_path}/dataset/{split}/{rel}: non-finite values\n"), err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        *[(key, 0) for key in (
+            "n_labels", "n_train", "n_test", "n_categories", "max_labels", "channels", "image_size",
+            "token_width", "embed_dim", "prompt_length", "width", "k", "batch_size",
+        )],
+        *[(key, -1) for key in ("surrogate_depth", "depth", "epochs_stage1", "epochs_stage2")],
+        *[(key, "nan") for key in (
+            "sigma", "token_jitter", "lambda_distill", "lr_stage1", "lr_stage2", "weight_decay",
+        )],
+    ],
+)
+def test_value_out_of_its_range_is_config_error_naming_the_key(tmp_path, capsys, key, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(tiny(out_dir=f"{tmp_path}/out", **{key: value}))
+    assert main(["gen", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must be") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "command, line",
     [
@@ -546,11 +599,13 @@ def _entry_elsewhere(target):
         _text_edit("manifest.txt", "\t", " "),
         _entry_elsewhere(lambda ck: f"../{ck.name}-other/heads.global_b.mkt1"),
         _entry_elsewhere(lambda ck: f"{ck.parent}/{ck.name}-other/heads.global_b.mkt1"),
+        _sealed(_text_edit("vocab.tsv", "0\t0\n", "")),
     ],
     ids=[
         "meta_missing_key", "meta_non_integer", "meta_bad_head_mode", "meta_zero_heads",
         "table_rows_off_ids", "table_non_finite", "tensor_header_7_bytes", "tensor_header_4_bytes",
         "manifest_line_without_tab", "manifest_entry_in_parent_dir", "manifest_entry_absolute",
+        "vocab_lacks_table_label_0",
     ],
 )
 def test_checkpoint_faults_exit_three(workspace, tmp_path, capsys, edit):
@@ -567,8 +622,12 @@ def test_checkpoint_faults_exit_three(workspace, tmp_path, capsys, edit):
 
 @pytest.mark.parametrize(
     "edit",
-    [_sealed(_text_edit("vocab.tsv", "\t", " ")), lambda ck: (ck / "vocab.tsv").unlink()],
-    ids=["vocab_line_without_tab", "vocab_missing"],
+    [
+        _sealed(_text_edit("vocab.tsv", "\t", " ")),
+        lambda ck: (ck / "vocab.tsv").unlink(),
+        _sealed(_text_edit("vocab.tsv", "0\t0\n", "")),
+    ],
+    ids=["vocab_line_without_tab", "vocab_missing", "vocab_lacks_table_label_0"],
 )
 def test_retrieve_checkpoint_faults_exit_three(workspace, tmp_path, capsys, edit):
     root, _ = workspace
@@ -657,3 +716,26 @@ def test_flipped_exponent_bit_in_a_weight_exits_three(workspace, tmp_path, capsy
     cfg = tmp_path / "run.cfg"
     cfg.write_text(TINY + f"out_dir={tmp_path}/out\ndataset_dir={root}/out/dataset\ncheckpoint={ck}\n")
     _assert_commands_exit_three(("eval", "retrieve"), cfg, capsys, path.name)
+
+
+def test_quickstart_script_runs_end_to_end(tmp_path):
+    repo = Path(__file__).resolve().parents[1]
+    shim = tmp_path / "bin" / "ovml"
+    shim.parent.mkdir()
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m ovml "$@"\n')
+    shim.chmod(0o755)
+    env = dict(os.environ, PATH=f"{shim.parent}{os.pathsep}{os.environ.get('PATH', '')}")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(repo / "src"), os.environ.get("PYTHONPATH"))))
+    out = tmp_path / "quickstart"
+    run = subprocess.run(
+        ["sh", str(repo / "scripts" / "quickstart.sh"), str(out)], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    listed = run.stdout.split(f"artifacts in {out}:\n")[1].split()
+    assert sorted(listed) == sorted(p.name for p in out.iterdir())
+    assert {
+        "run.cfg", "config.resolved.txt", "dataset", "stage1", "stage2", "train_log.jsonl", "report_zsl.json",
+        "report_gzsl.json", "retrieval.txt", "sweep.csv",
+    } <= set(listed)
+    assert len((out / "sweep.csv").read_text().splitlines()) == 4  # header plus the three lambda values

@@ -13,10 +13,9 @@ import pytest
 from ovml import autodiff as ad
 from ovml.autodiff import Tensor, finite_difference_check
 from ovml.gradcheck import run_suite
-from ovml.model import encode, fixed_table, init_model, score_batch, score_image
+from ovml.model import embed_batch, encode, fixed_table, init_model, score_batch, score_image
 from ovml.seeds import substream
 from ovml.synth import SynthConfig, build_world, sample
-from ovml.training import _embed_all
 
 
 def rng_for(name):
@@ -169,7 +168,7 @@ def test_fixed_table_and_embedding_cache_record_no_graph(world, images, tensor_c
     model = init_model(0, world)
     tensor_counts.update(all=0, grad=0)
     table = fixed_table(model)
-    e_cls, e_patch = _embed_all(model, images, 8)
+    e_cls, e_patch = embed_batch(model, images)  # 20 images: a chunk of 16 and one of 4
     assert tensor_counts["all"] > 0 and tensor_counts["grad"] == 0
     assert not table.z.requires_grad
     emb = encode(model, images)

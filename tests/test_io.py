@@ -89,6 +89,14 @@ def test_header_whose_size_overflows_int64_rejected(tmp_path, shape):
         read_tensor(p)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_payload_rejected(tmp_path, value):
+    p = tmp_path / "x.mkt1"
+    write_tensor(p, np.array([[1.0, value], [2.0, 3.0]]))
+    with pytest.raises(BadTensorFile, match=f"^{p}: non-finite values$"):
+        read_tensor(p)
+
+
 def test_trailing_garbage_rejected(tmp_path):
     p = tmp_path / "x.mkt1"
     write_tensor(p, np.ones(2))

@@ -121,9 +121,9 @@ def test_build_label_table_rows_follow_split_order():
     for row, lid in enumerate(table.label_ids):
         want = text_surrogate_encode(prompt.context, tower.token_rows([lid]), tower)
         np.testing.assert_array_equal(table.z.data[row], want.data[0])
-    assert table.row_of(2) == 2
+    assert table.label_ids.index(2) == 2
     with pytest.raises(UnknownLabel):
-        table.row_of(7)
+        retrieve(7, table, 1)
 
 
 def test_table_row_count_must_match_ids():

@@ -14,6 +14,7 @@ from ovml.synth import (
     InfeasibleConstraint,
     PoolTooSmall,
     SynthConfig,
+    _pick_split,
     build_world,
     oracle_scores,
     read_dataset,
@@ -59,6 +60,53 @@ def test_split_infeasible_when_categories_too_thin():
     # 4 labels over 4 categories: no category can spare an unseen label
     with pytest.raises(InfeasibleConstraint):
         build_world(4, 0.5, 0, SynthConfig())
+
+
+def _round_robin_split(d, seen_fraction, n_categories):
+    """The split rule as a simulation: pass after pass over the categories,
+    each takes its largest remaining id while it holds three or more."""
+    by_cat = {}
+    for lid in range(d):
+        by_cat.setdefault(lid % n_categories, []).append(lid)
+    n_unseen = d - int(round(d * seen_fraction))
+    unseen = []
+    while len(unseen) < n_unseen:
+        took = False
+        for cat in sorted(by_cat):
+            if len(unseen) == n_unseen:
+                break
+            members = [lid for lid in by_cat[cat] if lid not in unseen]
+            if len(members) >= 3:  # keep two seen for the pair
+                unseen.append(members[-1])
+                took = True
+        if not took:
+            raise InfeasibleConstraint(
+                f"cannot place {n_unseen} unseen labels over {n_categories} categories of {d}"
+            )
+    return tuple(lid for lid in range(d) if lid not in unseen), tuple(sorted(unseen))
+
+
+def test_pick_split_matches_the_round_robin_loop():
+    def outcome(split_rule, *args):
+        try:
+            return split_rule(*args)
+        except InfeasibleConstraint as e:
+            return str(e)
+
+    def closed_form(*args):
+        split, categories = _pick_split(*args)
+        assert categories == {lid: lid % args[2] for lid in range(args[0])}
+        return split.seen, split.unseen
+
+    infeasible = 0
+    for d in range(1, 41):
+        for n_categories in range(1, 9):
+            for k in range(1, 21):
+                args = (d, k / 20, n_categories)
+                want = outcome(_round_robin_split, *args)
+                assert outcome(closed_form, *args) == want, args
+                infeasible += isinstance(want, str)
+    assert 0 < infeasible < 40 * 8 * 20  # both outcomes are exercised
 
 
 def test_prototypes_invert_the_teacher_map():
