@@ -241,15 +241,14 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    parts = tuple(parts)
     if not parts:
         raise ShapeMismatch("concat of nothing")
-    sizes = [p.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
 
     def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(np.split(g, np.cumsum([p.shape[axis] for p in parts])[:-1], axis=axis))
 
-    return _result(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), vjp)
+    return _result(np.concatenate([p.data for p in parts], axis=axis), parts, vjp)
 
 
 def _blocks(a: np.ndarray, group: int) -> np.ndarray:
@@ -449,7 +448,8 @@ def topk_mean_cols(x: Tensor, k: int, group: int) -> Tensor:
 def mean_all(x: Tensor) -> Tensor:
     n = x.data.size
     shape = x.shape
-    return _result(x.data.mean(), (x,), lambda g: (np.full(shape, g / n),))
+    # what ndarray.mean computes, without its Python wrapper
+    return _result(np.add.reduce(x.data, axis=None) / n, (x,), lambda g: (np.full(shape, g / n),))
 
 
 def l2_normalize(x: Tensor) -> Tensor:

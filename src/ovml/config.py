@@ -10,10 +10,11 @@ parses back into an identical RunConfig.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .model import ModelConfig
+from .model import SCORE_CHUNK, ModelConfig
 from .synth import SynthConfig
 from .tensor_io import check_at_least, field_kinds, key_values_text, read_key_values
 from .training import TrainConfig
@@ -24,6 +25,12 @@ class ConfigError(ValueError):
 
 
 _TASKS = ("ZSL", "GZSL", "both")
+# The largest array, in bytes, a config may make a command ask numpy for.
+# Over it is a ConfigError naming the key that dominates, raised before
+# anything is allocated. A constant rather than the host's free memory, so
+# a config exits the same way on every machine; the README run's largest
+# array is about 0.7 MB.
+MAX_ARRAY_BYTES = 2**30
 # How each sweep axis turns a sweep word into a value, and the field it sets.
 _SWEEP_AXES = {
     "lambda": (float, lambda cfg, v: replace(cfg, train=replace(cfg.train, lambda_distill=v))),
@@ -73,6 +80,36 @@ class RunConfig:
         check_at_least(self, 1, "n_labels", "n_train", "n_test")
         if not 0.0 < self.seen_fraction <= 1.0:
             raise ConfigError(f"seen_fraction {self.seen_fraction} outside (0, 1]")
+        factors = max(self._array_factors(), key=lambda f: math.prod(f.values()))
+        if 8 * math.prod(factors.values()) > MAX_ARRAY_BYTES:
+            key = max(factors, key=factors.get)
+            owner = next(part for part in (self, self.synth, self.model, self.train) if hasattr(part, key))
+            limit = MAX_ARRAY_BYTES // 2**30
+            raise ConfigError(f"{key}={getattr(owner, key)} needs an array over the {limit} GiB limit")
+
+    def _array_factors(self) -> list[dict[str, int]]:
+        """An estimate of the float64 arrays whose size the config sets, each as
+        the keys whose factors multiply into its element count: a split's
+        images, the label rows of a table build and their attention logits,
+        the label table, the weight matrices, and one training batch's or
+        scoring chunk's activations, attention logits and patch-label scores.
+        """
+        s, m = self.synth, self.model
+        tokens = s.n_patches + 1  # an image's class token and patches
+        labels = s.prompt_length + 1  # a label's prompt rows and token row
+        rows = max(min(self.train.batch_size, self.n_train), SCORE_CHUNK)
+        return [
+            {"n_train": self.n_train, "channels": s.channels, "image_size": s.image_size**2},
+            {"n_test": self.n_test, "channels": s.channels, "image_size": s.image_size**2},
+            {"n_labels": self.n_labels, "prompt_length": labels, "token_width": s.token_width},
+            {"n_labels": self.n_labels, "surrogate_heads": s.surrogate_heads, "prompt_length": labels**2},
+            {"n_labels": self.n_labels, "embed_dim": s.embed_dim},
+            {"token_width": s.token_width**2},
+            {"width": m.width**2},
+            {"batch_size": rows, "image_size": tokens, "width": m.width},
+            {"batch_size": rows, "heads": m.heads, "image_size": tokens**2},
+            {"batch_size": rows, "image_size": tokens, "n_labels": self.n_labels},
+        ]
 
     def tasks(self) -> tuple[str, ...]:
         return ("ZSL", "GZSL") if self.task == "both" else (self.task,)

@@ -13,6 +13,7 @@ Construction guarantees that make end-to-end behavior checkable:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -24,14 +25,13 @@ from .labels import (
     PromptState,
     build_label_table,
     init_prompt,
-    read_vocabulary,
     vocabulary_text,
 )
 from .metrics import GroundTruthMatrix
 from .seeds import substream
 from .tensor_io import (
-    check_at_least, directory_digest, field_kinds, key_values_text, read_key_values, read_tensor, write_sealed,
-    write_tensor,
+    check_at_least, directory_digest, field_kinds, key_values_text, read_key_values, read_tensor, tensor_bytes,
+    write_sealed, write_tensor,
 )
 from .text_encoder import TextSurrogateParams, init_text_surrogate
 from .vit import check_heads, patchify
@@ -302,20 +302,33 @@ def oracle_scores(dataset: Dataset, k: int = 1) -> ScoreMatrix:
 _IMAGES = "images.mkt1"
 _TEACHER = "teacher.mkt1"
 _POSITIVES = "positives.txt"
-_VOCAB = "vocab.tsv"
 _WORLD_CONFIG = "world/config.txt"
-_WORLD_TOKENS = "world/tokens.mkt1"
-_WORLD_TEACHER = "world/wt.mkt1"
-_WORLD_Z = "world/z.mkt1"
-_WORLD_PROTO = "world/prototypes.mkt1"
-_WORLD_SPLIT = "world/split.txt"
 _WORLD_KINDS = {"seed": "int", "n_labels": "int", "seen_fraction": "float", **field_kinds(SynthConfig)}
+
+
+def _by_label(table: dict[int, np.ndarray], world: SynthWorld) -> bytes:
+    return tensor_bytes(np.stack([table[lid] for lid in world.split.all_ids]))
+
+
+# Every file of a split that the world fixes, with the bytes the world
+# gives it: write_dataset writes them, and read_dataset compares each with
+# the world regenerated from world/config.txt.
+_WORLD_FILES: dict[str, Callable[[SynthWorld], bytes]] = {
+    "vocab.tsv": lambda world: vocabulary_text(world.categories).encode(),
+    "world/tokens.mkt1": lambda world: _by_label(world.tokens, world),
+    "world/wt.mkt1": lambda world: tensor_bytes(world.w_teacher),
+    "world/z.mkt1": lambda world: tensor_bytes(world.z),
+    "world/prototypes.mkt1": lambda world: _by_label(world.prototypes, world),
+    "world/split.txt": lambda world: (
+        "seen\t" + " ".join(str(x) for x in world.split.seen) + "\n"
+        "unseen\t" + " ".join(str(x) for x in world.split.unseen) + "\n"
+    ).encode(),
+}
 
 
 def write_dataset(directory: str | Path, dataset: Dataset) -> str:
     """Write the sealed directory layout and return its content hash."""
     world = dataset.world
-    order = world.split.all_ids
 
     def fill(staging: Path) -> None:
         (staging / "world").mkdir()
@@ -324,17 +337,10 @@ def write_dataset(directory: str | Path, dataset: Dataset) -> str:
         (staging / _POSITIVES).write_text(
             "".join(" ".join(str(lid) for lid in pos) + "\n" for pos in dataset.positives)
         )
-        (staging / _VOCAB).write_text(vocabulary_text(world.categories))
         head = {"seed": world.seed, "n_labels": world.n_labels, "seen_fraction": world.seen_fraction}
         (staging / _WORLD_CONFIG).write_text(key_values_text({**head, **asdict(world.config)}))
-        write_tensor(staging / _WORLD_TOKENS, np.stack([world.tokens[lid] for lid in order]))
-        write_tensor(staging / _WORLD_TEACHER, world.w_teacher)
-        write_tensor(staging / _WORLD_Z, world.z)
-        write_tensor(staging / _WORLD_PROTO, np.stack([world.prototypes[lid] for lid in order]))
-        (staging / _WORLD_SPLIT).write_text(
-            "seen\t" + " ".join(str(x) for x in world.split.seen) + "\n"
-            "unseen\t" + " ".join(str(x) for x in world.split.unseen) + "\n"
-        )
+        for rel, content in _WORLD_FILES.items():
+            (staging / rel).write_bytes(content(world))
 
     return write_sealed(directory, fill)
 
@@ -343,8 +349,8 @@ def read_dataset(directory: str | Path) -> Dataset:
     """Verify the directory, rebuild the world from its recorded seed and
     load the samples.
 
-    Regeneration is cross-checked against the stored teacher map and
-    embeddings so a stale or edited directory fails loudly.
+    Every file the world fixes is compared with the regenerated world, so
+    a stale or edited directory fails loudly.
     """
     directory = Path(directory)
     try:
@@ -353,12 +359,9 @@ def read_dataset(directory: str | Path) -> Dataset:
         seed, d, seen_fraction = values.pop("seed"), values.pop("n_labels"), values.pop("seen_fraction")
         world = build_world(d, seen_fraction, seed, SynthConfig(**values))
 
-        stored_wt = read_tensor(directory / _WORLD_TEACHER)
-        stored_z = read_tensor(directory / _WORLD_Z)
-        if not (np.array_equal(stored_wt, world.w_teacher) and np.array_equal(stored_z, world.z)):
-            raise DatasetCorrupt("regenerated world disagrees with stored tensors")
-        if read_vocabulary(directory / _VOCAB) != world.categories:
-            raise DatasetCorrupt("stored vocabulary disagrees with regenerated world")
+        for rel, content in _WORLD_FILES.items():
+            if (directory / rel).read_bytes() != content(world):
+                raise DatasetCorrupt(f"{rel} disagrees with the regenerated world")
 
         images = read_tensor(directory / _IMAGES)
         teacher = read_tensor(directory / _TEACHER)

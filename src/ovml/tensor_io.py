@@ -104,16 +104,18 @@ def key_values_text(values: dict[str, object]) -> str:
     return "".join(f"{key}={_format(value)}\n" for key, value in values.items())
 
 
-def write_tensor(path: str | Path, array: np.ndarray) -> None:
+def tensor_bytes(array: np.ndarray) -> bytes:
+    """The tensor file content of an array."""
     # asarray, not ascontiguousarray: the latter silently promotes 0-d to 1-d
     arr = np.asarray(array, dtype=np.float64)
     if arr.ndim > 255:
         raise BadTensorFile(f"rank {arr.ndim} exceeds format limit")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<B", arr.ndim))
-        f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        f.write(arr.tobytes(order="C"))
+    # join copies the payload once, straight from the contiguous array's buffer
+    return b"".join((MAGIC, struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape), np.ascontiguousarray(arr)))
+
+
+def write_tensor(path: str | Path, array: np.ndarray) -> None:
+    Path(path).write_bytes(tensor_bytes(array))
 
 
 def read_tensor(path: str | Path) -> np.ndarray:

@@ -160,6 +160,12 @@ def test_double_backward_rejected():
         ad.backward(loss)
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (129,), (3, 5), (4096, 3), (2, 3, 4)])
+def test_mean_all_is_ndarray_mean_bit_for_bit(shape):
+    x = rng_for("mean_all").normal(0, 1, shape) * 10.0 ** rng_for("mean_all.scale").integers(-8, 8, shape)
+    assert ad.mean_all(ad.tensor(x)).data.tobytes() == np.asarray(x.mean()).tobytes()
+
+
 def test_grads_accumulate_across_separate_graphs():
     x = ad.tensor([1.0, 2.0], requires_grad=True)
     ad.backward(ad.mean_all(x))

@@ -368,6 +368,28 @@ def test_dataset_tensor_that_does_not_fit_the_world_exits_three(workspace, tmp_p
     _assert_commands_exit_three(("train", "eval"), cfg, capsys, "dataset")
 
 
+@pytest.mark.parametrize(
+    "rel, edit",
+    [
+        ("world/tokens.mkt1", _tensor_edit("world/tokens.mkt1", lambda t: np.full_like(t, 7.0))),
+        ("world/prototypes.mkt1", _tensor_edit("world/prototypes.mkt1", lambda q: q[:1])),
+        ("world/split.txt", lambda ds: (ds / "world" / "split.txt").write_text("seen\t0\nunseen\t1\n")),
+    ],
+    ids=["tokens_all_7", "prototypes_one_row", "split_rewritten"],
+)
+def test_world_file_that_disagrees_with_the_world_exits_three(workspace, tmp_path, capsys, rel, edit):
+    root, _ = workspace
+    shutil.copytree(root / "out" / "dataset", tmp_path / "dataset")
+    for split in ("train", "test"):
+        _sealed(edit)(tmp_path / "dataset" / split)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY + f"out_dir={tmp_path}/out\ndataset_dir={tmp_path}/dataset\ncheckpoint={root}/out/stage2\n")
+    for command in ("train", "eval"):
+        assert main([command, "--config", str(cfg)]) == 3, command
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation") and err.count("\n") == 1 and rel in err, (command, err)
+
+
 def _first_positives_line(change):
     """Replace the first line of positives.txt with `change` of its label ids."""
     def edit(directory):
@@ -546,9 +568,16 @@ def test_negative_seed_override_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# The keys that size an array: a large int asks for one over config.MAX_ARRAY_BYTES.
+SIZE_KEYS = ("n_train", "n_test", "image_size", "channels", "n_labels", "token_width", "prompt_length",
+             "embed_dim", "width")
+LARGE = "1000000000"
+
+
 @pytest.mark.parametrize("key", sorted(_KINDS))
 def test_every_config_key_takes_odd_values_without_a_traceback(key, tmp_path, monkeypatch, capsys):
-    for i, value in enumerate(("0", "-1", "1e400", "nan", "0.5", "", "word")):
+    values = ("0", "-1", "1e400", "nan", "0.5", "", "word") + ((LARGE,) if key in SIZE_KEYS else ())
+    for i, value in enumerate(values):
         # a fresh working directory per value: values such as out_dir=0 write relative paths
         run = tmp_path / str(i)
         run.mkdir()
@@ -561,6 +590,8 @@ def test_every_config_key_takes_odd_values_without_a_traceback(key, tmp_path, mo
                 pytest.fail(f"{key}={value!r}: {command} raised {e!r}")
             err = capsys.readouterr().err
             assert 0 <= code <= 3 and err.count("\n") <= 1 and "Traceback" not in err, (key, value, command, err)
+            if value == LARGE:
+                assert code == 1 and err.startswith(f"config error: {key}={LARGE} "), (key, command, err)
 
 
 def test_seed_and_out_overrides(tmp_path, capsys):

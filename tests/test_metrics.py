@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ovml import metrics
+from ovml import model as om
 from ovml.autodiff import KOutOfRange, ShapeMismatch
 from ovml.heads import ScoreMatrix
 from ovml.labels import LabelSplit
@@ -20,6 +22,7 @@ from ovml.metrics import (
     EmptyTaskVocabulary,
     GroundTruthMatrix,
     NoPositives,
+    _descending_order,
     average_precision,
     evaluate,
     mean_ap,
@@ -27,6 +30,7 @@ from ovml.metrics import (
     topk_prf,
     write_report,
 )
+from ovml.synth import build_world, sample
 
 # four images x four labels, with known per-class rankings
 WORKED_SCORES = np.array(
@@ -318,3 +322,99 @@ def test_report_bytes_are_pinned(mode):
     s, g = mats()
     report = evaluate(s, g, LabelSplit(seen=(0, 1), unseen=(2, 3)), mode, k_list=(1, 2))
     assert (report.to_json(), report.to_text()) == PINNED_REPORTS[mode]
+
+
+# Values that tie, differ only in the sign of zero, or do not order at all.
+SPECIAL = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 0.5])
+
+
+def tied_matrix(seed, shape=None):
+    """Rounded normals with ±0.0, NaN and ±inf mixed in, so rows hold ties."""
+    rng = np.random.default_rng(seed)
+    b, d = shape or (int(rng.integers(1, 7)), int(rng.integers(1, 40)))
+    a = np.round(rng.normal(0, 2, (b, d)), int(rng.integers(0, 3)))
+    special = rng.random((b, d)) < rng.uniform(0, 0.5)
+    a[special] = rng.choice(SPECIAL, int(special.sum()))
+    return a
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([None, "1xn", "nx1", "distinct"]))
+@settings(max_examples=200, deadline=None)
+def test_descending_order_is_the_stable_argsort(seed, form):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 50))
+    shape = {None: None, "1xn": (1, n), "nx1": (n, 1), "distinct": (3, n)}[form]
+    a = rng.permutation(np.arange(3 * n, dtype=float)).reshape(3, n) if form == "distinct" else tied_matrix(seed, shape)
+    np.testing.assert_array_equal(_descending_order(a), np.argsort(-a, axis=-1, kind="stable"))
+
+
+def test_descending_order_resolves_signed_zeros_and_nan_by_index():
+    a = np.array([[-0.0, 0.0, np.nan, 1.0, -0.0, np.nan, 0.0], [np.nan, 1.0, np.nan, 2.0, np.nan, -3.0, 0.5]])
+    np.testing.assert_array_equal(_descending_order(a), [[3, 0, 1, 4, 6, 2, 5], [3, 1, 6, 5, 0, 2, 4]])
+
+
+def reference_ap(scores, relevance):
+    """average_precision as one stable argsort per column computed it."""
+    order = np.argsort(-scores, kind="stable")
+    rel = relevance[order].astype(np.float64)
+    precision_at = np.cumsum(rel) / np.arange(1, len(rel) + 1)
+    return float((precision_at * rel).sum() / int(relevance.sum()))
+
+
+def reference_per_class_ap(scores, y, label_ids):
+    aps = [reference_ap(scores[:, c], y[:, c]) if y[:, c].any() else None for c in range(len(label_ids))]
+    return aps, [lid for lid, ap in zip(label_ids, aps) if ap is None]
+
+
+def reference_topk_masks(scores, ks):
+    b, d = scores.shape
+    order = np.argsort(-scores, axis=1, kind="stable")
+    masks = {}
+    for k in map(int, ks):
+        if not 1 <= k <= d:
+            raise KOutOfRange(f"K={k} outside [1, {d}]")
+        masks[k] = np.zeros((b, d), dtype=bool)
+        masks[k][np.arange(b)[:, None], order[:, :k]] = True
+    return masks
+
+
+def report_bytes(s, g, split, k_lists):
+    return [(r.to_json(), r.to_text()) for r in (evaluate(s, g, split, mode, ks) for mode, ks in k_lists.items())]
+
+
+def assert_reports_match_reference(s, g, split, monkeypatch):
+    widths = {"ZSL": len(split.unseen), "GZSL": len(split.all_ids)}
+    for ks in ((1, 3, 5), None):
+        k_lists = {mode: ks or (d,) for mode, d in widths.items() if ks is None or max(ks) <= d}
+        got = report_bytes(s, g, split, k_lists)
+        with monkeypatch.context() as m:
+            m.setattr(metrics, "_per_class_ap", reference_per_class_ap)
+            m.setattr(metrics, "_topk_masks", reference_topk_masks)
+            assert got == report_bytes(s, g, split, k_lists)
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """The 80-label, 2000-image score matrix of a seeded untrained model."""
+    world = build_world(80, 0.8, 0)
+    test = sample(world, 2000, world.split.all_ids, 0, stream="sample.test")
+    model = om.init_model(0, world)
+    table = om.fixed_table(model)
+    return om.score_batch(model, test.images, table), test.ground_truth(table.label_ids), world.split
+
+
+def test_wide_reports_match_the_per_column_reference(wide, monkeypatch):
+    assert_reports_match_reference(*wide, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_tied_reports_match_the_per_column_reference(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    b, d = int(rng.integers(2, 60)), int(rng.integers(6, 14))
+    scores = tied_matrix(seed, (b, d))
+    y = rng.integers(0, 2, (b, d))
+    y[:, rng.random(d) < 0.2] = 0  # some classes skipped
+    y[0, [0, -1]] = 1  # each task keeps a class with a positive
+    s, g = mats(scores, y, ids=range(d))
+    cut = int(rng.integers(1, d - 4))
+    assert_reports_match_reference(s, g, LabelSplit(seen=s.label_ids[:cut], unseen=s.label_ids[cut:]), monkeypatch)
