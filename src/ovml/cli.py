@@ -147,30 +147,31 @@ def _untrained_zsl_map(seed: int, config: ModelConfig, test: Dataset) -> float:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    """Train and evaluate once per sweep value and seed; values at one seed share data and init."""
+    """Train and evaluate once per sweep value and seed; runs at one seed and data setting share data and init."""
     points = cfg.sweep_points()
     k_eval = cfg.k_list[0]
-    if k_eval > cfg.n_labels:
-        raise ConfigError(f"K={k_eval} exceeds the {cfg.n_labels} labels GZSL ranks")
+    if k_eval > (n_labels := min(point.n_labels for _, point in points)):
+        raise ConfigError(f"K={k_eval} exceeds the {n_labels} labels GZSL ranks")
     out_dir = Path(cfg.out_dir)
     columns = ["untrained_zsl_map", "zsl_map", "gzsl_map", f"gzsl_f1@{k_eval}"]
     show = lambda values: " ".join(f"{c} {v:.4f}" for c, v in zip(columns, values))
-    rows = []
-    data = {seed: _datasets(replace(cfg, seed=seed)) for seed in cfg.sweep_seeds or (cfg.seed,)}
+    runs = [(name, replace(point, seed=seed)) for seed in cfg.sweep_seeds or (cfg.seed,) for name, point in points]
+    setting = lambda run: (run.seed, run.n_labels, run.seen_fraction, run.synth, run.n_train, run.n_test)
+    data = {key: _datasets(run) for key, run in {setting(run): run for _, run in runs}.items()}
     # score every baseline before the first run, so a value or seed that cannot score leaves no output
-    baselines = {seed: [_untrained_zsl_map(seed, cfg_v.model, test_ds) for _, cfg_v in points]
-                 for seed, (_, test_ds) in data.items()}
-    for seed, (train_ds, test_ds) in data.items():
-        for (name, cfg_v), untrained in zip(points, baselines[seed]):
-            run_dir = out_dir / f"seed_{seed}" / f"{cfg.sweep_axis}_{name}"
-            paths = train(init_model(seed, train_ds.world, cfg_v.model), train_ds, cfg_v.train, seed, run_dir)
-            trained = load_model(paths["stage2"], test_ds.world)
-            reports = _evaluate(*trained, test_ds, {"ZSL": (), "GZSL": (k_eval,)})
-            for mode, report in reports.items():
-                write_report(run_dir / f"report_{mode.lower()}", report)
-            gzsl = reports["GZSL"]
-            rows.append([seed, name, untrained, reports["ZSL"].map, gzsl.map, gzsl.prf_at_k[k_eval][2]])
-            print(f"seed={seed} {cfg.sweep_axis}={name} {show(rows[-1][2:])}")
+    baselines = [_untrained_zsl_map(run.seed, run.model, data[setting(run)][1]) for _, run in runs]
+    rows = []
+    for (name, run), untrained in zip(runs, baselines):
+        train_ds, test_ds = data[setting(run)]
+        run_dir = out_dir / f"seed_{run.seed}" / f"{cfg.sweep_axis}_{name}"
+        paths = train(init_model(run.seed, train_ds.world, run.model), train_ds, run.train, run.seed, run_dir)
+        trained = load_model(paths["stage2"], test_ds.world)
+        reports = _evaluate(*trained, test_ds, {"ZSL": (), "GZSL": (k_eval,)})
+        for mode, report in reports.items():
+            write_report(run_dir / f"report_{mode.lower()}", report)
+        gzsl = reports["GZSL"]
+        rows.append([run.seed, name, untrained, reports["ZSL"].map, gzsl.map, gzsl.prf_at_k[k_eval][2]])
+        print(f"seed={run.seed} {cfg.sweep_axis}={name} {show(rows[-1][2:])}")
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed", cfg.sweep_axis, *columns])

@@ -11,7 +11,7 @@ parses back into an identical RunConfig.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .model import SCORE_CHUNK, ModelConfig
@@ -31,12 +31,6 @@ _TASKS = ("ZSL", "GZSL", "both")
 # a config exits the same way on every machine; the README run's largest
 # array is about 0.7 MB.
 MAX_ARRAY_BYTES = 2**30
-# How each sweep axis turns a sweep word into a value, and the field it sets.
-_SWEEP_AXES = {
-    "lambda": (float, lambda cfg, v: replace(cfg, train=replace(cfg.train, lambda_distill=v))),
-    "k": (int, lambda cfg, v: replace(cfg, model=replace(cfg.model, k=v))),
-    "head_mode": (str, lambda cfg, v: replace(cfg, model=replace(cfg.model, head_mode=v))),
-}
 
 
 @dataclass
@@ -64,7 +58,7 @@ class RunConfig:
     topn: int = 3
 
     # sweeps
-    sweep_axis: str = "lambda"
+    sweep_axis: str = "lambda_distill"
     sweep_values: tuple[str, ...] = ("0.0", "0.5", "1.0")
     sweep_seeds: tuple[int, ...] = ()  # empty: the one run seed
 
@@ -73,8 +67,6 @@ class RunConfig:
             raise ConfigError(f"seeds cannot be negative, got {min((self.seed, *self.sweep_seeds))}")
         if self.task not in _TASKS:
             raise ConfigError(f"task must be one of {_TASKS}, got {self.task!r}")
-        if self.sweep_axis not in _SWEEP_AXES:
-            raise ConfigError(f"sweep_axis must be one of {tuple(_SWEEP_AXES)}")
         if not self.k_list or min(self.k_list) < 1:
             raise ConfigError(f"k_list must hold positive values, got {self.k_list}")
         check_at_least(self, 1, "n_labels", "n_train", "n_test")
@@ -82,16 +74,15 @@ class RunConfig:
             raise ConfigError(f"seen_fraction {self.seen_fraction} outside (0, 1]")
         factors = max(self._array_factors(), key=lambda f: math.prod(f.values()))
         if 8 * math.prod(factors.values()) > MAX_ARRAY_BYTES:
-            key = max(factors, key=factors.get)
-            owner = next(part for part in (self, self.synth, self.model, self.train) if hasattr(part, key))
-            limit = MAX_ARRAY_BYTES // 2**30
-            raise ConfigError(f"{key}={getattr(owner, key)} needs an array over the {limit} GiB limit")
+            key, limit = max(factors, key=factors.get), MAX_ARRAY_BYTES // 2**30
+            raise ConfigError(f"{key}={_values(self)[key]} needs an array over the {limit} GiB limit")
 
     def _array_factors(self) -> list[dict[str, int]]:
         """An estimate of the float64 arrays whose size the config sets, each as
         the keys whose factors multiply into its element count: a split's
         images, the label rows of a table build and their attention logits,
-        the label table, the weight matrices, and one training batch's or
+        the label table, a weight matrix, AdamW's flat buffer of every ViT and
+        head weight, the surrogate's block weights, and one training batch's or
         scoring chunk's activations, attention logits and patch-label scores.
         """
         s, m = self.synth, self.model
@@ -105,7 +96,8 @@ class RunConfig:
             {"n_labels": self.n_labels, "surrogate_heads": s.surrogate_heads, "prompt_length": labels**2},
             {"n_labels": self.n_labels, "embed_dim": s.embed_dim},
             {"token_width": s.token_width**2},
-            {"width": m.width**2},
+            {"depth": m.depth + 1, "width": 6 * m.width**2},  # the blocks, and the heads as about one more
+            {"surrogate_depth": s.surrogate_depth, "token_width": 6 * s.token_width**2},
             {"batch_size": rows, "image_size": tokens, "width": m.width},
             {"batch_size": rows, "heads": m.heads, "image_size": tokens**2},
             {"batch_size": rows, "image_size": tokens, "n_labels": self.n_labels},
@@ -115,18 +107,19 @@ class RunConfig:
         return ("ZSL", "GZSL") if self.task == "both" else (self.task,)
 
     def sweep_points(self) -> list[tuple[str, RunConfig]]:
-        """(run name, config) per sweep value; a value its axis or component rejects is a ConfigError."""
+        """(run name, config) per sweep value: the resolved text with the axis line set to the
+        value, parsed like any config, so the key's kind converts the word and every check runs."""
+        axis = self.sweep_axis
+        if axis not in ("n_labels", "seen_fraction", "n_train", "n_test", *field_kinds(*_PARTS.values())):
+            raise ConfigError(f"sweep_axis={axis} is not a world, sample, model or training key")
         if not self.sweep_values:
             raise ConfigError("sweep_values is empty: a sweep needs at least one value")
-        convert, apply = _SWEEP_AXES[self.sweep_axis]
         points = []
         for word in self.sweep_values:
-            try:
-                value = convert(word)
-                points.append((f"{value:g}" if isinstance(value, float) else str(value), apply(self, value)))
-            except ValueError as e:
-                raise ConfigError(f"sweep value {word!r} for {self.sweep_axis}: {e}") from None
-        for what, runs in ((self.sweep_axis, [name for name, _ in points]), ("seed", self.sweep_seeds)):
+            point = parse_config_text(key_values_text({**_values(self), axis: word}))
+            value = _values(point)[axis]
+            points.append((f"{value:g}" if isinstance(value, float) else str(value), point))
+        for what, runs in ((axis, [name for name, _ in points]), ("seed", self.sweep_seeds)):
             if len(set(runs)) < len(runs):
                 raise ConfigError(f"a sweep runs each {what} once, got {' '.join(map(str, runs))}")
         return points
@@ -157,12 +150,17 @@ def parse_config_text(text: str) -> RunConfig:
         raise ConfigError(str(e)) from None
 
 
-def resolved_text(cfg: RunConfig) -> str:
+def _values(cfg: RunConfig) -> dict[str, object]:
+    """Every key's value, in config.resolved.txt order."""
     values: dict[str, object] = {}
     for f in fields(RunConfig):
         value = getattr(cfg, f.name)
         values.update(asdict(value) if f.name in _PARTS else {f.name: value})
-    return key_values_text(values)
+    return values
+
+
+def resolved_text(cfg: RunConfig) -> str:
+    return key_values_text(_values(cfg))
 
 
 def write_resolved(cfg: RunConfig, out_dir: str | Path) -> Path:

@@ -27,7 +27,7 @@ from ovml.metrics import evaluate
 from ovml.model import ModelConfig, fixed_table, init_model, score_batch
 from ovml.synth import SynthConfig, build_world, sample
 from ovml.training import TrainConfig, run_stage1, run_stage2
-from ovml.tensor_io import read_tensor, seal, write_tensor
+from ovml.tensor_io import directory_digest, read_tensor, seal, write_tensor
 
 TINY = """
 # quick world for command tests
@@ -58,7 +58,7 @@ class TestConfigParsing:
         cfg = parse_config_text(TINY)
         assert cfg.n_labels == 12
         assert cfg.seen_fraction == 0.75
-        assert cfg.sweep_values == ("0.0", "1.0")  # words; each sweep axis converts its own
+        assert cfg.sweep_values == ("0.0", "1.0")  # words; the swept key's kind converts each
         again = parse_config_text(resolved_text(cfg))
         assert again == cfg
 
@@ -91,9 +91,11 @@ class TestConfigParsing:
     def test_tuple_values_accept_commas_and_spaces(self):
         assert parse_config_text("k_list=1,2 3").k_list == (1, 2, 3)
 
-    @pytest.mark.parametrize("name", ["distill", "heads"])
-    def test_experiment_configs_parse(self, name):
-        cfg = parse_config(Path(__file__).parents[1] / "experiments" / f"{name}.cfg")
+    @pytest.mark.parametrize(
+        "path", sorted((Path(__file__).parents[1] / "experiments").glob("*.cfg")), ids=lambda p: p.stem
+    )
+    def test_experiment_configs_parse(self, path):
+        cfg = parse_config(path)
         assert cfg.sweep_seeds == (0, 1, 2)
         assert len(cfg.sweep_points()) == len(cfg.sweep_values) > 1
 
@@ -175,28 +177,30 @@ def test_retrieve_reports_neighbors(workspace, capsys):
 def test_sweep_writes_csv(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
-        tiny(out_dir=f"{tmp_path}/sw", sweep_axis="lambda", n_train=16,
+        tiny(out_dir=f"{tmp_path}/sw", sweep_axis="lambda_distill", n_train=16,
              n_test=8, epochs_stage1=1, epochs_stage2=0)
     )
     assert main(["sweep", "--config", str(cfg)]) == 0
     rows = (tmp_path / "sw" / "sweep.csv").read_text().strip().splitlines()
-    assert rows[0] == "seed,lambda,untrained_zsl_map,zsl_map,gzsl_map,gzsl_f1@3"
+    assert rows[0] == "seed,lambda_distill,untrained_zsl_map,zsl_map,gzsl_map,gzsl_f1@3"
     assert len(rows) == 3  # header + one per sweep value
     for row in rows[1:]:
         seed, axis, *values = row.split(",")
         assert seed == "3"
         assert all(0.0 <= float(v) <= 1.0 for v in values)
-    for name in ("lambda_0", "lambda_1"):
+    for name in ("lambda_distill_0", "lambda_distill_1"):
         assert (tmp_path / "sw" / "seed_3" / name / "stage2" / "meta.txt").is_file()
-    assert capsys.readouterr().out.splitlines()[-2].startswith("mean lambda=0 untrained_zsl_map ")
+    assert capsys.readouterr().out.splitlines()[-2].startswith("mean lambda_distill=0 untrained_zsl_map ")
 
 
-def _direct_sweep_row(seed, head_mode, lam):
+def _direct_sweep_row(seed, sigma=0.1, head_mode="both", lambda_distill=1.0, lr_stage2=3e-5):
     """One sweep cell computed by direct calls: the world, both stages and scoring in memory."""
-    world = build_world(20, 0.8, seed)
+    world = build_world(20, 0.8, seed, SynthConfig(sigma=sigma))
     train_ds = sample(world, 16, world.split.seen, seed, stream="sample.train")
     test_ds = sample(world, 12, world.split.all_ids, seed, stream="sample.test")
-    cfg = TrainConfig(lambda_distill=lam, epochs_stage1=2, epochs_stage2=1, batch_size=16)
+    cfg = TrainConfig(
+        lambda_distill=lambda_distill, lr_stage2=lr_stage2, epochs_stage1=2, epochs_stage2=1, batch_size=16
+    )
 
     def scored(model, table):
         scores = score_batch(model, test_ds.images, table)
@@ -215,12 +219,18 @@ def _direct_sweep_row(seed, head_mode, lam):
     ]
 
 
+# sigma sweeps the world itself, so each value needs its own datasets: neither value is the default 0.1
 @pytest.mark.parametrize(
-    "axis, values, cell",
-    [("lambda", "0 1", lambda v: ("both", float(v))), ("head_mode", "global both", lambda v: (v, 1.0))],
-    ids=["lambda", "head_mode"],
+    "axis, values, setting",
+    [
+        ("lambda_distill", "0 1", lambda v: {"lambda_distill": float(v)}),
+        ("head_mode", "global both", lambda v: {"head_mode": v}),
+        ("sigma", "0.05 0.3", lambda v: {"sigma": float(v)}),
+        ("lr_stage2", "0.003 0.3", lambda v: {"lr_stage2": float(v)}),
+    ],
+    ids=["lambda_distill", "head_mode", "sigma", "lr_stage2"],
 )
-def test_sweep_rows_equal_direct_calls(tmp_path, capsys, axis, values, cell):
+def test_sweep_rows_equal_direct_calls(tmp_path, capsys, axis, values, setting):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(tiny(
         out_dir=f"{tmp_path}/sw", n_labels=20, seen_fraction=0.8, n_train=16, n_test=12,
@@ -232,7 +242,11 @@ def test_sweep_rows_equal_direct_calls(tmp_path, capsys, axis, values, cell):
     assert [row.split(",")[:2] for row in rows] == [[s, v] for s in "01" for v in values.split()]
     for row in rows:
         seed, value, *got = row.split(",")
-        assert got == [repr(x) for x in _direct_sweep_row(int(seed), *cell(value))]
+        assert got == [repr(x) for x in _direct_sweep_row(int(seed), **setting(value))]
+    # each value trains its own model, even where the metrics cannot tell (stage 2 moves no rank here)
+    for seed in "01":
+        runs = [tmp_path / "sw" / f"seed_{seed}" / f"{axis}_{value}" / "stage2" for value in values.split()]
+        assert len({directory_digest(run) for run in runs}) == len(runs)
 
 
 def test_missing_config_file_is_usage_error(capsys):
@@ -498,8 +512,16 @@ def test_value_out_of_its_range_is_config_error_naming_the_key(tmp_path, capsys,
         ("sweep", "sweep_axis=k;sweep_values=0"),
         ("sweep", "sweep_axis=k;sweep_values=3 17"),  # a 12-pixel image has 9 patches
         ("sweep", "sweep_axis=head_mode;sweep_values=both wide"),
+        # a sweep varies one world, sample, model or training key; `lambda` was the old name of lambda_distill
+        ("sweep", "sweep_axis=out_dir"),
+        ("sweep", "sweep_axis=seed"),
+        ("sweep", "sweep_axis=sweep_values"),
+        ("sweep", "sweep_axis=task"),
+        ("sweep", "sweep_axis=nope"),
+        ("sweep", "sweep_axis=lambda"),
         ("sweep", "sweep_values=1 1.0"),  # two values naming one run
         ("sweep", "n_labels=20;k_list=25"),  # GZSL ranks 20 labels
+        ("sweep", "sweep_axis=n_labels;sweep_values=12 2"),  # K=3 against the second point's 2 labels
         ("train", "lr_stage1=nan"),
         ("train", "lambda_distill=nan"),
         ("train", "lr_stage2=-1"),
@@ -568,9 +590,9 @@ def test_negative_seed_override_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-# The keys that size an array: a large int asks for one over config.MAX_ARRAY_BYTES.
+# The keys that size an array or count blocks: a large int asks for one over config.MAX_ARRAY_BYTES.
 SIZE_KEYS = ("n_train", "n_test", "image_size", "channels", "n_labels", "token_width", "prompt_length",
-             "embed_dim", "width")
+             "embed_dim", "width", "depth", "surrogate_depth")
 LARGE = "1000000000"
 
 
@@ -769,4 +791,4 @@ def test_quickstart_script_runs_end_to_end(tmp_path):
         "run.cfg", "config.resolved.txt", "dataset", "stage1", "stage2", "train_log.jsonl", "report_zsl.json",
         "report_gzsl.json", "retrieval.txt", "sweep.csv",
     } <= set(listed)
-    assert len((out / "sweep.csv").read_text().splitlines()) == 4  # header plus the three lambda values
+    assert len((out / "sweep.csv").read_text().splitlines()) == 4  # header plus the three lambda_distill values

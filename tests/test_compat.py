@@ -1,14 +1,17 @@
 """On-disk text formats stay readable and byte-stable across versions.
 
 The literals below are what earlier versions of ovml wrote: a resolved
-run config, a dataset's world/config.txt (which quoted strings and
-listed the SynthConfig fields in another order) and a checkpoint's
-meta.txt. Each must still parse into the same settings. Dataset
+run config (before `sweep_axis=lambda` became `lambda_distill`), a
+dataset's world/config.txt (which quoted strings and listed the
+SynthConfig fields in another order) and a checkpoint's meta.txt. Each
+must still parse into the same settings; DEFAULT_RESOLVED pins today's
+resolved defaults. Dataset
 manifests keep their format; checkpoint manifests from before digests
 are refused.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -21,6 +24,49 @@ from ovml.tensor_io import directory_digest, seal
 from test_cli import TINY
 
 DEFAULT_RESOLVED = """\
+seed=0
+out_dir=runs/out
+dataset_dir=
+checkpoint=
+n_labels=20
+seen_fraction=0.8
+n_categories=4
+max_labels=3
+sigma=0.1
+channels=1
+image_size=12
+patch_size=4
+token_width=16
+embed_dim=8
+surrogate_depth=1
+surrogate_heads=2
+prompt_length=4
+token_jitter=0.25
+background=zero
+n_train=600
+n_test=200
+width=16
+heads=2
+depth=2
+k=3
+head_mode=both
+lambda_distill=1.0
+lr_stage1=0.001
+lr_stage2=3e-05
+weight_decay=0.005
+epochs_stage1=30
+epochs_stage2=10
+batch_size=16
+task=both
+k_list=3
+topn=3
+sweep_axis=lambda_distill
+sweep_values=0.0 0.5 1.0
+sweep_seeds=
+"""
+
+# written before the sweep axis took its key's name: `lambda` for lambda_distill
+DEFAULT_RESOLVED_BEFORE_RENAME = """\
 seed=0
 out_dir=runs/out
 dataset_dir=
@@ -114,6 +160,8 @@ def world():
 
 def test_default_resolved_text_is_pinned():
     assert resolved_text(RunConfig()) == DEFAULT_RESOLVED
+    # still parses, each other key at its default; only `ovml sweep` refuses the old axis name
+    assert parse_config_text(DEFAULT_RESOLVED_BEFORE_RENAME) == replace(RunConfig(), sweep_axis="lambda")
     # written before sweep_seeds existed
     assert parse_config_text(DEFAULT_RESOLVED.replace("sweep_seeds=\n", "")) == RunConfig()
 
