@@ -11,11 +11,13 @@ the ops that must not mix them (attention, top-k pooling, the per-block
 row slice) work within fixed-size groups of consecutive rows. Each takes
 its group explicitly; a single sequence is the one group of all its rows.
 
-`linear`, `self_attention` and `vit.encoder_block` are fused: one node
-each, doing the arithmetic of the subgraph it stands for in the same
-order, so results are bit-identical to it. The block runs the ops' array
-kernels (`_linear`, `_attention`, `_layer_norm`, `_gelu`); `softmax_rows`
-runs the softmax kernel, and `topk_mean` is one column of `topk_mean_cols`.
+`linear`, `self_attention`, the ViT token embedding in `vit.vit_forward`,
+`vit.encoder_block` and `heads.score` are fused: one node each, doing the
+arithmetic of the subgraph it stands for in the same order, so results
+are bit-identical to it. They run the ops' array kernels (`_gemm`,
+`_linear`, `_attention`, `_layer_norm`, `_gelu`, `_topk_mean_cols`);
+`softmax_rows` runs the softmax kernel, and `topk_mean` is one column of
+`topk_mean_cols`.
 
 Every tensor is verified finite at construction, so a NaN/Inf produced
 anywhere surfaces immediately instead of propagating.
@@ -314,10 +316,14 @@ def _attention(x: np.ndarray, wq: Sequence[Tensor], wk: Sequence[Tensor], wv: Se
         raise ShapeMismatch(f"self_attention head weights {[w.shape for w in weights]} for input {x.shape}")
     m = len(_blocks(x, group))
     c = 1.0 / np.sqrt(d_h)
-    products = np.concatenate([_gemm(x, w.data) for w in weights])
-    # (heads, m, group, d_h) each: every head's sequences stacked; the
-    # matrix products below still run once per head and sequence
-    q, k, v = products.reshape(3, heads, m, group, d_h)
+    # one gemm against every weight side by side; each column block is the
+    # same bits as its own product. Rearranged to (heads, m, group, d_h)
+    # each: every head's sequences stacked; the matrix products below still
+    # run once per head and sequence
+    products = _gemm(x, np.concatenate([w.data for w in weights], axis=1))
+    q, k, v = np.ascontiguousarray(products.reshape(n, 3 * heads, d_h).transpose(1, 0, 2)).reshape(
+        3, heads, m, group, d_h
+    )
     logits = (q @ k.swapaxes(2, 3)) * c
     if not np.isfinite(logits).all():
         raise NonFinite("attention logits hold NaN/Inf values")
@@ -327,17 +333,17 @@ def _attention(x: np.ndarray, wq: Sequence[Tensor], wk: Sequence[Tensor], wv: Se
         gb = g.reshape(m, group, heads, d_h).transpose(2, 0, 1, 3)
         dp = gb @ v.swapaxes(2, 3)
         ds = _softmax_vjp(p, dp) * c
-        d_products = (ds @ k, ds.swapaxes(2, 3) @ q, p.swapaxes(2, 3) @ gb)
+        d_products = np.stack((ds @ k, ds.swapaxes(2, 3) @ q, p.swapaxes(2, 3) @ gb)).reshape(3 * heads, n, d_h)
         gx = None
-        gw = [None] * len(weights)
         for h in reversed(range(heads)):
             for role in (2, 1, 0):  # v, k, q
-                d = d_products[role][h].reshape(n, d_h)
-                w = weights[role * heads + h]
-                term = d @ w.data.T
+                term = d_products[role * heads + h] @ weights[role * heads + h].data.T
                 gx = term if gx is None else gx + term
-                if w.requires_grad:
-                    gw[role * heads + h] = x.T @ d
+        gw = [None] * len(weights)
+        if any(w.requires_grad for w in weights):
+            # every weight's gradient from one gemm, column blocks in weight order
+            gw_all = x.T @ d_products.transpose(1, 0, 2).reshape(n, -1)
+            gw = [gw_all[:, j * d_h:(j + 1) * d_h] if w.requires_grad else None for j, w in enumerate(weights)]
         return (gx, *gw)
 
     # heads side by side in each row: the column-wise concat of their outputs
@@ -351,9 +357,10 @@ def self_attention(x: Tensor, wq: Sequence[Tensor], wk: Sequence[Tensor], wv: Se
 
     Head h computes softmax(q k^T / sqrt(d_h)) v from q = x @ wq[h],
     k = x @ wk[h], v = x @ wv[h]; the heads' outputs are concatenated
-    column-wise. Each head keeps its own products (one gemm per weight),
-    and x's gradient sums head H-1's v, k, q terms first, then head H-2's,
-    and so on: the order a backward through the per-head graph uses.
+    column-wise. One gemm computes every head's q, k and v, and one more
+    every weight's gradient, the same bits as one gemm per weight; x's
+    gradient sums head H-1's v, k, q terms first, then head H-2's, and so
+    on: the order a backward through the per-head graph uses.
     """
     out, vjp = _attention(x.data, wq, wk, wv, group)
     return _result(out, (x, *wq, *wk, *wv), vjp)
@@ -417,14 +424,9 @@ def topk_mean(v: Tensor, k: int) -> Tensor:
     return reshape(topk_mean_cols(reshape(v, (n, 1)), k, group=n), ())
 
 
-def topk_mean_cols(x: Tensor, k: int, group: int) -> Tensor:
-    """Mean of the k largest entries of each column within each block of
-    `group` consecutive rows: an (m * group)-by-d matrix gives m-by-d.
-    Ties go to the lower row.
-    """
-    if x.data.ndim != 2:
-        raise ShapeMismatch(f"topk_mean_cols needs 2-D, got {x.shape}")
-    blocks = _blocks(x.data, group)
+def _topk_mean_cols(a: np.ndarray, k: int, group: int):
+    """`topk_mean_cols` on an array: the output and its vjp."""
+    blocks = _blocks(a, group)
     if not 1 <= k <= group:
         raise KOutOfRange(f"k={k} outside [1, {group}]")
     m, _, d = blocks.shape
@@ -440,9 +442,20 @@ def topk_mean_cols(x: Tensor, k: int, group: int) -> Tensor:
         idx = np.argsort(-blocks, axis=1, kind="stable")[:, :k]
         out = np.zeros_like(blocks)
         np.put_along_axis(out, idx, g.reshape(m, 1, d) / k, axis=1)
-        return (out.reshape(x.shape),)
+        return out.reshape(a.shape)
 
-    return _result(top.mean(axis=1), (x,), vjp)
+    return top.mean(axis=1), vjp
+
+
+def topk_mean_cols(x: Tensor, k: int, group: int) -> Tensor:
+    """Mean of the k largest entries of each column within each block of
+    `group` consecutive rows: an (m * group)-by-d matrix gives m-by-d.
+    Ties go to the lower row.
+    """
+    if x.data.ndim != 2:
+        raise ShapeMismatch(f"topk_mean_cols needs 2-D, got {x.shape}")
+    out, vjp = _topk_mean_cols(x.data, k, group)
+    return _result(out, (x,), lambda g: (vjp(g),))
 
 
 def mean_all(x: Tensor) -> Tensor:

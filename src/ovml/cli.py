@@ -158,10 +158,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
     runs = [(name, replace(point, seed=seed)) for seed in cfg.sweep_seeds or (cfg.seed,) for name, point in points]
     setting = lambda run: (run.seed, run.n_labels, run.seen_fraction, run.synth, run.n_train, run.n_test)
     data = {key: _datasets(run) for key, run in {setting(run): run for _, run in runs}.items()}
-    # score every baseline before the first run, so a value or seed that cannot score leaves no output
-    baselines = [_untrained_zsl_map(run.seed, run.model, data[setting(run)][1]) for _, run in runs]
+    # an untrained model depends on the data setting and the model settings alone; score each
+    # baseline once, all before the first run, so a value or seed that cannot score leaves no output
+    untrained = lambda run: (setting(run), run.model)
+    baselines = {
+        key: _untrained_zsl_map(run.seed, run.model, data[setting(run)][1])
+        for key, run in {untrained(run): run for _, run in runs}.items()
+    }
     rows = []
-    for (name, run), untrained in zip(runs, baselines):
+    for name, run in runs:
         train_ds, test_ds = data[setting(run)]
         run_dir = out_dir / f"seed_{run.seed}" / f"{cfg.sweep_axis}_{name}"
         paths = train(init_model(run.seed, train_ds.world, run.model), train_ds, run.train, run.seed, run_dir)
@@ -170,7 +175,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         for mode, report in reports.items():
             write_report(run_dir / f"report_{mode.lower()}", report)
         gzsl = reports["GZSL"]
-        rows.append([run.seed, name, untrained, reports["ZSL"].map, gzsl.map, gzsl.prf_at_k[k_eval][2]])
+        rows.append([run.seed, name, baselines[untrained(run)], reports["ZSL"].map, gzsl.map, gzsl.prf_at_k[k_eval][2]])
         print(f"seed={run.seed} {cfg.sweep_axis}={name} {show(rows[-1][2:])}")
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

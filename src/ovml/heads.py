@@ -6,7 +6,9 @@ Per image and label i the score is
 
 with the global or local term dropped in the single-head ablation modes.
 Image-side embeddings are left unnormalized; label rows are unit norm.
-A batch of B images scores as one B x d matrix.
+A batch of B images scores as one B x d matrix, and `score` is one graph
+node over (e_cls, e_patch, z), bit-identical to the composition of
+autodiff ops it stands for.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeMismatch, Tensor
+from .autodiff import NonFinite, ShapeMismatch, Tensor
 from .labels import LabelEmbeddingTable
 from .vit import BackboneOutput
 
@@ -83,13 +85,33 @@ def score(emb: EmbeddingPair, labels: LabelEmbeddingTable, k: int, heads: str = 
         raise ShapeMismatch(f"{emb.e_patch.shape[0]} patch rows for {b} images")
     n = emb.e_patch.shape[0] // b
 
-    z_t = ad.transpose(labels.z)
-    terms = []
-    if heads != "local":
-        terms.append(ad.matmul(emb.e_cls, z_t))
+    e_cls, e_patch, z = emb.e_cls, emb.e_patch, labels.z
+    # one node for the composition transpose, matmul(s), topk_mean_cols, add;
+    # its vjp does their arithmetic in the order a backward through them does
+    z_t = z.data.T.copy()
+    out = glob = ad._gemm(e_cls.data, z_t) if heads != "local" else None
     if heads != "global":
-        terms.append(ad.topk_mean_cols(ad.matmul(emb.e_patch, z_t), k, group=n))  # (B * N) x d -> B x d
-    return terms[0] if len(terms) == 1 else ad.add(terms[0], terms[1])
+        ad._check_product("score", e_patch.data, z_t)
+        sims = ad._gemm(e_patch.data, z_t)
+        # top-k pooling could drop a -inf, so the (B * N) x d similarities are checked here
+        if not np.isfinite(sims).all():
+            raise NonFinite("patch-label similarities hold NaN/Inf values")
+        local, topk_vjp = ad._topk_mean_cols(sims, k, group=n)  # B x d
+        out = local if glob is None else glob + local
+
+    def vjp(g):
+        g_cls = g_patch = g_zt = None
+        if heads != "global":
+            g_sims = topk_vjp(g)
+            g_patch = g_sims @ z_t.T if e_patch.requires_grad else None
+            g_zt = e_patch.data.T @ g_sims if z.requires_grad else None
+        if heads != "local":
+            g_cls = g @ z_t.T if e_cls.requires_grad else None
+            if z.requires_grad:
+                g_zt = e_cls.data.T @ g if g_zt is None else g_zt + e_cls.data.T @ g
+        return g_cls, g_patch, None if g_zt is None else g_zt.T
+
+    return ad._result(out, (e_cls, e_patch, z), vjp)
 
 
 @dataclass

@@ -5,10 +5,11 @@ position embedding, each block applies multi-head self-attention and a
 two-layer GELU MLP, both on normalized inputs inside the residual
 branch. The final sequence splits into a class row and patch rows.
 
-`encoder_block` is one fused graph node: it runs autodiff's array kernels
-(layer norm, attention, linear, GELU) and records no intermediate tensor,
-bit-identical to the composition of those ops. `msa` stays the separate
-attention sublayer that gradcheck verifies.
+The token embedding (patch projection, class row, position table) and
+each `encoder_block` are one fused graph node: they run autodiff's array
+kernels (gemm, layer norm, attention, linear, GELU) and record no
+intermediate tensor, bit-identical to the composition of those ops. `msa`
+stays the separate attention sublayer that gradcheck verifies.
 
 A batch of B images runs as one graph: the B token sequences are
 stacked row-wise, (B * (1 + N)) x D, and attention stays within each
@@ -244,12 +245,23 @@ def vit_forward(seq: PatchSequence, params: VitParams) -> BackboneOutput:
     if params.pos_embed.shape[0] != 1 + n:
         raise ShapeMismatch(f"position table rows {params.pos_embed.shape[0]} != 1 + {n}")
     b, width = seq.images, params.width
-    projected = ad.matmul(seq.patches, params.patch_proj)
-    # one row per image: [cls, patch 1, ..., patch N] flattened
-    cls_rows = ad.matmul(ad.tensor(np.ones((b, 1))), params.cls_token)
-    tokens = ad.concat([cls_rows, ad.reshape(projected, (b, n * width))], axis=1)
-    positioned = ad.add_rowvec(tokens, ad.reshape(params.pos_embed, ((1 + n) * width,)))
-    x = ad.reshape(positioned, (b * (1 + n), width))
+    patches, proj, cls, pos = seq.patches, params.patch_proj, params.cls_token, params.pos_embed
+    # one node: each image's rows are [cls, patch 1 @ proj, ..., patch N @ proj]
+    # plus the position table. Its vjp does the arithmetic of the composition
+    # it replaces (two matmuls, three reshapes, concat, add_rowvec) in order.
+    tokens = np.empty((b, 1 + n, width))
+    tokens[:, 0] = cls.data
+    tokens[:, 1:] = ad._gemm(patches.data, proj.data).reshape(b, n, width)
+    tokens += pos.data
+
+    def vjp(g):
+        g = g.reshape(b, (1 + n) * width)
+        g_patches, g_proj = ad._product_vjp(patches.data, proj, g[:, width:].reshape(b * n, width), patches.requires_grad)
+        # a product with ones, not a column sum: the two round differently
+        g_cls = np.ones((b, 1)).T @ g[:, :width] if cls.requires_grad else None
+        return g_patches, g_proj, g_cls, g.sum(axis=0).reshape(1 + n, width) if pos.requires_grad else None
+
+    x = ad._result(tokens.reshape(b * (1 + n), width), (patches, proj, cls, pos), vjp)
     for block in params.blocks:
         x = encoder_block(x, block, group=1 + n)
     o_cls, o_patch = split_rows(x, 1 + n, 1)

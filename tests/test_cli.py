@@ -8,11 +8,13 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ovml import cli
 from ovml.cli import main
 from ovml.config import (
     _KINDS,
@@ -247,6 +249,27 @@ def test_sweep_rows_equal_direct_calls(tmp_path, capsys, axis, values, setting):
     for seed in "01":
         runs = [tmp_path / "sw" / f"seed_{seed}" / f"{axis}_{value}" / "stage2" for value in values.split()]
         assert len({directory_digest(run) for run in runs}) == len(runs)
+
+
+# the untrained model depends on the seed's data and the model settings, not on the training keys
+@pytest.mark.parametrize(
+    "axis, values, baselines",
+    [("lambda_distill", "0 0.5 1", 2), ("head_mode", "global local both", 6)],
+    ids=["lambda_distill", "head_mode"],
+)
+def test_sweep_scores_each_untrained_baseline_once(tmp_path, monkeypatch, capsys, axis, values, baselines):
+    events = []
+    for name in ("_untrained_zsl_map", "train"):
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, _f=original, _n=name: events.append(_n) or _f(*args))
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(tiny(out_dir=f"{tmp_path}/sw", n_train=16, n_test=8, epochs_stage1=1, epochs_stage2=0,
+                        sweep_axis=axis, sweep_values=values, sweep_seeds="0 1"))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    # every baseline is scored before the first run trains
+    assert events == ["_untrained_zsl_map"] * baselines + ["train"] * 2 * len(values.split())
+    rows = [row.split(",") for row in (tmp_path / "sw" / "sweep.csv").read_text().splitlines()[1:]]
+    assert len({(seed, untrained) for seed, _, untrained, *_ in rows}) == baselines
 
 
 def test_missing_config_file_is_usage_error(capsys):
@@ -596,15 +619,39 @@ SIZE_KEYS = ("n_train", "n_test", "image_size", "channels", "n_labels", "token_w
 LARGE = "1000000000"
 
 
+# The string keys RunConfig itself holds; a config file cannot carry `#` or a line break in them,
+# so these values reach a RunConfig only from code or a command-line override.
+STRING_KEYS = tuple(key for key, kind in _KINDS.items() if "str" in kind and key in RunConfig.__dataclass_fields__)
+UNWRITABLE = ("runs/a#b", "runs/a\nb", "runs/a\rb")
+
+
 @pytest.mark.parametrize("key", sorted(_KINDS))
 def test_every_config_key_takes_odd_values_without_a_traceback(key, tmp_path, monkeypatch, capsys):
-    values = ("0", "-1", "1e400", "nan", "0.5", "", "word") + ((LARGE,) if key in SIZE_KEYS else ())
+    values = ("0", "-1", "1e400", "nan", "0.5", "", "word", "1#2") + ((LARGE,) if key in SIZE_KEYS else ())
+    values += UNWRITABLE if key in STRING_KEYS else ()
     for i, value in enumerate(values):
         # a fresh working directory per value: values such as out_dir=0 write relative paths
         run = tmp_path / str(i)
         run.mkdir()
         monkeypatch.chdir(run)
+        if value in UNWRITABLE:
+            Path("run.cfg").write_text(tiny(checkpoint="runs/out/stage2"))
+            word = (value,) if key == "sweep_values" else value
+            with monkeypatch.context() as m:
+                m.setattr(cli, "parse_config", lambda path: replace(parse_config(path), **{key: word}))
+                for command in ("gen", "train", "eval", "sweep"):
+                    assert main([command, "--config", "run.cfg"]) == 1, (key, value, command)
+                    err = capsys.readouterr().err
+                    assert err.startswith("config error: ") and key in err and err.count("\n") == 1, err
+            assert os.listdir() == ["run.cfg"], (key, value)  # refused before anything is written
+            continue
         Path("run.cfg").write_text(tiny(**{"checkpoint": "runs/out/stage2", key: value}))
+        try:
+            cfg = parse_config("run.cfg")
+        except ConfigError:
+            pass
+        else:  # a config that parses is the config its resolved text parses into
+            assert parse_config_text(resolved_text(cfg)) == cfg, (key, value)
         for command in ("gen", "train", "eval"):
             try:
                 code = main([command, "--config", "run.cfg"])
@@ -614,6 +661,17 @@ def test_every_config_key_takes_odd_values_without_a_traceback(key, tmp_path, mo
             assert 0 <= code <= 3 and err.count("\n") <= 1 and "Traceback" not in err, (key, value, command, err)
             if value == LARGE:
                 assert code == 1 and err.startswith(f"config error: {key}={LARGE} "), (key, command, err)
+
+
+@pytest.mark.parametrize("out", ["runs/a#b", "runs/a\nb"], ids=["hash", "line_break"])
+def test_out_override_a_config_file_cannot_carry_is_config_error(tmp_path, monkeypatch, capsys, out):
+    # written to config.resolved.txt, runs/a#b would read back as runs/a
+    monkeypatch.chdir(tmp_path)
+    Path("c.cfg").write_text(TINY)
+    assert main(["gen", "--config", "c.cfg", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: out_dir={out!r} holds '#' or a line break, which a config file cannot carry\n"
+    assert os.listdir() == ["c.cfg"]
 
 
 def test_seed_and_out_overrides(tmp_path, capsys):

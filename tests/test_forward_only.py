@@ -16,6 +16,7 @@ from ovml.gradcheck import run_suite
 from ovml.model import embed_batch, encode, fixed_table, init_model, score_batch, score_image
 from ovml.seeds import substream
 from ovml.synth import SynthConfig, build_world, sample
+from ovml.training import stage1_losses
 
 
 def rng_for(name):
@@ -138,14 +139,16 @@ def images(world):
 
 @pytest.fixture
 def tensor_counts(monkeypatch):
-    """Counts of Tensors created, all and requires-grad, while the test runs."""
-    counts = {"all": 0, "grad": 0}
+    """Counts of Tensors created, all, requires-grad and op nodes (a backward
+    rule recorded), while the test runs."""
+    counts = {"all": 0, "grad": 0, "op": 0}
     original = Tensor.__init__
 
     def counting(self, *args, **kwargs):
         original(self, *args, **kwargs)
         counts["all"] += 1
         counts["grad"] += self.requires_grad
+        counts["op"] += self._vjp is not None
 
     monkeypatch.setattr(Tensor, "__init__", counting)
     return counts
@@ -174,6 +177,25 @@ def test_fixed_table_and_embedding_cache_record_no_graph(world, images, tensor_c
     emb = encode(model, images)
     assert np.array_equal(e_cls, emb.e_cls.data)
     assert np.array_equal(e_patch.reshape(-1, e_patch.shape[2]), emb.e_patch.data)
+
+
+def test_graph_sizes_are_pinned(world, images, tensor_counts):
+    """A desk stage-1 loss graph is 16 op nodes: the token embedding, two
+    encoder blocks, two row slices, four head nodes, the score and six loss
+    nodes. A 16-image score_batch creates 11 tensors: those 10 forward
+    nodes and the patch leaf. Splitting a fused node again fails here."""
+    model = init_model(0, world)
+    table = fixed_table(model)
+    batch = images[:16]
+    positive = np.arange(16 * len(table.label_ids)).reshape(16, -1) % 3 == 0
+    teacher = np.zeros((16, world.config.embed_dim))
+    tensor_counts.update(all=0, grad=0, op=0)
+    rank, dist = stage1_losses(model, batch, positive, teacher, table)
+    ad.add(rank, ad.scale(dist, 1.0))
+    assert tensor_counts["op"] == 16
+    tensor_counts.update(all=0, grad=0, op=0)
+    score_batch(model, batch, table)
+    assert tensor_counts["all"] == 11
 
 
 # --- topk_mean_cols ---

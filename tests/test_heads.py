@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from ovml import autodiff as ad
-from ovml.autodiff import KOutOfRange, ShapeMismatch
+from ovml.autodiff import KOutOfRange, NonFinite, ShapeMismatch, finite_difference_check
+from ovml.gradcheck import GAP, _topk_gap
 from ovml.heads import (
+    HEAD_MODES,
     EmbeddingPair,
     init_two_stream,
     score,
@@ -89,6 +91,36 @@ def test_patch_rows_must_split_evenly_over_the_images():
     emb = pair(np.zeros((3, 3)), np.zeros((8, 3)))
     with pytest.raises(ShapeMismatch, match="8 patch rows for 3 images"):
         score(emb, table_of(np.eye(3)), k=1, heads="local")
+
+
+@pytest.mark.parametrize("mode", HEAD_MODES)
+def test_score_gradients_against_finite_differences(mode):
+    """The fused score's vjp in each head mode, the table a requires-grad
+    leaf, on an instance whose top-k boundaries sit clear of ties."""
+    rng = substream(4, f"test.heads.fd.{mode}")
+    b, n, d, dim, k = 2, 4, 3, 4, 2
+    while True:
+        e_cls, e_patch, z = (ad.tensor(rng.normal(0, 1, shape), requires_grad=True)
+                             for shape in ((b, dim), (b * n, dim), (d, dim)))
+        if mode == "global" or _topk_gap(e_patch.data @ z.data.T, n, k) > GAP:
+            break
+    weights = ad.tensor(rng.normal(0, 1, (b * d, 1)))  # a different weight for every score
+
+    def build():
+        s = score(EmbeddingPair(e_cls=e_cls, e_patch=e_patch), LabelEmbeddingTable(z, tuple(range(d))), k, mode)
+        return ad.mean_all(ad.matmul(ad.reshape(s, (1, b * d)), weights))
+
+    finite_difference_check(build, [e_cls, e_patch, z])
+    assert z.grad is not None and (e_patch.grad is None) == (mode == "global")
+    assert (e_cls.grad is None) == (mode == "local")
+
+
+def test_non_finite_similarity_outside_the_top_k_still_raises():
+    # one patch's similarities overflow to -inf, which top-2 pooling would drop
+    e_patch = np.array([[1.0, 0.0], [0.5, 0.0], [-1e300, 0.0]])
+    emb = pair([0.0, 0.0], e_patch)
+    with np.errstate(over="ignore"), pytest.raises(NonFinite):
+        score(emb, table_of([[1e300, 0.0]]), k=2, heads="local")
 
 
 def test_two_stream_shapes_and_structure():

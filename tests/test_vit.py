@@ -136,8 +136,8 @@ def _per_head_msa(x, block, group):
 
 
 @pytest.mark.parametrize("trainable", [True, False], ids=["trainable", "frozen"])
-@pytest.mark.parametrize("rows, group", [(6, 1), (6, 3), (1, 1)])
-@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("rows, group", [(6, 1), (6, 3), (1, 1), (80, 5)])
+@pytest.mark.parametrize("heads", [1, 2, 4])
 def test_msa_equals_per_head_composition_bit_for_bit(heads, rows, group, trainable):
     rng = substream(heads * 100 + rows * 10 + group, "test.vit.msa_exact")
     block = vit.init_block(rng, width=8, heads=heads, trainable=trainable)
