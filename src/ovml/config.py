@@ -5,8 +5,9 @@ fail at parse time instead of silently running defaults. The keys are
 the run-level fields of RunConfig plus every field of the SynthConfig,
 ModelConfig and TrainConfig it owns, each with its one default. Every
 run writes its fully resolved config next to its outputs, and that file
-parses back into an identical RunConfig: a string value holding `#` or a
-line break, which the format cannot carry, is refused.
+parses back into an identical RunConfig: a value whose key=value line
+does not read back as the same value, such as a string holding `#` or a
+line break, is refused.
 """
 
 from __future__ import annotations
@@ -74,10 +75,14 @@ class RunConfig:
         if not 0.0 < self.seen_fraction <= 1.0:
             raise ConfigError(f"seen_fraction {self.seen_fraction} outside (0, 1]")
         for key, value in _values(self).items():
-            # a config file has no escape: `#` starts a comment and a line break ends the value
-            for word in value if isinstance(value, tuple) else (value,):
-                if isinstance(word, str) and ("#" in word or word != "".join(word.splitlines())):
-                    raise ConfigError(f"{key}={word!r} holds '#' or a line break, which a config file cannot carry")
+            # a config file has no escape: `#` starts a comment, a line break ends the value, the
+            # value's ends are stripped of blanks and quotes, and a tuple splits at blanks and commas
+            try:
+                back = read_key_values(key_values_text({key: value}), {key: _KINDS[key]}).get(key)
+            except ValueError:
+                back = None
+            if back != value:
+                raise ConfigError(f"{key}={value!r} does not read back from a config file")
         factors = max(self._array_factors(), key=lambda f: math.prod(f.values()))
         if 8 * math.prod(factors.values()) > MAX_ARRAY_BYTES:
             key, limit = max(factors, key=factors.get), MAX_ARRAY_BYTES // 2**30

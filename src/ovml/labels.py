@@ -131,10 +131,13 @@ def vocabulary_text(categories: dict[int, int]) -> str:
 
 
 def read_vocabulary(path: str | Path) -> dict[int, int]:
+    """The category map of a vocabulary_text file; a label listed twice is a ValueError."""
     out: dict[int, int] = {}
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
-        lid, cat = line.split("\t")
-        out[int(lid)] = int(cat)
+        lid, cat = (int(word) for word in line.split("\t"))
+        if lid in out:
+            raise ValueError(f"{Path(path).name} line {lineno} lists label {lid} twice")
+        out[lid] = cat
     return out

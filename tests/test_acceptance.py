@@ -1,142 +1,117 @@
-"""Release gate: ten checks, one test (and one pass/fail line) each.
+"""Release gate: ten checks, one test (and one pass/fail line) each, plus
+one test that pins the protocol the grid runs.
 
-The heavyweight checks share a session-scoped grid of trained models:
-per seed, a stage-1-only run without distillation, a full two-stage run
-with it, and single-head variants. Building the grid takes a few
-minutes of CPU; every criterion then reads from it.
+The heavyweight checks read one session-scoped grid: `ovml sweep` on
+experiments/distill.cfg (stage 1 at lambda_distill 0 and 1) and on
+experiments/heads.cfg (both stages for each head mode) at seeds 0 1 2,
+run unedited as two concurrent child processes with only the output
+directory changed. Criteria 05 and 07 read the sweeps' sweep.csv; 06, 08
+and 10 read the logs and checkpoints of the heads sweep's runs. The
+module trains nothing itself, so the gate's numbers are rows of the same
+sweeps anyone can run.
 """
 
-import hashlib
+import csv
 import json
+import os
+import subprocess
+import sys
 import time
-from dataclasses import dataclass
+from dataclasses import replace
+from functools import cache
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from ovml import cli
 from ovml.cli import main
+from ovml.config import parse_config
 from ovml.gradcheck import run_suite
 from ovml.heads import ScoreMatrix, score
-from ovml.labels import LabelSplit, retrieval_accuracy
-from ovml.metrics import GroundTruthMatrix, evaluate, mean_ap, per_class_ap, topk_prf
-from ovml.model import ModelConfig, fixed_table, init_model, score_batch
+from ovml.labels import retrieval_accuracy
+from ovml.metrics import evaluate, mean_ap, per_class_ap, topk_prf
+from ovml.model import fixed_table, load_model, load_table, score_batch
 from ovml.seeds import substream
-from ovml.synth import build_world, sample
-from ovml.training import TrainConfig, frozen_params, run_stage1, run_stage2
+from ovml.tensor_io import load_checkpoint
 
 from test_heads import pair, table_of
 from test_metrics import brute_force_ap, brute_force_prf, mats
 
+EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
+SWEEPS = ("distill", "heads")
 SEEDS = (0, 1, 2)
 K_EVAL = 3
-STAGE1_EPOCHS = 30
-STAGE2_EPOCHS = 8
+HEAD_MODES = ("both", "global", "local")
 
 
-def _silent(record):
-    pass
+class Sweep(NamedTuple):
+    out: Path
+    seconds: float
 
-
-def _param_hashes(model):
-    """Digest of every tensor that stage 2 must not touch."""
-    return {name: hashlib.sha256(t.data.tobytes()).hexdigest() for name, t in frozen_params(model).items()}
-
-
-def _report(model, table, test_ds, mode):
-    scores = score_batch(model, test_ds.images, table)
-    gt = test_ds.ground_truth(table.label_ids)
-    return evaluate(scores, gt, test_ds.world.split, mode, (K_EVAL,)), scores
-
-
-@dataclass
-class SeedOutcome:
-    untrained_zsl: float
-    zsl_lambda0: float
-    zsl_lambda1: float
-    stage1_seconds: float
-    stage2_start: float
-    stage2_end: float
-    hashes_match: bool
-    f1_both: float
-    f1_global: float
-    f1_local: float
-    retrieval: float
-    baseline: float
-    scores_stage2: ScoreMatrix
-    gt: GroundTruthMatrix
-    split: LabelSplit
-
-
-def _run_seed(seed: int) -> SeedOutcome:
-    world = build_world(20, 0.8, seed)
-    train_ds = sample(world, 600, world.split.seen, seed, stream="sample.train")
-    test_ds = sample(world, 200, world.split.all_ids, seed, stream="sample.test")
-
-    untrained = init_model(seed, world)
-    untrained_rep, _ = _report(untrained, fixed_table(untrained), test_ds, "ZSL")
-
-    t0 = time.perf_counter()
-    m0 = init_model(seed, world)
-    run_stage1(
-        m0,
-        train_ds,
-        TrainConfig(lambda_distill=0.0, epochs_stage1=STAGE1_EPOCHS, epochs_stage2=0),
-        seed,
-        _silent,
-    )
-    zsl0, _ = _report(m0, fixed_table(m0), test_ds, "ZSL")
-
-    m1 = init_model(seed, world)
-    cfg1 = TrainConfig(
-        lambda_distill=1.0, epochs_stage1=STAGE1_EPOCHS, epochs_stage2=STAGE2_EPOCHS
-    )
-    run_stage1(m1, train_ds, cfg1, seed, _silent)
-    stage1_seconds = time.perf_counter() - t0
-    zsl1, _ = _report(m1, fixed_table(m1), test_ds, "ZSL")
-
-    hashes_before = _param_hashes(m1)
-    start, end = run_stage2(m1, train_ds, cfg1, seed, _silent)
-    hashes_match = _param_hashes(m1) == hashes_before
-
-    tuned = fixed_table(m1, provenance="tuned")
-    gzsl_both, scores_stage2 = _report(m1, tuned, test_ds, "GZSL")
-    retrieval = retrieval_accuracy(tuned, m1.categories, topn=K_EVAL)
-
-    d = len(world.split.all_ids)
-    sizes = {lid: sum(1 for c in world.categories.values() if c == world.categories[lid])
-             for lid in world.split.all_ids}
-    baseline = float(np.mean([(sizes[lid] - 1) / (d - 1) for lid in world.split.all_ids]))
-
-    single = {}
-    for mode in ("global", "local"):
-        m = init_model(seed, world, ModelConfig(head_mode=mode))
-        run_stage1(m, train_ds, cfg1, seed, _silent)
-        run_stage2(m, train_ds, cfg1, seed, _silent)
-        rep, _ = _report(m, fixed_table(m, provenance="tuned"), test_ds, "GZSL")
-        single[mode] = rep.prf_at_k[K_EVAL][2]
-
-    return SeedOutcome(
-        untrained_zsl=untrained_rep.map,
-        zsl_lambda0=zsl0.map,
-        zsl_lambda1=zsl1.map,
-        stage1_seconds=stage1_seconds,
-        stage2_start=start,
-        stage2_end=end,
-        hashes_match=hashes_match,
-        f1_both=gzsl_both.prf_at_k[K_EVAL][2],
-        f1_global=single["global"],
-        f1_local=single["local"],
-        retrieval=retrieval,
-        baseline=baseline,
-        scores_stage2=scores_stage2,
-        gt=test_ds.ground_truth(),
-        split=world.split,
-    )
+    def rows(self) -> dict[tuple[int, str], dict[str, float]]:
+        """sweep.csv's metric columns by (seed, swept value)."""
+        with open(self.out / "sweep.csv", newline="") as fh:
+            reader = csv.reader(fh)
+            columns = next(reader)[2:]
+            return {(int(seed), value): dict(zip(columns, map(float, rest))) for seed, value, *rest in reader}
 
 
 @pytest.fixture(scope="session")
-def grid():
-    return {seed: _run_seed(seed) for seed in SEEDS}
+def grid(tmp_path_factory):
+    """Both experiment sweeps, started together; each one's wall time runs from the common start."""
+    root = tmp_path_factory.mktemp("grid")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(EXPERIMENTS.parent / "src"), env.get("PYTHONPATH"))))
+    start = time.perf_counter()
+    procs = {
+        name: subprocess.Popen(
+            [sys.executable, "-m", "ovml", "sweep", "--config", str(EXPERIMENTS / f"{name}.cfg"),
+             "--out", str(root / name)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        for name in SWEEPS
+    }
+    sweeps = {}
+    try:
+        for name, proc in procs.items():
+            _, err = proc.communicate(timeout=900)
+            assert proc.returncode == 0, f"ovml sweep on {name}.cfg exited {proc.returncode}:\n{err}"
+            sweeps[name] = Sweep(root / name, time.perf_counter() - start)
+    finally:
+        for proc in procs.values():
+            proc.kill()
+            proc.wait()
+    return sweeps
+
+
+@cache
+def _heads_test_split(seed: int):
+    """The test split the heads sweep scores at `seed`, built by the sweep's own dataset builder."""
+    _, point = parse_config(EXPERIMENTS / "heads.cfg").sweep_points()[0]
+    return cli._datasets(replace(point, seed=seed))[1]
+
+
+def _heads_run(grid, seed: int, mode: str) -> Path:
+    return grid["heads"].out / f"seed_{seed}" / f"head_mode_{mode}"
+
+
+def test_grid_protocol_is_pinned():
+    """What the grid runs; an edit to either config fails here and is a gate change."""
+    protocol = lambda p: (
+        p.n_labels, p.seen_fraction, p.n_train, p.n_test, p.train.epochs_stage1, p.train.epochs_stage2,
+        p.train.lambda_distill, p.model.head_mode,
+    )
+    got = {}
+    for name in SWEEPS:
+        cfg = parse_config(EXPERIMENTS / f"{name}.cfg")
+        assert (cfg.sweep_seeds, cfg.k_list[0]) == (SEEDS, K_EVAL), name
+        got[name] = {value: protocol(point) for value, point in cfg.sweep_points()}
+    assert got == {
+        "distill": {"0": (20, 0.8, 600, 200, 30, 0, 0.0, "both"), "1": (20, 0.8, 600, 200, 30, 0, 1.0, "both")},
+        "heads": {mode: (20, 0.8, 600, 200, 30, 8, 1.0, mode) for mode in HEAD_MODES},
+    }
 
 
 def test_criterion_01_worked_example_ap_values():
@@ -203,50 +178,68 @@ def test_criterion_04_metrics_match_brute_force_on_100_matrices():
 
 
 def test_criterion_05_distillation_lifts_zsl_map(grid):
+    rows = grid["distill"].rows()
     gaps = []
     for seed in SEEDS:
-        o = grid[seed]
-        assert o.zsl_lambda0 > o.untrained_zsl, (
-            f"seed {seed}: lambda=0 mAP {o.zsl_lambda0:.4f} "
-            f"not above untrained {o.untrained_zsl:.4f}"
+        off, on = rows[seed, "0"], rows[seed, "1"]
+        assert off["zsl_map"] > off["untrained_zsl_map"], (
+            f"seed {seed}: lambda=0 mAP {off['zsl_map']:.4f} "
+            f"not above untrained {off['untrained_zsl_map']:.4f}"
         )
-        assert o.zsl_lambda1 > o.untrained_zsl
-        assert o.stage1_seconds < 300.0, f"seed {seed} took {o.stage1_seconds:.0f}s"
-        gaps.append(o.zsl_lambda1 - o.zsl_lambda0)
+        assert on["zsl_map"] > on["untrained_zsl_map"]
+        gaps.append(on["zsl_map"] - off["zsl_map"])
+    seconds = grid["distill"].seconds
+    assert seconds < 300.0, f"the distill sweep took {seconds:.0f}s"
     mean_gap = float(np.mean(gaps))
+    print(f"criterion 05 margin {mean_gap - 0.02!r}")
     assert mean_gap >= 0.02, f"distillation gap {mean_gap:.4f} below 2 points"
 
 
 def test_criterion_06_stage2_freezes_weights_and_keeps_loss_down(grid):
+    """Read from the checkpoints, independently of the program's own FrozenViolation check."""
     for seed in SEEDS:
-        o = grid[seed]
-        assert o.hashes_match, f"seed {seed}: a frozen parameter changed in stage 2"
-        assert o.stage2_end <= o.stage2_start, (
-            f"seed {seed}: ranking loss rose {o.stage2_start:.6f} -> {o.stage2_end:.6f}"
-        )
+        world = _heads_test_split(seed).world
+        for mode in HEAD_MODES:
+            run = _heads_run(grid, seed, mode)
+            log = [json.loads(line) for line in (run / "train_log.jsonl").read_text().splitlines()]
+            (loss,) = [record for record in log if record.get("event") == "full_rank_loss"]
+            assert loss["end"] <= loss["start"], (
+                f"seed {seed} {mode}: ranking loss rose {loss['start']:.6f} -> {loss['end']:.6f}"
+            )
+            before, after = (load_checkpoint(run / stage) for stage in ("stage1", "stage2"))
+            assert before.keys() == after.keys()
+            for name in before:
+                if name.startswith(("vit.", "heads.")):
+                    assert before[name].tobytes() == after[name].tobytes(), f"seed {seed} {mode}: {name} changed"
+            # a surrogate changed in training would have built a table a fresh world's surrogate cannot
+            for stage in ("stage1", "stage2"):
+                model, table = load_model(run / stage, world)
+                assert fixed_table(model).matrix().tobytes() == table.matrix().tobytes(), (
+                    f"seed {seed} {mode}: {stage} table is not the fresh surrogate's"
+                )
 
 
 def test_criterion_07_combined_heads_beat_single_heads(grid):
-    f_both = float(np.mean([grid[s].f1_both for s in SEEDS]))
-    f_global = float(np.mean([grid[s].f1_global for s in SEEDS]))
-    f_local = float(np.mean([grid[s].f1_local for s in SEEDS]))
-    for s in SEEDS:  # single-head runs evaluated successfully
-        assert np.isfinite(grid[s].f1_global) and np.isfinite(grid[s].f1_local)
+    rows = grid["heads"].rows()
+    f1 = {mode: [rows[s, mode][f"gzsl_f1@{K_EVAL}"] for s in SEEDS] for mode in HEAD_MODES}
+    assert np.isfinite(f1["global"] + f1["local"]).all()  # single-head runs evaluated successfully
+    f_both, f_global, f_local = (float(np.mean(f1[mode])) for mode in HEAD_MODES)
+    print(f"criterion 07 margin {min(f_both - f_global, f_both - f_local)!r}")
     assert f_both >= f_global, f"both {f_both:.4f} < global {f_global:.4f}"
     assert f_both >= f_local, f"both {f_both:.4f} < local {f_local:.4f}"
 
 
 def test_criterion_08_zsl_ignores_seen_score_poisoning(grid):
-    o = grid[0]
-    clean = evaluate(o.scores_stage2, o.gt, o.split, "ZSL", (K_EVAL,))
-    poisoned = o.scores_stage2.scores.copy()
-    seen_cols = [o.scores_stage2.label_ids.index(lid) for lid in o.split.seen]
+    test = _heads_test_split(0)
+    model, table = load_model(_heads_run(grid, 0, "both") / "stage2", test.world)
+    scores = score_batch(model, test.images, table)
+    gt, split = test.ground_truth(table.label_ids), test.world.split
+    clean = evaluate(scores, gt, split, "ZSL", (K_EVAL,))
+    poisoned = scores.scores.copy()
+    seen_cols = [scores.label_ids.index(lid) for lid in split.seen]
     poisoned[:, seen_cols] = 1e12
     poisoned[::2, seen_cols] = -1e12
-    dirty = evaluate(
-        ScoreMatrix(scores=poisoned, label_ids=o.scores_stage2.label_ids),
-        o.gt, o.split, "ZSL", (K_EVAL,),
-    )
+    dirty = evaluate(ScoreMatrix(scores=poisoned, label_ids=scores.label_ids), gt, split, "ZSL", (K_EVAL,))
     assert clean.to_json() == dirty.to_json()
 
 
@@ -277,8 +270,12 @@ def test_criterion_09_full_pipeline_is_byte_reproducible(tmp_path):
 
 def test_criterion_10_retrieval_beats_uniform_baseline(grid):
     for seed in SEEDS:
-        o = grid[seed]
-        assert o.retrieval > o.baseline, (
-            f"seed {seed}: retrieval {o.retrieval:.4f} "
-            f"not above uniform baseline {o.baseline:.4f}"
+        table, categories = load_table(_heads_run(grid, seed, "both") / "stage2")
+        retrieval = retrieval_accuracy(table, categories, topn=K_EVAL)
+        ids = table.label_ids
+        same = [sum(categories[other] == categories[lid] for other in ids) - 1 for lid in ids]
+        baseline = float(np.mean([n / (len(ids) - 1) for n in same]))
+        assert retrieval > baseline, (
+            f"seed {seed}: retrieval {retrieval:.4f} "
+            f"not above uniform baseline {baseline:.4f}"
         )

@@ -619,26 +619,28 @@ SIZE_KEYS = ("n_train", "n_test", "image_size", "channels", "n_labels", "token_w
 LARGE = "1000000000"
 
 
-# The string keys RunConfig itself holds; a config file cannot carry `#` or a line break in them,
-# so these values reach a RunConfig only from code or a command-line override.
+# The string keys RunConfig itself holds, and values of them that no config file line reads back
+# as (`#` starts a comment, a line break ends the value, blanks and quotes are stripped from its
+# ends, a word of sweep_values splits at blanks and commas and an empty one vanishes): they reach
+# a RunConfig only from code or a command-line override.
 STRING_KEYS = tuple(key for key, kind in _KINDS.items() if "str" in kind and key in RunConfig.__dataclass_fields__)
-UNWRITABLE = ("runs/a#b", "runs/a\nb", "runs/a\rb")
+UNWRITABLE = ("runs/a#b", "runs/a\nb", "runs/a\rb", " runs/a ", "'q'")
+UNWRITABLE_WORDS = (("runs/a#b",), ("runs/a\nb",), ("runs/a\rb",), (" runs/a ",), ("a b",), ("1,2",), ("",))
 
 
 @pytest.mark.parametrize("key", sorted(_KINDS))
 def test_every_config_key_takes_odd_values_without_a_traceback(key, tmp_path, monkeypatch, capsys):
     values = ("0", "-1", "1e400", "nan", "0.5", "", "word", "1#2") + ((LARGE,) if key in SIZE_KEYS else ())
-    values += UNWRITABLE if key in STRING_KEYS else ()
-    for i, value in enumerate(values):
+    unwritable = UNWRITABLE_WORDS if key == "sweep_values" else UNWRITABLE if key in STRING_KEYS else ()
+    for i, value in enumerate(values + unwritable):
         # a fresh working directory per value: values such as out_dir=0 write relative paths
         run = tmp_path / str(i)
         run.mkdir()
         monkeypatch.chdir(run)
-        if value in UNWRITABLE:
+        if value in unwritable:
             Path("run.cfg").write_text(tiny(checkpoint="runs/out/stage2"))
-            word = (value,) if key == "sweep_values" else value
             with monkeypatch.context() as m:
-                m.setattr(cli, "parse_config", lambda path: replace(parse_config(path), **{key: word}))
+                m.setattr(cli, "parse_config", lambda path: replace(parse_config(path), **{key: value}))
                 for command in ("gen", "train", "eval", "sweep"):
                     assert main([command, "--config", "run.cfg"]) == 1, (key, value, command)
                     err = capsys.readouterr().err
@@ -663,14 +665,16 @@ def test_every_config_key_takes_odd_values_without_a_traceback(key, tmp_path, mo
                 assert code == 1 and err.startswith(f"config error: {key}={LARGE} "), (key, command, err)
 
 
-@pytest.mark.parametrize("out", ["runs/a#b", "runs/a\nb"], ids=["hash", "line_break"])
+@pytest.mark.parametrize(
+    "out", ["runs/a#b", "runs/a\nb", " runs/a ", "'q'"], ids=["hash", "line_break", "blanks", "quotes"]
+)
 def test_out_override_a_config_file_cannot_carry_is_config_error(tmp_path, monkeypatch, capsys, out):
-    # written to config.resolved.txt, runs/a#b would read back as runs/a
+    # written to config.resolved.txt, runs/a#b and ' runs/a ' would read back as runs/a
     monkeypatch.chdir(tmp_path)
     Path("c.cfg").write_text(TINY)
     assert main(["gen", "--config", "c.cfg", "--out", out]) == 1
     err = capsys.readouterr().err
-    assert err == f"config error: out_dir={out!r} holds '#' or a line break, which a config file cannot carry\n"
+    assert err == f"config error: out_dir={out!r} does not read back from a config file\n"
     assert os.listdir() == ["c.cfg"]
 
 
@@ -750,6 +754,23 @@ def test_retrieve_checkpoint_faults_exit_three(workspace, tmp_path, capsys, edit
     assert main(["retrieve", "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("invariant violation") and err.count("\n") == 1, err
+
+
+def test_vocabulary_that_lists_a_label_twice_exits_three(workspace, tmp_path, capsys):
+    # the second line for label 0 names another category; read silently, it would replace the first
+    root, _ = workspace
+    ck = tmp_path / "ck"
+    shutil.copytree(root / "out" / "stage2", ck)
+    lines = (ck / "vocab.tsv").read_text().splitlines(keepends=True)
+    (ck / "vocab.tsv").write_text("".join(lines) + "0\t1\n")
+    seal(ck)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY + f"out_dir={tmp_path}/out\ndataset_dir={root}/out/dataset\ncheckpoint={ck}\n")
+    for command in ("retrieve", "eval"):
+        assert main([command, "--config", str(cfg)]) == 3, command
+        err = capsys.readouterr().err
+        message = f"vocab.tsv line {len(lines) + 1} lists label 0 twice"
+        assert err.startswith("invariant violation") and err.count("\n") == 1 and message in err, (command, err)
 
 
 @pytest.mark.parametrize("change", [lambda z: z[:, 0], lambda z: z[:, :, None]], ids=["table_1d", "table_3d"])
