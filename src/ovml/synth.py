@@ -15,10 +15,12 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
+from .autodiff import NonFinite
 from .heads import ScoreMatrix
 from .labels import (
     LabelSplit,
@@ -211,16 +213,19 @@ class Dataset:
     def ground_truth(self, label_ids: tuple[int, ...] | None = None) -> GroundTruthMatrix:
         label_ids = label_ids or self.world.split.all_ids
         col = {lid: i for i, lid in enumerate(label_ids)}
+        counts = np.fromiter(map(len, self.positives), dtype=np.intp, count=len(self.positives))
+        cols = np.fromiter(  # -1 for a positive that is not a column
+            map(col.get, chain.from_iterable(self.positives), repeat(-1)), dtype=np.intp, count=int(counts.sum())
+        )
+        hit = cols >= 0
         y = np.zeros((len(self), len(label_ids)), dtype=np.int64)
-        for i, pos in enumerate(self.positives):
-            for lid in pos:
-                if lid in col:
-                    y[i, col[lid]] = 1
+        y[np.repeat(np.arange(len(self.positives)), counts)[hit], cols[hit]] = 1
         return GroundTruthMatrix(y=y, label_ids=tuple(label_ids))
 
 
-def _mean_patch(image: np.ndarray, config: SynthConfig) -> np.ndarray:
-    return patchify(image, config.patch_size).patches.data.mean(axis=0)
+# images assembled per block in `sample`: bounds its temporaries at a
+# block's images, whatever the dataset's size
+_BLOCK = 256
 
 
 def sample(
@@ -237,6 +242,12 @@ def sample(
     the positives plus background. The teacher embedding comes from the
     noisy pixels, not the clean layout. `stream` decorrelates draws that
     share a seed (train vs test split).
+
+    Each image makes its draws in a fixed order: the number of positives,
+    the positives, their anchor cells, the other cells, then the `noise`
+    background and the sigma noise. Pixels and teacher rows are assembled
+    in bulk, one block of `_BLOCK` images at a time, with the same bits
+    that assembling each image on its own gives.
     """
     cfg = world.config
     pool = tuple(label_pool)
@@ -246,38 +257,59 @@ def sample(
     if unknown:
         raise PoolTooSmall(f"pool labels {sorted(unknown)} not in the world")
     rng = substream(seed, stream)
-    grid = cfg.image_size // cfg.patch_size
+    p, grid = cfg.patch_size, cfg.image_size // cfg.patch_size
     n_cells = grid * grid
-    images = np.zeros((n_images, cfg.channels, cfg.image_size, cfg.image_size))
+    shape = (cfg.channels, cfg.image_size, cfg.image_size)
+    # one prototype row per label, then the zero background row
+    rows = {lid: row for row, lid in enumerate(world.split.all_ids)}
+    background = len(rows)
+    table = np.zeros((background + 1, cfg.channels, p, p))
+    for lid, row in rows.items():
+        table[row] = world.prototypes[lid]
+    images = np.zeros((n_images,) + shape)
     teacher = np.zeros((n_images, cfg.embed_dim))
     positives: list[tuple[int, ...]] = []
-    for i in range(n_images):
-        n_pos = int(rng.integers(1, cfg.max_labels + 1))
-        pos = tuple(sorted(int(pool[j]) for j in rng.choice(len(pool), n_pos, replace=False)))
-        cells = np.full(n_cells, -1, dtype=np.int64)  # -1 = background
-        anchor = rng.choice(n_cells, n_pos, replace=False)
-        cells[anchor] = pos
-        rest = cells == -1
-        choices = np.array(pos + (-1,), dtype=np.int64)
-        cells[rest] = choices[rng.integers(0, len(choices), int(rest.sum()))]
-        img = np.zeros((cfg.channels, cfg.image_size, cfg.image_size))
-        for cell, lid in enumerate(cells):
-            if lid == -1:
-                continue
-            r, c = divmod(cell, grid)
-            img[
-                :,
-                r * cfg.patch_size:(r + 1) * cfg.patch_size,
-                c * cfg.patch_size:(c + 1) * cfg.patch_size,
-            ] = world.prototypes[int(lid)]
-        if cfg.background == "noise":
-            bg = rng.normal(0.0, cfg.sigma, img.shape)
-            img = np.where(img == 0.0, bg, img)
+    for lo in range(0, n_images, _BLOCK):
+        hi = min(lo + _BLOCK, n_images)
+        layout = []  # per image, the table row of each cell
+        bg = np.empty((hi - lo,) + shape) if cfg.background == "noise" else None
+        for i in range(lo, hi):
+            n_pos = int(rng.integers(1, cfg.max_labels + 1))
+            pos = tuple(sorted(int(pool[j]) for j in rng.choice(len(pool), n_pos, replace=False)))
+            cells = [background] * n_cells
+            for cell, lid in zip(rng.choice(n_cells, n_pos, replace=False).tolist(), pos):
+                cells[cell] = rows[lid]
+            rest = [cell for cell, row in enumerate(cells) if row == background]
+            choices = [rows[lid] for lid in pos] + [background]
+            for cell, k in zip(rest, rng.integers(0, len(choices), len(rest)).tolist()):
+                cells[cell] = choices[k]
+            layout.append(cells)
+            if bg is not None:
+                bg[i - lo] = rng.normal(0.0, cfg.sigma, shape)
+            if cfg.sigma > 0.0:
+                images[i] = rng.normal(0.0, cfg.sigma, shape)
+            positives.append(pos)
+        clean = (
+            table[np.array(layout, dtype=np.intp).reshape(hi - lo, grid, grid)]
+            .transpose(0, 3, 1, 4, 2, 5)
+            .reshape((hi - lo,) + shape)
+        )
+        if bg is not None:
+            clean = np.where(clean == 0.0, bg, clean)
         if cfg.sigma > 0.0:
-            img = img + rng.normal(0.0, cfg.sigma, img.shape)
-        images[i] = img
-        teacher[i] = _mean_patch(img, cfg) @ world.w_teacher
-        positives.append(pos)
+            images[lo:hi] += clean  # noise + clean has the bits of clean + noise
+        else:
+            images[lo:hi] = clean
+        if not np.isfinite(images[lo:hi]).all():
+            raise NonFinite("tensor holds NaN/Inf values")  # what patchify gives a non-finite image
+        patches = (
+            images[lo:hi]
+            .reshape(hi - lo, cfg.channels, grid, p, grid, p)
+            .transpose(0, 2, 4, 1, 3, 5)
+            .reshape(hi - lo, n_cells, cfg.patch_len)
+        )
+        # one vector-matrix product per image: a single gemm would round differently
+        teacher[lo:hi] = np.matmul(patches.mean(axis=1)[:, None, :], world.w_teacher)[:, 0]
     return Dataset(images=images, teacher=teacher, positives=positives, world=world)
 
 

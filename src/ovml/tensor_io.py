@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import secrets
 import shutil
 import struct
@@ -120,24 +121,28 @@ def write_tensor(path: str | Path, array: np.ndarray) -> None:
 
 def read_tensor(path: str | Path) -> np.ndarray:
     """The array a tensor file holds; a malformed file, or one holding NaN or
-    Inf, raises BadTensorFile naming the path."""
+    Inf, raises BadTensorFile naming the path. The payload is read straight
+    into the returned array, so the read holds no second copy of it."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != MAGIC:
-        raise BadTensorFile(f"{path}: bad magic {blob[:4]!r}")
-    rank = blob[4] if len(blob) > 4 else 0
-    header_end = 5 + 8 * rank
-    if len(blob) < header_end:
-        raise BadTensorFile(f"{path}: header holds {len(blob)} bytes, rank {rank} needs {header_end}")
-    shape = struct.unpack(f"<{rank}Q", blob[5:header_end])
-    count = math.prod(shape)  # exact, where np.prod wraps at int64; 1 for rank 0
-    payload = blob[header_end:]
-    if len(payload) != 8 * count:
-        raise BadTensorFile(f"{path}: payload holds {len(payload)} bytes, expected {8 * count}")
-    array = np.frombuffer(payload, dtype="<f8", count=count).reshape(shape)
+        head = f.read(5)
+        if head[:4] != MAGIC:
+            raise BadTensorFile(f"{path}: bad magic {head[:4]!r}")
+        rank = head[4] if len(head) > 4 else 0
+        header_end = 5 + 8 * rank
+        size = os.fstat(f.fileno()).st_size
+        if size < header_end:
+            raise BadTensorFile(f"{path}: header holds {size} bytes, rank {rank} needs {header_end}")
+        shape = struct.unpack(f"<{rank}Q", f.read(8 * rank))
+        count = math.prod(shape)  # exact, where np.prod wraps at int64; 1 for rank 0
+        if size - header_end != 8 * count:
+            raise BadTensorFile(f"{path}: payload holds {size - header_end} bytes, expected {8 * count}")
+        array = np.empty(count, dtype="<f8")
+        got = f.readinto(array)
+        if got != 8 * count:  # the file shrank after fstat
+            raise BadTensorFile(f"{path}: payload holds {got} bytes, expected {8 * count}")
     if not np.isfinite(array).all():
         raise BadTensorFile(f"{path}: non-finite values")
-    return array.copy()
+    return array.reshape(shape)
 
 
 def _manifest(directory: Path) -> tuple[bytes, dict[str, str]]:

@@ -206,6 +206,30 @@ def test_dataset_manifest_keeps_its_format(world, tmp_path):
     assert read_dataset(ds).world.config == WORLD
 
 
+@pytest.mark.parametrize(
+    "settings, hashes",
+    [
+        ("", (
+            "98b130bff5e5b00423c164bf4367656803acd7e6e723177d0caf64d74c0be987",
+            "df66cef0269241f62412581ca2ddd265d7a6eb981f967d123cba7d288cc27540",
+        )),
+        ("background=noise\nchannels=3\n", (
+            "1d83794d9452cbce801a2d5f9ac84dc01fd233ffdb4bed7381e9f23c96779377",
+            "0ba52dd6614f416a3862ccf271a500da113258c84105bae72c9e8c5b8a35d7ec",
+        )),
+    ],
+    ids=["defaults", "noise-3ch"],
+)
+def test_gen_hashes_are_pinned(tmp_path, capsys, settings, hashes):
+    """The content hashes `ovml gen` prints at seed 0: any change to the
+    bytes that sampling or writing gives a dataset shows here."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(settings)
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    printed = [line.split()[-1] for line in capsys.readouterr().out.splitlines() if " hash " in line]
+    assert tuple(printed) == hashes
+
+
 def test_checkpoint_with_name_file_manifest_is_refused(world, tmp_path, capsys):
     """Checkpoints saved before digests listed name<TAB>file; they are refused, not loaded unverified."""
     ck = tmp_path / "ck"

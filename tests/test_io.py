@@ -1,13 +1,16 @@
 """Binary tensor format and checkpoint directory round trips."""
 
 import math
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ovml import tensor_io
 from ovml.tensor_io import (
     BadTensorFile,
     directory_digest,
@@ -102,6 +105,29 @@ def test_trailing_garbage_rejected(tmp_path):
     write_tensor(p, np.ones(2))
     p.write_bytes(p.read_bytes() + b"\x00")
     with pytest.raises(BadTensorFile):
+        read_tensor(p)
+
+
+def test_read_holds_one_copy_of_the_payload(tmp_path):
+    p = tmp_path / "x.mkt1"
+    payload = 8 * 2**20
+    write_tensor(p, np.ones((1024, 1024)))
+    tracemalloc.start()
+    try:
+        read_tensor(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert payload <= peak < 1.25 * payload
+
+
+def test_file_that_shrinks_while_read_is_rejected(tmp_path, monkeypatch):
+    # the size check passes on the stale size; the read itself comes up short
+    p = tmp_path / "x.mkt1"
+    p.write_bytes(b"MKT1" + struct.pack("<BQ", 1, 3) + np.ones(2).tobytes())
+    stat = os.stat(p)
+    monkeypatch.setattr(tensor_io.os, "fstat", lambda fd: os.stat_result((*stat[:6], stat.st_size + 8, *stat[7:])))
+    with pytest.raises(BadTensorFile, match="payload holds 16 bytes, expected 24$"):
         read_tensor(p)
 
 

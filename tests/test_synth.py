@@ -5,11 +5,15 @@ label prototype or background and the teacher embedding must equal the
 mean of the planted labels' embeddings.
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from ovml.metrics import mean_ap
+from ovml.seeds import substream
 from ovml.synth import (
+    _BLOCK,
     DatasetCorrupt,
     InfeasibleConstraint,
     PoolTooSmall,
@@ -22,6 +26,7 @@ from ovml.synth import (
     write_dataset,
 )
 from ovml.tensor_io import directory_digest
+from ovml.vit import patchify
 
 CLEAN = SynthConfig(sigma=0.0)
 
@@ -107,6 +112,116 @@ def test_pick_split_matches_the_round_robin_loop():
                 assert outcome(closed_form, *args) == want, args
                 infeasible += isinstance(want, str)
     assert 0 < infeasible < 40 * 8 * 20  # both outcomes are exercised
+
+
+def _per_image_sample(world, n_images, label_pool, seed, stream="sample"):
+    """`sample` as one image at a time: lay out the cells, paste the
+    prototypes, add the noise and take the teacher from the image's own
+    patches."""
+    cfg = world.config
+    pool = tuple(label_pool)
+    rng = substream(seed, stream)
+    grid = cfg.image_size // cfg.patch_size
+    n_cells = grid * grid
+    images = np.zeros((n_images, cfg.channels, cfg.image_size, cfg.image_size))
+    teacher = np.zeros((n_images, cfg.embed_dim))
+    positives = []
+    for i in range(n_images):
+        n_pos = int(rng.integers(1, cfg.max_labels + 1))
+        pos = tuple(sorted(int(pool[j]) for j in rng.choice(len(pool), n_pos, replace=False)))
+        cells = np.full(n_cells, -1, dtype=np.int64)  # -1 = background
+        anchor = rng.choice(n_cells, n_pos, replace=False)
+        cells[anchor] = pos
+        rest = cells == -1
+        choices = np.array(pos + (-1,), dtype=np.int64)
+        cells[rest] = choices[rng.integers(0, len(choices), int(rest.sum()))]
+        img = np.zeros((cfg.channels, cfg.image_size, cfg.image_size))
+        for cell, lid in enumerate(cells):
+            if lid == -1:
+                continue
+            r, c = divmod(cell, grid)
+            img[
+                :,
+                r * cfg.patch_size:(r + 1) * cfg.patch_size,
+                c * cfg.patch_size:(c + 1) * cfg.patch_size,
+            ] = world.prototypes[int(lid)]
+        if cfg.background == "noise":
+            bg = rng.normal(0.0, cfg.sigma, img.shape)
+            img = np.where(img == 0.0, bg, img)
+        if cfg.sigma > 0.0:
+            img = img + rng.normal(0.0, cfg.sigma, img.shape)
+        images[i] = img
+        teacher[i] = patchify(img, cfg.patch_size).patches.data.mean(axis=0) @ world.w_teacher
+        positives.append(pos)
+    return images, teacher, positives
+
+
+@pytest.mark.parametrize(
+    "d, config, n_images, seed, pool",
+    [
+        (80, SynthConfig(), 2000, 0, "all"),
+        (20, SynthConfig(), 600, 0, "seen"),
+        (20, SynthConfig(), 600, 3, "seen"),
+        (20, SynthConfig(background="noise"), 300, 0, "all"),
+        (20, SynthConfig(background="noise", channels=3), 300, 3, "seen"),
+        (20, SynthConfig(sigma=0.0), 300, 0, "seen"),
+        (20, SynthConfig(sigma=0.0, background="noise"), 40, 0, "seen"),
+        (20, SynthConfig(channels=3, image_size=16, max_labels=5), 300, 3, "all"),
+        (20, SynthConfig(image_size=24, patch_size=6), 3000, 0, "all"),
+        (20, SynthConfig(image_size=4, patch_size=4, max_labels=1), 40, 0, "seen"),  # one cell
+        (12, SynthConfig(image_size=4, patch_size=1, embed_dim=1), 40, 0, "seen"),  # one-pixel patches
+        *((20, SynthConfig(), n, 1, "seen") for n in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1)),
+    ],
+    ids=[
+        "80x2000", "20x600", "20x600-seed3", "noise", "noise-3ch", "sigma0", "sigma0-noise", "3ch-16px-5labels",
+        "24px-6px-3000", "one-cell", "one-pixel-patches", "n0", "n1", "block-1", "block", "block+1",
+    ],
+)
+def test_sample_matches_the_per_image_loop(d, config, n_images, seed, pool):
+    w = build_world(d, 0.8, seed, config)
+    pool = w.split.all_ids if pool == "all" else w.split.seen
+    images, teacher, positives = _per_image_sample(w, n_images, pool, seed, "test")
+    ds = sample(w, n_images, pool, seed, "test")
+    assert ds.images.tobytes() == images.tobytes()
+    assert ds.teacher.tobytes() == teacher.tobytes()
+    assert ds.positives == positives
+
+
+def test_sample_keeps_negative_zero_pixels_at_sigma_zero():
+    w = build_world(20, 0.8, 0, CLEAN)
+    w.prototypes[w.split.seen[0]][0, 0, 0] = -0.0
+    images, _, _ = _per_image_sample(w, 50, w.split.seen, 0)
+    assert np.signbit(images).any() and not images.all()
+    assert sample(w, 50, w.split.seen, 0).images.tobytes() == images.tobytes()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [SynthConfig(image_size=4, patch_size=4, max_labels=3), SynthConfig(sigma=1e308)],
+    ids=["more-labels-than-cells", "overflowing-noise"],
+)
+def test_sample_fails_as_the_per_image_loop_does(config):
+    w = build_world(20, 0.8, 0, config)
+    with pytest.raises(Exception) as want:
+        _per_image_sample(w, 50, w.split.seen, 0)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        sample(w, 50, w.split.seen, 0)
+
+
+def test_ground_truth_matches_the_per_image_loop():
+    w = build_world(80, 0.8, 0)
+    ds = sample(w, 500, w.split.all_ids, 0)
+    for label_ids in (None, w.split.seen, w.split.unseen, (3, 1000, 3, 7)):
+        want_ids = label_ids or w.split.all_ids
+        col = {lid: i for i, lid in enumerate(want_ids)}
+        want = np.zeros((len(ds), len(want_ids)), dtype=np.int64)
+        for i, pos in enumerate(ds.positives):
+            for lid in pos:
+                if lid in col:
+                    want[i, col[lid]] = 1
+        gt = ds.ground_truth(label_ids)
+        assert gt.y.dtype == np.int64 and gt.label_ids == tuple(want_ids)
+        np.testing.assert_array_equal(gt.y, want)
 
 
 def test_prototypes_invert_the_teacher_map():
