@@ -34,18 +34,18 @@ class EmptyTaskVocabulary(ValueError):
 
 @dataclass
 class GroundTruthMatrix:
-    """Binary relevance per image and label; column j is label `label_ids[j]`."""
+    """Boolean relevance per image and label; column j is label `label_ids[j]`; other dtypes must be 0/1."""
 
-    y: np.ndarray  # B x d of {0, 1}
+    y: np.ndarray  # B x d bool
     label_ids: tuple[int, ...]
 
     def __post_init__(self):
         self.y = np.asarray(self.y)
         if self.y.ndim != 2 or self.y.shape[1] != len(self.label_ids):
             raise ShapeMismatch(f"ground truth {self.y.shape} vs {len(self.label_ids)} labels")
-        if not np.isin(self.y, (0, 1)).all():
+        if self.y.dtype != bool and not np.isin(self.y, (0, 1)).all():
             raise ValueError("ground truth entries must be 0 or 1")
-        self.y = self.y.astype(np.int64)
+        self.y = self.y.astype(bool, copy=False)
 
 
 # columns ranked together by _column_aps; keeps each temporary at 16 x B
@@ -65,7 +65,7 @@ def _descending_order(a: np.ndarray) -> np.ndarray:
 
 
 def _column_aps(scores: np.ndarray, y: np.ndarray) -> list[float | None]:
-    """AP of each column of a B x d score matrix against its 0/1 relevance
+    """AP of each column of a B x d score matrix against its boolean relevance
     column, None for a column without positives: the sum of precision at
     each positive's rank over the positives count.
 
@@ -95,7 +95,7 @@ def average_precision(scores: np.ndarray, relevance: np.ndarray) -> float:
     relevance = np.asarray(relevance)
     if scores.shape != relevance.shape or scores.ndim != 1:
         raise ShapeMismatch(f"column shapes {scores.shape} vs {relevance.shape}")
-    ap = _column_aps(scores[:, None], relevance[:, None])[0]
+    ap = _column_aps(scores[:, None], GroundTruthMatrix(y=relevance[:, None], label_ids=(0,)).y)[0]
     if ap is None:
         raise NoPositives("class has no positive images")
     return ap
@@ -157,7 +157,7 @@ def _topk_masks(scores: np.ndarray, ks: tuple[int, ...]) -> dict[int, np.ndarray
 
 
 def _prf(predicted: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    true_pos = int((predicted & (y == 1)).sum())
+    true_pos = int((predicted & y).sum())
     n_pred = int(predicted.sum())
     n_pos = int(y.sum())
     precision = true_pos / n_pred if n_pred else 0.0

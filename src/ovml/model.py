@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import KOutOfRange, Tensor
 from .heads import (
     HEAD_MODES,
     EmbeddingPair,
@@ -83,8 +83,12 @@ class Model:
 
 
 def init_model(seed: int, world: SynthWorld, config: ModelConfig | None = None) -> Model:
+    """A freshly initialised model for `world`; KOutOfRange when `config.k`
+    exceeds the world's patch count, before any weight is drawn."""
     config = config or ModelConfig()
     wc = world.config
+    if config.k > wc.n_patches:
+        raise KOutOfRange(f"k={config.k} exceeds the world's {wc.n_patches} patches")
     return Model(
         vit=init_vit(
             substream(seed, "model.vit"),
@@ -191,7 +195,8 @@ def save_model(directory: str | Path, model: Model, table: LabelEmbeddingTable) 
 
 
 def _read_checkpoint(directory: str | Path):
-    """Config, split, parameter tensors, label table and category map of a checkpoint, verified before parsing."""
+    """Config, split, patch size, parameter tensors, label table and category map of a checkpoint,
+    verified before parsing."""
     directory = Path(directory)
     try:
         tensors = load_checkpoint(directory)
@@ -203,7 +208,7 @@ def _read_checkpoint(directory: str | Path):
         for lid in table.label_ids:
             if lid not in categories:
                 raise BadCheckpoint(f"{_VOCAB} lacks table label {lid}")
-        return config, split, tensors, table, categories
+        return config, split, meta["patch_size"], tensors, table, categories
     except NotADirectoryError:
         raise  # a path that is not a directory is a usage problem, not corruption
     except KeyError as e:
@@ -214,16 +219,21 @@ def _read_checkpoint(directory: str | Path):
 
 def load_table(directory: str | Path) -> tuple[LabelEmbeddingTable, dict[int, int]]:
     """Table + category map alone; enough for retrieval, no world needed."""
-    _, _, _, table, categories = _read_checkpoint(directory)
+    *_, table, categories = _read_checkpoint(directory)
     return table, categories
 
 
 def load_model(directory: str | Path, world: SynthWorld) -> tuple[Model, LabelEmbeddingTable]:
     """Rebuild a model around the world's surrogate and load saved weights."""
-    config, saved_split, tensors, table, _ = _read_checkpoint(directory)
+    config, saved_split, patch_size, tensors, table, _ = _read_checkpoint(directory)
     if saved_split != world.split:
         raise BadCheckpoint("checkpoint split disagrees with the dataset's world")
-    model = init_model(seed=0, world=world, config=config)
+    if patch_size != world.config.patch_size:
+        raise BadCheckpoint(f"checkpoint patch_size={patch_size} disagrees with the world's {world.config.patch_size}")
+    try:
+        model = init_model(seed=0, world=world, config=config)
+    except KOutOfRange as e:  # the checkpoint's k, not a config value
+        raise BadCheckpoint(f"checkpoint {e}") from None
     named = model.named_params()
     if set(named) != set(tensors):
         missing = set(named) ^ set(tensors)

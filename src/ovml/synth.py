@@ -22,13 +22,7 @@ import numpy as np
 
 from .autodiff import NonFinite
 from .heads import ScoreMatrix
-from .labels import (
-    LabelSplit,
-    PromptState,
-    build_label_table,
-    init_prompt,
-    vocabulary_text,
-)
+from .labels import LabelSplit, build_label_table, init_prompt, vocabulary_text
 from .metrics import GroundTruthMatrix
 from .seeds import substream
 from .tensor_io import (
@@ -103,7 +97,6 @@ class SynthWorld:
     categories: dict[int, int]            # label id -> category id
     tokens: dict[int, np.ndarray]         # label id -> (D_t,)
     surrogate: TextSurrogateParams
-    prompt: PromptState                   # the world's own frozen prompt
     z: np.ndarray                         # d x D_e, rows in split order
     w_teacher: np.ndarray                 # (P^2 C) x D_e
     prototypes: dict[int, np.ndarray]     # label id -> (C, P, P)
@@ -193,7 +186,6 @@ def build_world(d: int, seen_fraction: float, seed: int, config: SynthConfig | N
         categories=categories,
         tokens=tokens,
         surrogate=surrogate,
-        prompt=prompt,
         z=z,
         w_teacher=w_teacher,
         prototypes=prototypes,
@@ -211,6 +203,7 @@ class Dataset:
         return self.images.shape[0]
 
     def ground_truth(self, label_ids: tuple[int, ...] | None = None) -> GroundTruthMatrix:
+        """Boolean images x labels matrix of positives, columns in `label_ids` order (default: the world's)."""
         label_ids = label_ids or self.world.split.all_ids
         col = {lid: i for i, lid in enumerate(label_ids)}
         counts = np.fromiter(map(len, self.positives), dtype=np.intp, count=len(self.positives))
@@ -218,8 +211,8 @@ class Dataset:
             map(col.get, chain.from_iterable(self.positives), repeat(-1)), dtype=np.intp, count=int(counts.sum())
         )
         hit = cols >= 0
-        y = np.zeros((len(self), len(label_ids)), dtype=np.int64)
-        y[np.repeat(np.arange(len(self.positives)), counts)[hit], cols[hit]] = 1
+        y = np.zeros((len(self), len(label_ids)), dtype=bool)
+        y[np.repeat(np.arange(len(self.positives)), counts)[hit], cols[hit]] = True
         return GroundTruthMatrix(y=y, label_ids=tuple(label_ids))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeMismatch, Tensor
-from .vit import BlockParams, block_named, encoder_block, init_block, split_rows
+from .vit import BlockParams, block_named, encoder_block, init_block
 
 
 @dataclass
@@ -85,5 +85,5 @@ def text_surrogate_encode(context: Tensor, tokens: Tensor, params: TextSurrogate
     x = ad.reshape(ad.concat([shared, tokens], axis=1), (d * (m + 1), width))
     for block in params.blocks:
         x = encoder_block(x, block, group=m + 1)
-    _, last = split_rows(x, m + 1, m)
+    last = ad.slice_rows(x, m, m + 1, group=m + 1)
     return ad.l2_normalize(ad.matmul(last, params.out_proj))

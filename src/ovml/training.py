@@ -56,11 +56,6 @@ class TrainConfig:
 LogFn = Callable[[dict], None]
 
 
-def positive_mask(dataset: Dataset, label_ids: tuple[int, ...]) -> np.ndarray:
-    """Boolean images x labels mask of each image's positives, columns in `label_ids` order."""
-    return dataset.ground_truth(label_ids).y.astype(bool)
-
-
 def stage1_losses(
     model: Model, images: np.ndarray, positive: np.ndarray, teacher: np.ndarray, table: LabelEmbeddingTable
 ) -> tuple[Tensor, Tensor]:
@@ -125,7 +120,7 @@ def _run_steps(
 
 def run_stage1(model: Model, dataset: Dataset, cfg: TrainConfig, seed: int, log: LogFn) -> None:
     table = fixed_table(model)
-    positive = positive_mask(dataset, table.label_ids)
+    positive = dataset.ground_truth(table.label_ids).y
     lam = cfg.lambda_distill
 
     def losses(batch):
@@ -157,7 +152,7 @@ def run_stage2(
     """
     snapshot = {name: t.data.copy() for name, t in frozen_params(model).items()}
     cached_cls, cached_patch = embed_batch(model, dataset.images)
-    positive = positive_mask(dataset, model.split.all_ids)
+    positive = dataset.ground_truth(model.split.all_ids).y
 
     def cached(rows) -> EmbeddingPair:
         return EmbeddingPair(

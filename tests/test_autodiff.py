@@ -19,7 +19,7 @@ from ovml.autodiff import (
 from ovml.model import encode, fixed_table, init_model
 from ovml.seeds import substream
 from ovml.synth import build_world, sample
-from ovml.training import positive_mask, stage1_losses, stage2_loss
+from ovml.training import stage1_losses, stage2_loss
 
 
 def rng_for(name):
@@ -209,11 +209,11 @@ def test_backward_matches_the_two_pass_walk_bit_for_bit(stage):
     def loss():
         if stage == 1:
             table = fixed_table(model)
-            rank, dist = stage1_losses(model, data.images, positive_mask(data, table.label_ids), data.teacher, table)
+            rank, dist = stage1_losses(model, data.images, data.ground_truth(table.label_ids).y, data.teacher, table)
             return ad.add(rank, ad.scale(dist, 0.5))
         with ad.no_grad():
             emb = encode(model, data.images)
-        return stage2_loss(model, emb, positive_mask(data, model.split.all_ids))
+        return stage2_loss(model, emb, data.ground_truth(model.split.all_ids).y)
 
     grads = {}
     for walk in (_two_pass_backward, ad.backward):

@@ -15,7 +15,7 @@ from ovml.model import ModelConfig, encode, fixed_table, init_model, live_table,
 from ovml.seeds import substream
 from ovml.synth import build_world, sample
 from ovml.text_encoder import text_surrogate_encode
-from ovml.training import positive_mask, stage1_losses
+from ovml.training import stage1_losses
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +51,7 @@ def test_score_batch_matches_one_image_loop(world, dataset, mode):
 def test_stage1_batch_loss_and_grads_match_mean_of_single_images(world, dataset):
     model = generic_model(world, 2)
     table = fixed_table(model)
-    positive = positive_mask(dataset, table.label_ids)
+    positive = dataset.ground_truth(table.label_ids).y
     params = {n: t for n, t in model.named_params().items() if n != "prompt.context"}
     b = len(dataset)
 

@@ -328,6 +328,20 @@ def test_failed_retrain_leaves_no_earlier_checkpoint(workspace, tmp_path, capsys
     assert capsys.readouterr().err.endswith(f"config error: {tmp_path}/out/stage2 is not a directory\n")
 
 
+def test_train_with_k_above_the_patch_count_keeps_the_earlier_run(workspace, tmp_path, capsys):
+    # the config error comes before train() clears the output directory
+    root, _ = workspace
+    shutil.copytree(root / "out", tmp_path / "out", ignore=shutil.ignore_patterns("dataset"))
+    before = {stage: directory_digest(tmp_path / "out" / stage) for stage in ("stage1", "stage2")}
+    log = (tmp_path / "out" / "train_log.jsonl").read_bytes()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(tiny(out_dir=f"{tmp_path}/out", dataset_dir=f"{root}/out/dataset", k=10))
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "config error: k=10 exceeds the world's 9 patches\n"
+    assert {stage: directory_digest(tmp_path / "out" / stage) for stage in before} == before
+    assert (tmp_path / "out" / "train_log.jsonl").read_bytes() == log
+
+
 def _text_edit(rel, old, new):
     def edit(directory):
         path = directory / rel
@@ -707,6 +721,7 @@ def _entry_elsewhere(target):
         _sealed(_text_edit("meta.txt", "width=16", "width=sixteen")),
         _sealed(_text_edit("meta.txt", "head_mode=both", "head_mode=wide")),
         _sealed(_text_edit("meta.txt", "heads=2", "heads=0")),
+        _sealed(_text_edit("meta.txt", "\nk=3\n", "\nk=10\n")),  # the world has 9 patches
         _sealed(_tensor_edit("table.z.mkt1", lambda z: z[:-1])),
         _sealed(_tensor_edit("table.z.mkt1", _poison)),
         _sealed(_truncate("table.z.mkt1", 7)),
@@ -717,7 +732,7 @@ def _entry_elsewhere(target):
         _sealed(_text_edit("vocab.tsv", "0\t0\n", "")),
     ],
     ids=[
-        "meta_missing_key", "meta_non_integer", "meta_bad_head_mode", "meta_zero_heads",
+        "meta_missing_key", "meta_non_integer", "meta_bad_head_mode", "meta_zero_heads", "meta_k_above_patches",
         "table_rows_off_ids", "table_non_finite", "tensor_header_7_bytes", "tensor_header_4_bytes",
         "manifest_line_without_tab", "manifest_entry_in_parent_dir", "manifest_entry_absolute",
         "vocab_lacks_table_label_0",
@@ -733,6 +748,21 @@ def test_checkpoint_faults_exit_three(workspace, tmp_path, capsys, edit):
     assert main(["eval", "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("invariant violation") and err.count("\n") == 1, err
+
+
+def test_eval_against_a_world_of_another_patch_size_exits_three(workspace, tmp_path, capsys):
+    # 6 px images of 2 px patches in 4 channels: 16 values per patch and 9 patches, as in the
+    # checkpoint's 12 px, 4 px, 1-channel world, so every tensor shape matches
+    root, _ = workspace
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(tiny(
+        out_dir=f"{tmp_path}/ev", checkpoint=f"{root}/out/stage2", image_size=6, patch_size=2, channels=4
+    ))
+    assert main(["gen", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == "invariant violation: checkpoint patch_size=4 disagrees with the world's 2\n"
+    assert not list((tmp_path / "ev").glob("report_*"))
 
 
 @pytest.mark.parametrize(

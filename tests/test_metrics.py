@@ -144,6 +144,13 @@ def test_ap_requires_positives():
         average_precision(np.array([0.1, 0.2]), np.array([0, 0]))
 
 
+@pytest.mark.parametrize("relevance", [[2, 0, 0], [0.5, 0, 0.5]])
+def test_ap_relevance_must_be_binary(relevance):
+    # an AP over such relevance can leave [0, 1]: 2.0 for the first
+    with pytest.raises(ValueError, match=r"^ground truth entries must be 0 or 1$"):
+        average_precision(np.array([0.9, 0.5, 0.1]), np.array(relevance))
+
+
 def test_monotone_transform_leaves_metrics_unchanged():
     rng = np.random.default_rng(0)
     scores = rng.normal(0, 1, (12, 5))
@@ -263,6 +270,14 @@ class TestMaskTask:
         s, g = self.make()
         with pytest.raises(ShapeMismatch):
             evaluate(s, GroundTruthMatrix(y=g.y[1:], label_ids=g.label_ids), self.split, "GZSL", (1,))
+
+
+def test_ground_truth_is_stored_boolean():
+    y = np.array([[True, False]])
+    assert GroundTruthMatrix(y=y, label_ids=(0, 1)).y is y  # a boolean matrix is kept, not copied
+    _, g = mats()
+    assert g.y.dtype == bool
+    np.testing.assert_array_equal(g.y, WORKED_TRUTH == 1)
 
 
 def test_ground_truth_must_be_binary():

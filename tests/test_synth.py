@@ -6,6 +6,7 @@ mean of the planted labels' embeddings.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,8 +221,22 @@ def test_ground_truth_matches_the_per_image_loop():
                 if lid in col:
                     want[i, col[lid]] = 1
         gt = ds.ground_truth(label_ids)
-        assert gt.y.dtype == np.int64 and gt.label_ids == tuple(want_ids)
+        assert gt.y.dtype == bool and gt.label_ids == tuple(want_ids)
         np.testing.assert_array_equal(gt.y, want)
+
+
+def test_ground_truth_allocates_little_more_than_its_matrix():
+    # eval-wide's 80 labels x 2000 images: the bool matrix is 0.16 MB, and the
+    # bound leaves room for the index arrays but not for an int64 copy (1.28 MB)
+    w = build_world(80, 0.8, 0)
+    ds = sample(w, 2000, w.split.all_ids, 0, stream="sample.test")
+    tracemalloc.start()
+    try:
+        ds.ground_truth()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_prototypes_invert_the_teacher_map():
