@@ -1,10 +1,16 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
-The op set is deliberately closed: exactly the operations the pipeline
-composes (matrix product, linear layer, additions, scaling, concat/row
+The op set is deliberately closed: the operations the pipeline composes
+(matrix product, linear layer, additions, scaling, concat/row
 slice/transpose/reshape, row softmax, multi-head self-attention, layer
 norm, GELU, top-k mean pooling, L2 row normalization, pairwise hinge, L1
-distance, mean). There is no broadcasting engine.
+distance, mean). There is no broadcasting engine. Seven of them,
+`add_rowvec`, `transpose`, `softmax_rows`, `self_attention`,
+`layer_norm`, `topk_mean` and `topk_mean_cols`, are called only by
+`gradcheck` and the tests: the pipeline reaches their kernels through the
+fused nodes below. They stay because the benchmark tracer's `LAYERS`
+table names them, until an in-program profiler replaces that table
+(ROADMAP items 4 and 10).
 
 A minibatch is one graph: images (or labels) are stacked row-wise, and
 the ops that must not mix them (attention, top-k pooling, the per-block

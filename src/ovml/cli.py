@@ -79,7 +79,10 @@ def cmd_gen(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    dataset = read_dataset(_dataset_dir(cfg) / "train")
+    split = _dataset_dir(cfg) / "train"
+    dataset = read_dataset(split)
+    if not len(dataset):  # refused before train() clears out_dir
+        raise ConfigError(f"{split} holds no images to train on")
     model = init_model(cfg.seed, dataset.world, cfg.model)
     out_dir = Path(cfg.out_dir)
     paths = train(model, dataset, cfg.train, cfg.seed, out_dir)

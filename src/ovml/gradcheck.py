@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, finite_difference_check
 from .heads import EmbeddingPair, init_two_stream, score, two_stream
-from .labels import LabelEmbeddingTable, LabelSplit, PromptState
+from .labels import LabelEmbeddingTable, LabelSplit
 from .losses import distill_loss, ranking_loss
 from .model import Model, ModelConfig, encode, fixed_table, score_image
 from .seeds import substream
@@ -271,7 +271,7 @@ def _tiny_model(rng, d: int, dim: int) -> Model:
     return Model(
         vit=init_vit(rng, patch_len=4, n_patches=3, width=4, heads=2, depth=1),
         streams=init_two_stream(rng, width=4, embed_dim=dim),
-        prompt=PromptState(context=_param(rng, 2, 6)),
+        prompt=_param(rng, 2, 6),
         surrogate=init_text_surrogate(rng, token_width=6, embed_dim=dim, depth=1, heads=2, token_vectors=tokens),
         split=LabelSplit(seen=tuple(range(d)), unseen=()),
         categories={},
@@ -328,7 +328,7 @@ def _check_stage2_loss(rng):
         s = score_image(model, emb, table).data
         sims = emb.e_patch.data @ table.matrix().T
         if _topk_gap(sims, n, model.config.k) > GAP and _margins_clear(s, positive, ~positive):
-            return lambda: stage2_loss(model, emb, positive), [model.prompt.context]
+            return lambda: stage2_loss(model, emb, positive), [model.prompt]
     raise RuntimeError("no kink-free instance found for the prompt-tuning loss")
 
 

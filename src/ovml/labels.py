@@ -37,17 +37,9 @@ class LabelSplit:
         return self.seen + self.unseen
 
 
-@dataclass
-class PromptState:
-    """Trainable context rows standing in for the hand-written template words."""
-
-    context: Tensor  # M x D_t
-
-
-def init_prompt(rng: np.random.Generator, length: int, token_width: int, trainable: bool = False) -> PromptState:
-    return PromptState(
-        context=ad.tensor(rng.normal(0.0, 0.02, (length, token_width)), requires_grad=trainable)
-    )
+def init_prompt(rng: np.random.Generator, length: int, token_width: int, trainable: bool = False) -> Tensor:
+    """M x D_t trainable context rows standing in for the hand-written template words."""
+    return ad.tensor(rng.normal(0.0, 0.02, (length, token_width)), requires_grad=trainable)
 
 
 @dataclass
@@ -70,7 +62,7 @@ class LabelEmbeddingTable:
 
 def build_label_table(
     split: LabelSplit,
-    prompt: PromptState,
+    prompt: Tensor,
     surrogate: TextSurrogateParams,
     provenance: str = "fixed",
 ) -> LabelEmbeddingTable:
@@ -84,7 +76,7 @@ def build_label_table(
         tokens = surrogate.token_rows(split.all_ids)
     except KeyError as e:
         raise UnknownLabel(f"no token vector for label {e.args[0]}") from None
-    z = text_surrogate_encode(prompt.context, tokens, surrogate)
+    z = text_surrogate_encode(prompt, tokens, surrogate)
     return LabelEmbeddingTable(z=z, label_ids=split.all_ids, provenance=provenance)
 
 

@@ -24,7 +24,6 @@ from .heads import (
 from .labels import (
     LabelEmbeddingTable,
     LabelSplit,
-    PromptState,
     build_label_table,
     init_prompt,
     read_vocabulary,
@@ -68,7 +67,7 @@ class ModelConfig:
 class Model:
     vit: VitParams
     streams: TwoStreamParams
-    prompt: PromptState
+    prompt: Tensor  # M x D_t context
     surrogate: TextSurrogateParams
     split: LabelSplit
     categories: dict[int, int]
@@ -78,7 +77,7 @@ class Model:
     def named_params(self) -> dict[str, Tensor]:
         out = self.vit.named("vit")
         out.update(self.streams.named("heads"))
-        out["prompt.context"] = self.prompt.context
+        out["prompt.context"] = self.prompt
         return out
 
 
@@ -204,6 +203,10 @@ def _read_checkpoint(directory: str | Path):
         config = ModelConfig(**{key: meta[key] for key in field_kinds(ModelConfig)})
         split = LabelSplit(seen=meta["seen"], unseen=meta["unseen"])
         table = LabelEmbeddingTable(ad.tensor(tensors.pop("table.z")), meta["table_ids"], meta["table_provenance"])
+        norms = np.linalg.norm(table.matrix(), axis=1)
+        for lid, norm in zip(table.label_ids, norms):
+            if not abs(norm - 1.0) <= 1e-9:  # build_label_table's rows are unit-norm
+                raise BadCheckpoint(f"table.z row of label {lid} has norm {norm:.6g}, not 1")
         categories = read_vocabulary(directory / _VOCAB)
         for lid in table.label_ids:
             if lid not in categories:

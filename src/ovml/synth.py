@@ -95,11 +95,10 @@ class SynthWorld:
     seen_fraction: float
     split: LabelSplit
     categories: dict[int, int]            # label id -> category id
-    tokens: dict[int, np.ndarray]         # label id -> (D_t,)
-    surrogate: TextSurrogateParams
+    surrogate: TextSurrogateParams        # holds the label tokens
     z: np.ndarray                         # d x D_e, rows in split order
     w_teacher: np.ndarray                 # (P^2 C) x D_e
-    prototypes: dict[int, np.ndarray]     # label id -> (C, P, P)
+    prototypes: np.ndarray                # d x C x P x P, rows in split order
 
     @property
     def n_labels(self) -> int:
@@ -170,13 +169,13 @@ def build_world(d: int, seen_fraction: float, seed: int, config: SynthConfig | N
             f"teacher map rank below embedding dim {config.embed_dim}"
         )
 
-    prototypes: dict[int, np.ndarray] = {}
+    prototypes = np.empty((len(z), config.channels, config.patch_size, config.patch_size))
     for row, lid in enumerate(split.all_ids):
         flat, *_ = np.linalg.lstsq(w_teacher.T, z[row], rcond=None)
         residual = float(np.abs(flat @ w_teacher - z[row]).max())
         if residual > 1e-6:
             raise InfeasibleConstraint(f"prototype residual {residual:.3e} for label {lid}")
-        prototypes[lid] = flat.reshape(config.channels, config.patch_size, config.patch_size)
+        prototypes[row] = flat.reshape(prototypes.shape[1:])
 
     return SynthWorld(
         config=config,
@@ -184,7 +183,6 @@ def build_world(d: int, seen_fraction: float, seed: int, config: SynthConfig | N
         seen_fraction=seen_fraction,
         split=split,
         categories=categories,
-        tokens=tokens,
         surrogate=surrogate,
         z=z,
         w_teacher=w_teacher,
@@ -256,9 +254,7 @@ def sample(
     # one prototype row per label, then the zero background row
     rows = {lid: row for row, lid in enumerate(world.split.all_ids)}
     background = len(rows)
-    table = np.zeros((background + 1, cfg.channels, p, p))
-    for lid, row in rows.items():
-        table[row] = world.prototypes[lid]
+    table = np.concatenate([world.prototypes, np.zeros((1, cfg.channels, p, p))])
     images = np.zeros((n_images,) + shape)
     teacher = np.zeros((n_images, cfg.embed_dim))
     positives: list[tuple[int, ...]] = []
@@ -331,19 +327,15 @@ _WORLD_CONFIG = "world/config.txt"
 _WORLD_KINDS = {"seed": "int", "n_labels": "int", "seen_fraction": "float", **field_kinds(SynthConfig)}
 
 
-def _by_label(table: dict[int, np.ndarray], world: SynthWorld) -> bytes:
-    return tensor_bytes(np.stack([table[lid] for lid in world.split.all_ids]))
-
-
 # Every file of a split that the world fixes, with the bytes the world
 # gives it: write_dataset writes them, and read_dataset compares each with
 # the world regenerated from world/config.txt.
 _WORLD_FILES: dict[str, Callable[[SynthWorld], bytes]] = {
     "vocab.tsv": lambda world: vocabulary_text(world.categories).encode(),
-    "world/tokens.mkt1": lambda world: _by_label(world.tokens, world),
+    "world/tokens.mkt1": lambda world: tensor_bytes(world.surrogate.token_rows(world.split.all_ids).data),
     "world/wt.mkt1": lambda world: tensor_bytes(world.w_teacher),
     "world/z.mkt1": lambda world: tensor_bytes(world.z),
-    "world/prototypes.mkt1": lambda world: _by_label(world.prototypes, world),
+    "world/prototypes.mkt1": lambda world: tensor_bytes(world.prototypes),
     "world/split.txt": lambda world: (
         "seen\t" + " ".join(str(x) for x in world.split.seen) + "\n"
         "unseen\t" + " ".join(str(x) for x in world.split.unseen) + "\n"

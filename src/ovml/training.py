@@ -176,7 +176,7 @@ def run_stage2(
         loss_rank = stage2_loss(model, cached(batch), positive[batch])
         return loss_rank, loss_rank, None
 
-    params = {"prompt.context": model.prompt.context}
+    params = {"prompt.context": model.prompt}
     _run_steps(2, params, cfg.lr_stage2, cfg.epochs_stage2, len(dataset), cfg, seed, losses, log)
     for name, t in frozen_params(model).items():
         if not np.array_equal(t.data, snapshot[name]):

@@ -83,7 +83,7 @@ def test_stage1_batch_loss_and_grads_match_mean_of_single_images(world, dataset)
 
 def test_label_table_matches_per_label_encoding(world):
     model = init_model(3, world)
-    context = model.prompt.context
+    context = model.prompt
     context.zero_grad()
     table = live_table(model)
     ad.backward(ad.mean_all(table.z))

@@ -25,9 +25,10 @@ from ovml.config import (
     resolved_text,
     write_resolved,
 )
+from ovml.gradcheck import CheckResult
 from ovml.metrics import evaluate
 from ovml.model import ModelConfig, fixed_table, init_model, score_batch
-from ovml.synth import SynthConfig, build_world, sample
+from ovml.synth import SynthConfig, build_world, read_dataset, sample, write_dataset
 from ovml.training import TrainConfig, run_stage1, run_stage2
 from ovml.tensor_io import directory_digest, read_tensor, seal, write_tensor
 
@@ -338,6 +339,23 @@ def test_train_with_k_above_the_patch_count_keeps_the_earlier_run(workspace, tmp
     cfg.write_text(tiny(out_dir=f"{tmp_path}/out", dataset_dir=f"{root}/out/dataset", k=10))
     assert main(["train", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == "config error: k=10 exceeds the world's 9 patches\n"
+    assert {stage: directory_digest(tmp_path / "out" / stage) for stage in before} == before
+    assert (tmp_path / "out" / "train_log.jsonl").read_bytes() == log
+
+
+def test_train_on_an_empty_train_split_keeps_the_earlier_run(workspace, tmp_path, capsys):
+    # refused as a config error before train() clears the output directory
+    root, _ = workspace
+    shutil.copytree(root / "out", tmp_path / "out", ignore=shutil.ignore_patterns("dataset"))
+    before = {stage: directory_digest(tmp_path / "out" / stage) for stage in ("stage1", "stage2")}
+    log = (tmp_path / "out" / "train_log.jsonl").read_bytes()
+    world = read_dataset(root / "out" / "dataset" / "train").world
+    for split, pool in (("train", world.split.seen), ("test", world.split.all_ids)):
+        write_dataset(tmp_path / "dataset" / split, sample(world, 0, pool, world.seed, stream=f"sample.{split}"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(tiny(out_dir=f"{tmp_path}/out", dataset_dir=f"{tmp_path}/dataset"))
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"config error: {tmp_path}/dataset/train holds no images to train on\n"
     assert {stage: directory_digest(tmp_path / "out" / stage) for stage in before} == before
     assert (tmp_path / "out" / "train_log.jsonl").read_bytes() == log
 
@@ -815,6 +833,23 @@ def test_label_table_that_is_no_matrix_exits_three(workspace, tmp_path, capsys, 
     _assert_commands_exit_three(("eval", "retrieve"), cfg, capsys, "table.z")
 
 
+@pytest.mark.parametrize("factor", [0.0, 2.0], ids=["table_zero_row", "table_row_doubled"])
+def test_label_table_row_off_unit_norm_exits_three(workspace, tmp_path, capsys, factor):
+    # a zero row has no nearest labels of its own: retrieve would list the query among its neighbours
+    root, _ = workspace
+    ck = tmp_path / "ck"
+    shutil.copytree(root / "out" / "stage2", ck)
+    _sealed(_tensor_edit("table.z.mkt1", lambda z: np.vstack([factor * z[:1], z[1:]])))(ck)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY + f"out_dir={tmp_path}/out\ndataset_dir={root}/out/dataset\ncheckpoint={ck}\n")
+    for command in ("eval", "retrieve"):
+        assert main([command, "--config", str(cfg)]) == 3, command
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation") and err.count("\n") == 1, (command, err)
+        assert f"table.z row of label 0 has norm {factor:g}, not 1" in err, (command, err)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "retrieve"])
 def test_checkpoint_that_is_no_directory_is_config_error(workspace, tmp_path, capsys, command):
     root, _ = workspace
@@ -878,6 +913,17 @@ def test_flipped_exponent_bit_in_a_weight_exits_three(workspace, tmp_path, capsy
     cfg = tmp_path / "run.cfg"
     cfg.write_text(TINY + f"out_dir={tmp_path}/out\ndataset_dir={root}/out/dataset\ncheckpoint={ck}\n")
     _assert_commands_exit_three(("eval", "retrieve"), cfg, capsys, path.name)
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["all_ok", "one_failure"])
+def test_gradcheck_exit_code_follows_the_suite(monkeypatch, capsys, fail):
+    results = [CheckResult("matmul", 3, 1e-9, True), CheckResult("gelu", 3, 0.5 if fail else 1e-9, not fail)]
+    monkeypatch.setattr(cli, "run_suite", lambda: results)
+    assert main(["gradcheck"]) == (2 if fail else 0)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [r.line() for r in results]
+    assert lines[1].startswith("FAIL" if fail else "ok  ")
+    assert lines[2:] == ["gradient suite: FAILURES present" if fail else "gradient suite: all checks passed"]
 
 
 def test_quickstart_script_runs_end_to_end(tmp_path):

@@ -119,7 +119,7 @@ def test_build_label_table_rows_follow_split_order():
     from ovml.text_encoder import text_surrogate_encode
 
     for row, lid in enumerate(table.label_ids):
-        want = text_surrogate_encode(prompt.context, tower.token_rows([lid]), tower)
+        want = text_surrogate_encode(prompt, tower.token_rows([lid]), tower)
         np.testing.assert_array_equal(table.z.data[row], want.data[0])
     assert table.label_ids.index(2) == 2
     with pytest.raises(UnknownLabel):

@@ -202,7 +202,7 @@ def test_stage2_moves_only_the_prompt(world, dataset):
         for name, t in {**model.vit.named("vit"), **model.streams.named("heads")}.items()
     }
     surrogate_before = {n: t.data.copy() for n, t in model.surrogate.named().items()}
-    prompt_before = model.prompt.context.data.copy()
+    prompt_before = model.prompt.data.copy()
 
     start, end = run_stage2(model, dataset, QUICK, seed=7, log=silent)
 
@@ -210,7 +210,7 @@ def test_stage2_moves_only_the_prompt(world, dataset):
         np.testing.assert_array_equal(arr, model.named_params()[name].data)
     for name, arr in surrogate_before.items():
         np.testing.assert_array_equal(arr, model.surrogate.named()[name].data)
-    assert not np.array_equal(prompt_before, model.prompt.context.data)
+    assert not np.array_equal(prompt_before, model.prompt.data)
     assert end <= start  # tuning must not hurt the training objective
     assert start > 0.0
 

@@ -41,9 +41,9 @@ def test_world_regeneration_is_bit_identical():
     b = small_world(3)
     np.testing.assert_array_equal(a.z, b.z)
     np.testing.assert_array_equal(a.w_teacher, b.w_teacher)
+    np.testing.assert_array_equal(a.prototypes, b.prototypes)
     for lid in a.split.all_ids:
-        np.testing.assert_array_equal(a.tokens[lid], b.tokens[lid])
-        np.testing.assert_array_equal(a.prototypes[lid], b.prototypes[lid])
+        np.testing.assert_array_equal(a.surrogate.tokens[lid].data, b.surrogate.tokens[lid].data)
     assert a.split == b.split
 
     c = small_world(4)
@@ -145,7 +145,7 @@ def _per_image_sample(world, n_images, label_pool, seed, stream="sample"):
                 :,
                 r * cfg.patch_size:(r + 1) * cfg.patch_size,
                 c * cfg.patch_size:(c + 1) * cfg.patch_size,
-            ] = world.prototypes[int(lid)]
+            ] = world.prototypes[world.split.all_ids.index(int(lid))]
         if cfg.background == "noise":
             bg = rng.normal(0.0, cfg.sigma, img.shape)
             img = np.where(img == 0.0, bg, img)
@@ -190,7 +190,7 @@ def test_sample_matches_the_per_image_loop(d, config, n_images, seed, pool):
 
 def test_sample_keeps_negative_zero_pixels_at_sigma_zero():
     w = build_world(20, 0.8, 0, CLEAN)
-    w.prototypes[w.split.seen[0]][0, 0, 0] = -0.0
+    w.prototypes[w.split.all_ids.index(w.split.seen[0])][0, 0, 0] = -0.0
     images, _, _ = _per_image_sample(w, 50, w.split.seen, 0)
     assert np.signbit(images).any() and not images.all()
     assert sample(w, 50, w.split.seen, 0).images.tobytes() == images.tobytes()
@@ -241,8 +241,8 @@ def test_ground_truth_allocates_little_more_than_its_matrix():
 
 def test_prototypes_invert_the_teacher_map():
     w = small_world(1)
-    for row, lid in enumerate(w.split.all_ids):
-        flat = w.prototypes[lid].reshape(-1)
+    for row in range(w.n_labels):
+        flat = w.prototypes[row].reshape(-1)
         np.testing.assert_allclose(flat @ w.w_teacher, w.z[row], atol=1e-6)
 
 
@@ -257,12 +257,13 @@ def test_unseen_tokens_are_convex_combinations_of_seen_mates():
     w = small_world(2)
     for lid in w.split.unseen:
         mates = np.stack(
-            [w.tokens[s] for s in w.split.seen if w.categories[s] == w.categories[lid]]
+            [w.surrogate.tokens[s].data for s in w.split.seen if w.categories[s] == w.categories[lid]]
         )
+        token = w.surrogate.tokens[lid].data
         # solve for combination weights over the mates; must be a
         # two-mate convex mix within the jitter construction
-        coef, res, *_ = np.linalg.lstsq(mates.T, w.tokens[lid], rcond=None)
-        np.testing.assert_allclose(mates.T @ coef, w.tokens[lid], atol=1e-9)
+        coef, res, *_ = np.linalg.lstsq(mates.T, token, rcond=None)
+        np.testing.assert_allclose(mates.T @ coef, token, atol=1e-9)
         assert coef.sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -296,6 +297,7 @@ class TestSampling:
         ds = sample(w, 30, w.split.all_ids, seed=1)
         p = w.config.patch_size
         grid = w.config.image_size // p
+        row = {lid: r for r, lid in enumerate(w.split.all_ids)}
         for i in range(len(ds)):
             seen_labels = set()
             for r in range(grid):
@@ -306,7 +308,7 @@ class TestSampling:
                     matches = [
                         lid
                         for lid in ds.positives[i]
-                        if np.allclose(patch, w.prototypes[lid], atol=1e-9)
+                        if np.allclose(patch, w.prototypes[row[lid]], atol=1e-9)
                     ]
                     assert len(matches) == 1, "patch is not a planted prototype"
                     seen_labels.add(matches[0])
@@ -324,7 +326,7 @@ class TestSampling:
                 for c in range(grid):
                     patch = ds.images[i][:, r * p:(r + 1) * p, c * p:(c + 1) * p]
                     for lid in ds.positives[i]:
-                        if np.allclose(patch, w.prototypes[lid], atol=1e-9):
+                        if np.allclose(patch, w.prototypes[row[lid]], atol=1e-9):
                             contribution += w.z[row[lid]]
                             break
             np.testing.assert_allclose(

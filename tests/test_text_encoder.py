@@ -20,8 +20,8 @@ def test_encode_is_deterministic_across_rebuilds():
     a = make_tower()
     b = make_tower()
     ctx = init_prompt(substream(1, "ctx"), 4, 8)
-    ea = text_surrogate_encode(ctx.context, a.token_rows([0]), a)
-    eb = text_surrogate_encode(ctx.context, b.token_rows([0]), b)
+    ea = text_surrogate_encode(ctx, a.token_rows([0]), a)
+    eb = text_surrogate_encode(ctx, b.token_rows([0]), b)
     np.testing.assert_array_equal(ea.data, eb.data)
 
 
@@ -29,7 +29,7 @@ def test_embeddings_are_unit_norm():
     tower = make_tower()
     ctx = init_prompt(substream(2, "ctx"), 4, 8)
     for lid in tower.tokens:
-        emb = text_surrogate_encode(ctx.context, tower.token_rows([lid]), tower)
+        emb = text_surrogate_encode(ctx, tower.token_rows([lid]), tower)
         assert np.linalg.norm(emb.data) == pytest.approx(1.0, abs=1e-12)
         assert emb.shape == (1, 4)
 
@@ -37,8 +37,8 @@ def test_embeddings_are_unit_norm():
 def test_distinct_tokens_give_distinct_embeddings():
     tower = make_tower()
     ctx = init_prompt(substream(2, "ctx"), 4, 8)
-    e0 = text_surrogate_encode(ctx.context, tower.token_rows([0]), tower)
-    e1 = text_surrogate_encode(ctx.context, tower.token_rows([1]), tower)
+    e0 = text_surrogate_encode(ctx, tower.token_rows([0]), tower)
+    e1 = text_surrogate_encode(ctx, tower.token_rows([1]), tower)
     assert not np.allclose(e0.data, e1.data)
 
 
@@ -46,19 +46,19 @@ def test_context_changes_the_embedding():
     tower = make_tower()
     c1 = init_prompt(substream(3, "c1"), 4, 8)
     c2 = init_prompt(substream(4, "c2"), 4, 8)
-    e1 = text_surrogate_encode(c1.context, tower.token_rows([0]), tower)
-    e2 = text_surrogate_encode(c2.context, tower.token_rows([0]), tower)
+    e1 = text_surrogate_encode(c1, tower.token_rows([0]), tower)
+    e2 = text_surrogate_encode(c2, tower.token_rows([0]), tower)
     assert not np.allclose(e1.data, e2.data)
 
 
 def test_gradients_reach_only_the_context():
     tower = make_tower()
     ctx = init_prompt(substream(5, "ctx"), 4, 8, trainable=True)
-    emb = text_surrogate_encode(ctx.context, tower.token_rows([0]), tower)
+    emb = text_surrogate_encode(ctx, tower.token_rows([0]), tower)
     ad.backward(ad.mean_all(emb))
 
-    assert ctx.context.grad is not None
-    assert np.abs(ctx.context.grad).max() > 0
+    assert ctx.grad is not None
+    assert np.abs(ctx.grad).max() > 0
     for name, t in tower.named().items():
         assert not t.requires_grad, name
         assert t.grad is None, name
