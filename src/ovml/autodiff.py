@@ -4,20 +4,19 @@ The op set is deliberately closed: the operations the pipeline composes
 (matrix product, linear layer, additions, scaling, concat/row
 slice/transpose/reshape, row softmax, multi-head self-attention, layer
 norm, GELU, top-k mean pooling, L2 row normalization, pairwise hinge, L1
-distance, mean). There is no broadcasting engine. Seven of them,
-`add_rowvec`, `transpose`, `softmax_rows`, `self_attention`,
-`layer_norm`, `topk_mean` and `topk_mean_cols`, are called only by
-`gradcheck` and the tests: the pipeline reaches their kernels through the
-fused nodes below. They stay because the benchmark tracer's `LAYERS`
-table names them, until an in-program profiler replaces that table
-(ROADMAP items 4 and 10).
+distance, mean). There is no broadcasting engine. Six of them,
+`add_rowvec`, `transpose`, `softmax_rows`, `layer_norm`, `topk_mean` and
+`topk_mean_cols`, are called only by `gradcheck` and the tests: the
+pipeline reaches their kernels through the fused nodes below. They stay
+because the benchmark tracer's `LAYERS` table names them, until an
+in-program profiler replaces that table (ROADMAP items 4 and 10).
 
 A minibatch is one graph: images (or labels) are stacked row-wise, and
 the ops that must not mix them (attention, top-k pooling, the per-block
 row slice) work within fixed-size groups of consecutive rows. Each takes
 its group explicitly; a single sequence is the one group of all its rows.
 
-`linear`, `self_attention`, the ViT token embedding in `vit.vit_forward`,
+`linear`, `vit.msa`, the ViT token embedding in `vit.vit_forward`,
 `vit.encoder_block` and `heads.score` are fused: one node each, doing the
 arithmetic of the subgraph it stands for in the same order, so results
 are bit-identical to it. They run the ops' array kernels (`_gemm`,
@@ -311,15 +310,19 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 
 def _attention(x: np.ndarray, wq: Sequence[Tensor], wk: Sequence[Tensor], wv: Sequence[Tensor], group: int):
-    """`self_attention` on an array x: the output, and a vjp giving x's and the weights' gradients."""
+    """Multi-head self-attention of an array x within each block of `group`
+    rows, softmax(q k^T / sqrt(d_h)) v per head side by side, and a vjp giving
+    x's and the weights' gradients. x's gradient sums head H-1's v, k, q terms
+    first, then head H-2's, and so on: the order of the per-head graph.
+    """
     heads = len(wq)
     if x.ndim != 2 or heads < 1 or len(wk) != heads or len(wv) != heads:
-        raise ShapeMismatch(f"self_attention over {x.shape} with {len(wq)}/{len(wk)}/{len(wv)} head weights")
+        raise ShapeMismatch(f"attention over {x.shape} with {len(wq)}/{len(wk)}/{len(wv)} head weights")
     n, width = x.shape
     d_h = wq[0].shape[-1]
     weights = (*wq, *wk, *wv)
     if any(w.shape != (width, d_h) for w in weights):
-        raise ShapeMismatch(f"self_attention head weights {[w.shape for w in weights]} for input {x.shape}")
+        raise ShapeMismatch(f"attention head weights {[w.shape for w in weights]} for input {x.shape}")
     m = len(_blocks(x, group))
     c = 1.0 / np.sqrt(d_h)
     # one gemm against every weight side by side; each column block is the
@@ -354,22 +357,6 @@ def _attention(x: np.ndarray, wq: Sequence[Tensor], wk: Sequence[Tensor], wv: Se
 
     # heads side by side in each row: the column-wise concat of their outputs
     return (p @ v).transpose(1, 2, 0, 3).reshape(n, heads * d_h), vjp
-
-
-def self_attention(x: Tensor, wq: Sequence[Tensor], wk: Sequence[Tensor], wv: Sequence[Tensor], group: int) -> Tensor:
-    """Multi-head scaled dot-product self-attention within each block of
-    `group` consecutive rows: block-diagonal attention over a row-stacked
-    batch of equal-length sequences.
-
-    Head h computes softmax(q k^T / sqrt(d_h)) v from q = x @ wq[h],
-    k = x @ wk[h], v = x @ wv[h]; the heads' outputs are concatenated
-    column-wise. One gemm computes every head's q, k and v, and one more
-    every weight's gradient, the same bits as one gemm per weight; x's
-    gradient sums head H-1's v, k, q terms first, then head H-2's, and so
-    on: the order a backward through the per-head graph uses.
-    """
-    out, vjp = _attention(x.data, wq, wk, wv, group)
-    return _result(out, (x, *wq, *wk, *wv), vjp)
 
 
 LAYER_NORM_EPS = 1e-5

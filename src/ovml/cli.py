@@ -98,13 +98,16 @@ def _evaluate(
 ) -> dict[str, MetricsReport]:
     """Score the test split once and report each task mode at its K values.
     A task with no label on any test image is a config error: seen_fraction
-    left it no labels, or n_test too few images.
+    left it no labels, or n_test too few images. So is a K above the task's
+    label count. Both are refused before anything is scored.
     """
-    for mode in k_lists:
+    for mode, ks in k_lists.items():
         ids = set(task_labels(test.world.split, mode))
         if not any(ids.intersection(positives) for positives in test.positives):
             key = f"n_test={len(test)}" if ids else f"seen_fraction={test.world.seen_fraction}"
             raise ConfigError(f"{key} leaves no {mode} label on any test image to score")
+        if ks and max(ks) > len(ids):
+            raise ConfigError(f"k_list={max(ks)} exceeds the {len(ids)} {mode} labels")
     scores = score_batch(model, test.images, table)
     gt = test.ground_truth(table.label_ids)
     return {mode: evaluate(scores, gt, test.world.split, mode, ks) for mode, ks in k_lists.items()}
@@ -154,7 +157,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     points = cfg.sweep_points()
     k_eval = cfg.k_list[0]
     if k_eval > (n_labels := min(point.n_labels for _, point in points)):
-        raise ConfigError(f"K={k_eval} exceeds the {n_labels} labels GZSL ranks")
+        raise ConfigError(f"k_list={k_eval} exceeds the {n_labels} GZSL labels")
     out_dir = Path(cfg.out_dir)
     columns = ["untrained_zsl_map", "zsl_map", "gzsl_map", f"gzsl_f1@{k_eval}"]
     show = lambda values: " ".join(f"{c} {v:.4f}" for c, v in zip(columns, values))

@@ -9,7 +9,7 @@ The token embedding (patch projection, class row, position table) and
 each `encoder_block` are one fused graph node: they run autodiff's array
 kernels (gemm, layer norm, attention, linear, GELU) and record no
 intermediate tensor, bit-identical to the composition of those ops. `msa`
-stays the separate attention sublayer that gradcheck verifies.
+is the block's attention sublayer, `_msa`, as its own node.
 
 A batch of B images runs as one graph: the B token sequences are
 stacked row-wise, (B * (1 + N)) x D, and attention stays within each
@@ -24,10 +24,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeMismatch, Tensor
-
-
-class BadPatchSize(ValueError):
-    pass
 
 
 @dataclass
@@ -58,7 +54,7 @@ def patchify(image: np.ndarray, patch_size: int) -> PatchSequence:
         raise ShapeMismatch(f"expected (C, H, W) image or (B, C, H, W) batch, got shape {image.shape}")
     b, c, h, w = image.reshape((-1,) + image.shape[-3:]).shape
     if patch_size < 1 or h % patch_size or w % patch_size:
-        raise BadPatchSize(f"patch size {patch_size} does not tile {h}x{w}")
+        raise ShapeMismatch(f"patch size {patch_size} does not tile {h}x{w}")
     gh, gw = h // patch_size, w // patch_size
     grid = image.reshape(b, c, gh, patch_size, gw, patch_size).transpose(0, 2, 4, 1, 3, 5)
     return PatchSequence(ad.tensor(grid.reshape(b * gh * gw, -1)), images=b)
@@ -178,12 +174,24 @@ def init_vit(
     )
 
 
+def _msa(x: np.ndarray, block: BlockParams, group: int):
+    """`msa` on an array x: the output, and a vjp giving x's, the head weights' and wo's gradients."""
+    att, att_vjp = ad._attention(x, block.wq, block.wk, block.wv, group)
+    ad._check_product("msa", att, block.wo.data)
+
+    def vjp(g):
+        gatt, gwo = ad._product_vjp(att, block.wo, g, need_a=True)
+        return *att_vjp(gatt), gwo
+
+    return ad._gemm(att, block.wo.data), vjp
+
+
 def msa(x: Tensor, block: BlockParams, group: int) -> Tensor:
     """Multi-head self-attention within each block of `group` rows:
-    scaled dot-product per head, concat, project.
+    scaled dot-product per head, concat, project, as one node.
     """
-    merged = ad.self_attention(x, block.wq, block.wk, block.wv, group)
-    return ad.matmul(merged, block.wo)
+    out, vjp = _msa(x.data, block, group)
+    return ad._result(out, (x, *block.wq, *block.wk, *block.wv, block.wo), vjp)
 
 
 def encoder_block(x: Tensor, block: BlockParams, group: int) -> Tensor:
@@ -191,20 +199,20 @@ def encoder_block(x: Tensor, block: BlockParams, group: int) -> Tensor:
     `group` rows: y = x + msa(layer_norm(x)), then y + mlp(layer_norm(y)),
     where mlp is linear, gelu, linear.
 
-    It runs autodiff's kernels of those ops, and its vjp does the nine-op
-    composition's arithmetic in the same order, so results are bit-identical
-    to it: the residual's gradient comes first in each sum at x and y, every
-    product goes through the kernels' gemm, and a weight gets a gradient only
-    when it requires one. The attention logits and the output are checked
-    finite, so an overflow anywhere in the block raises NonFinite here.
+    It runs `_msa` and the kernels of the other ops, and its vjp does the
+    eight-op composition's arithmetic in the same order, so results are
+    bit-identical to it: the residual's gradient comes first in each sum at
+    x and y, every product goes through the kernels' gemm, and a weight gets
+    a gradient only when it requires one. The attention logits and the
+    output are checked finite, so an overflow anywhere in the block raises
+    NonFinite here.
     """
     b = block
     if x.data.ndim != 2 or b.wo.shape[-1] != x.shape[1] or b.mlp_w2.shape[-1] != x.shape[1]:
         raise ShapeMismatch(f"encoder block over {x.shape} with wo {b.wo.shape} and mlp_w2 {b.mlp_w2.shape}")
     h1, ln1_vjp = ad._layer_norm(x.data, b.ln1_gain, b.ln1_bias)
-    att, att_vjp = ad._attention(h1, b.wq, b.wk, b.wv, group)
-    ad._check_product("encoder_block", att, b.wo.data)
-    y = x.data + ad._gemm(att, b.wo.data)
+    att, msa_vjp = _msa(h1, b, group)
+    y = x.data + att
     h2, ln2_vjp = ad._layer_norm(y, b.ln2_gain, b.ln2_bias)
     u, mlp1_vjp = ad._linear(h2, b.mlp_w1, b.mlp_b1, need_x=True)
     a, gelu_vjp = ad._gelu(u)
@@ -215,8 +223,7 @@ def encoder_block(x: Tensor, block: BlockParams, group: int) -> Tensor:
         gh2, gw1, gb1 = mlp1_vjp(gelu_vjp(ga))
         gy_ln, g_gain2, g_bias2 = ln2_vjp(gh2)
         gy = g + gy_ln
-        gatt, gwo = ad._product_vjp(att, b.wo, gy, need_a=True)
-        gh1, *g_heads = att_vjp(gatt)
+        gh1, *g_heads, gwo = msa_vjp(gy)
         gx_ln, g_gain1, g_bias1 = ln1_vjp(gh1)
         gx = gy + gx_ln if x.requires_grad else None
         return gx, *g_heads, gwo, gw1, gb1, gw2, gb2, g_gain1, g_bias1, g_gain2, g_bias2

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovml import autodiff as ad
+from ovml import vit
 from ovml.autodiff import (
     DoubleBackward,
     KOutOfRange,
@@ -73,15 +74,17 @@ def test_nonfinite_rejected_at_the_op_that_overflows():
             ad.add(big, big)
 
 
-@pytest.mark.parametrize("target", ["logits", "values"])
-def test_nonfinite_rejected_by_the_attention_op(target):
+@pytest.mark.parametrize("target, message", [("logits", "logits"), ("values", "tensor holds")])
+def test_nonfinite_rejected_by_the_attention_op(target, message):
     # an overflowing q/k product trips the logits check, an overflowing v the output check
     x = ad.tensor(np.full((4, 2), 1e200), requires_grad=True)
-    small, big = ad.tensor(np.full((2, 2), 0.5)), ad.tensor(np.full((2, 2), 1e200))
-    wqk, wv = (big, small) if target == "logits" else (small, big)
+    block = vit.init_block(substream(0, "test.autodiff.attention"), width=2, heads=1)
+    small, big = np.full((2, 2), 1e-300), np.full((2, 2), 1e200)
+    qk, v = (big, small) if target == "logits" else (small, big)
+    block.wq[0].data, block.wk[0].data, block.wv[0].data = qk, qk, v
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFinite):
-            ad.self_attention(x, [wqk], [wqk], [wv], group=2)
+        with pytest.raises(NonFinite, match=message):
+            vit.msa(x, block, group=2)
 
 
 @pytest.mark.parametrize("rows", [1, 4])

@@ -4,7 +4,9 @@ Every command runs in-process through main(argv) so the asserted return
 values are exactly the process exit codes.
 """
 
+import importlib
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ovml
 from ovml import cli
 from ovml.cli import main
 from ovml.config import (
@@ -622,6 +625,23 @@ def test_eval_of_a_split_that_cannot_be_scored_is_config_error(tmp_path, capsys,
     assert not list((tmp_path / "out").glob("report_*"))
 
 
+def test_eval_with_a_k_above_the_task_labels_is_config_error_before_scoring(workspace, tmp_path, monkeypatch, capsys):
+    # TINY's 12 labels at seen_fraction 0.75 leave ZSL 3 labels to rank
+    root, _ = workspace
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(tiny(
+        out_dir=f"{tmp_path}/out", dataset_dir=f"{root}/out/dataset", checkpoint=f"{root}/out/stage2", k_list="1,5"
+    ))
+
+    def never(*_):
+        raise AssertionError("scored a split whose k_list cannot be evaluated")
+
+    monkeypatch.setattr(cli, "score_batch", never)
+    assert main(["eval", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "config error: k_list=5 exceeds the 3 ZSL labels\n"
+    assert not (tmp_path / "out").exists()
+
+
 # seed 1 can score its one test image and seed 0 cannot, so no seed may train first
 @pytest.mark.parametrize(
     "settings", [{"seen_fraction": 1.0}, {"n_test": 1, "sweep_seeds": "1 0"}], ids=["no_unseen", "one_image"]
@@ -924,6 +944,61 @@ def test_gradcheck_exit_code_follows_the_suite(monkeypatch, capsys, fail):
     assert lines[:2] == [r.line() for r in results]
     assert lines[1].startswith("FAIL" if fail else "ok  ")
     assert lines[2:] == ["gradient suite: FAILURES present" if fail else "gradient suite: all checks passed"]
+
+
+def _ovml_exceptions() -> dict[str, type]:
+    """Every exception class an ovml module defines, by name; warnings aside.
+    `__main__` is skipped: importing it runs the CLI.
+    """
+    found = {}
+    for info in pkgutil.iter_modules(ovml.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"ovml.{info.name}")
+        for name, obj in vars(module).items():
+            if (isinstance(obj, type) and issubclass(obj, BaseException) and not issubclass(obj, Warning)
+                    and obj.__module__ == module.__name__):
+                found[name] = obj
+    return found
+
+
+EXIT_CODES = {
+    **dict.fromkeys(
+        ["ConfigError", "PoolTooSmall", "InfeasibleConstraint", "KOutOfRange", "TopNOutOfRange", "UnknownLabel"], 1
+    ),
+    **dict.fromkeys(["NonFinite", "NonFiniteLoss", "NotScalar"], 2),
+    **dict.fromkeys(
+        ["ShapeMismatch", "BadTensorFile", "BadManifest", "BadCheckpoint", "DatasetCorrupt", "FrozenViolation",
+         "NoPositives", "EmptyTaskVocabulary"],
+        3,
+    ),
+}
+PREFIXES = {1: "config error", 2: "numerical failure", 3: "invariant violation"}
+# exceptions no command lets reach main, each with the reason
+NEVER_REACH_MAIN = {
+    "BadKeyValues": "parse_config_text, _read_checkpoint and read_dataset convert it to ConfigError, "
+    "BadCheckpoint and DatasetCorrupt; RunConfig's read-back check catches it",
+    "MissingGrad": "guards AdamW against a step without gradients, which no command takes",
+    "DoubleBackward": "guards backward against a second call on one graph, which no command makes",
+}
+
+
+def test_every_exception_class_is_placed():
+    # a new exception class must get an exit code, or a reason it never reaches main
+    assert set(_ovml_exceptions()) == set(EXIT_CODES) | set(NEVER_REACH_MAIN)
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_exception_exits_with_its_code_and_one_line(monkeypatch, capsys, name):
+    error = _ovml_exceptions()[name]("a fault")
+
+    def fail(_):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "gradcheck", fail)
+    code = EXIT_CODES[name]
+    assert main(["gradcheck"]) == code
+    assert capsys.readouterr().err == f"{PREFIXES[code]}: {error}\n"
 
 
 def test_quickstart_script_runs_end_to_end(tmp_path):

@@ -11,7 +11,7 @@ from ovml.autodiff import ShapeMismatch
 from ovml.model import ModelConfig
 from ovml.seeds import substream
 from ovml.synth import SynthConfig
-from ovml.vit import BadPatchSize, PatchSequence, init_vit, msa, patchify, vit_forward
+from ovml.vit import PatchSequence, init_vit, msa, patchify, vit_forward
 
 
 def test_patchify_raster_order_hand_case():
@@ -38,7 +38,7 @@ def test_patchify_channels_are_flattened_channel_major():
 def test_patchify_rejects_non_tiling_sizes():
     img = np.zeros((1, 4, 4))
     for p in (0, 3, 5):
-        with pytest.raises(BadPatchSize):
+        with pytest.raises(ShapeMismatch, match="does not tile"):
             patchify(img, p)
     with pytest.raises(ShapeMismatch):
         patchify(np.zeros((4, 4)), 2)
@@ -163,7 +163,7 @@ def test_msa_equals_per_head_composition_bit_for_bit(heads, rows, group, trainab
 
 
 def _composed_block(x, block, group):
-    """The encoder block as the nine-op graph it replaced: the reference the
+    """The encoder block as the eight-op graph it replaced: the reference the
     fused op must match bit for bit.
     """
     y = ad.add(x, msa(ad.layer_norm(x, block.ln1_gain, block.ln1_bias), block, group))
@@ -225,7 +225,7 @@ def test_overflowing_attention_logits_raise_nonfinite_from_the_block():
     x = ad.tensor(rng.normal(0, 1.0, (6, 8)))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ad.NonFinite, match="logits") as excinfo:
         vit.encoder_block(x, block, group=3)
-    assert _raise_site(excinfo)[-2:] == ["encoder_block", "_attention"]
+    assert _raise_site(excinfo)[-3:] == ["encoder_block", "_msa", "_attention"]
 
 
 @pytest.mark.parametrize("first", [1, 3])
