@@ -1,0 +1,121 @@
+"""Alternating A/B pairs of the ovml benchmark between two checkouts.
+
+    python3 scripts/ab_pairs.py --base ../ovml-parent --workload gradcheck --pairs 10 --seconds 30
+
+Each pair runs `perfbench/run.py` once in the base checkout and once in
+the checkout that holds this script, each with its own copy of the
+benchmark, on the same seed. The side that runs first alternates from
+pair to pair, so a drift in the host's speed falls on both sides alike. Pair i uses seed
+`--seed + i`. The last line of each run is its JSON result. At the end it
+prints, for every end-to-end metric of BENCHMARK.json, the median and
+quartiles of each side, the change of the median, and in how many pairs
+the head was better (by the metric's `better` direction).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+HEAD = Path(__file__).resolve().parent.parent
+
+
+def parse_result(stdout: str) -> dict:
+    """The JSON object on the last non-empty line of a benchmark run's output."""
+    lines = [line for line in stdout.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError("benchmark run printed nothing")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile), numpy's default linear method."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[dict]:
+    """One row per end-to-end metric over (base, head) result pairs.
+
+    Each result is a parsed run (`parse_result`). A row holds the metric's
+    name, both sides' quartiles, the head's median change relative to the
+    base's, and `wins`: the pairs whose head value is strictly better.
+    """
+    rows = []
+    for metric in end_to_end:
+        name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
+        base = [b["metrics"][name]["value"] for b, _ in pairs]
+        head = [h["metrics"][name]["value"] for _, h in pairs]
+        b_q, h_q = quartiles(base), quartiles(head)
+        rows.append({
+            "name": name,
+            "base": b_q,
+            "head": h_q,
+            "change": h_q[1] / b_q[1] - 1.0 if b_q[1] else float("nan"),
+            "wins": sum(sign * (h - b) > 0 for b, h in zip(base, head)),
+            "pairs": len(pairs),
+        })
+    return rows
+
+
+def failures(pairs: list[tuple[dict, dict]]) -> tuple[int, int]:
+    """Failed operations over all runs: (base, head)."""
+    return sum(b["failed"] for b, _ in pairs), sum(h["failed"] for _, h in pairs)
+
+
+def format_rows(workload: str, rows: list[dict]) -> str:
+    out = [f"{workload}: median [q1 - q3], base -> head, head better in"]
+    for r in rows:
+        (b1, b2, b3), (h1, h2, h3) = r["base"], r["head"]
+        out.append(
+            f"  {r['name']:<12s} {b2:.6g} [{b1:.6g} - {b3:.6g}] -> {h2:.6g} [{h1:.6g} - {h3:.6g}]"
+            f"  {100 * r['change']:+.1f}%  {r['wins']}/{r['pairs']}"
+        )
+    return "\n".join(out)
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    return parse_result(done.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--base", type=Path, required=True, help="the checkout to compare against")
+    parser.add_argument("--workload", action="append", help="repeatable; default: every workload of BENCHMARK.json")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    bench = json.loads((HEAD / "BENCHMARK.json").read_text())
+    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    for workload in workloads:
+        pairs = []
+        for i in range(args.pairs):
+            sides = {}
+            order = ("base", "head") if i % 2 == 0 else ("head", "base")
+            for side in order:
+                checkout = args.base if side == "base" else HEAD
+                sides[side] = run_once(checkout, workload, args.seed + i, args.seconds)
+            pairs.append((sides["base"], sides["head"]))
+            items = [sides[s]["metrics"]["items_per_s"]["value"] for s in ("base", "head")]
+            print(f"{workload} pair {i + 1}/{args.pairs}: items_per_s {items[0]:.6g} -> {items[1]:.6g}",
+                  file=sys.stderr, flush=True)
+        print(format_rows(workload, summarize(pairs, bench["end_to_end"])))
+        base_failed, head_failed = failures(pairs)
+        print(f"  failed operations: base {base_failed}, head {head_failed}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,7 +25,11 @@ are bit-identical to it. They run the ops' array kernels (`_gemm`,
 `topk_mean_cols`.
 
 Every tensor is verified finite at construction, so a NaN/Inf produced
-anywhere surfaces immediately instead of propagating.
+anywhere surfaces immediately instead of propagating. The test is
+`_all_finite`: one `logical_and` reduction over `np.isfinite`, the
+ufunc call that `.all()` makes without its Python wrapper. It never sums
+the values, so it cannot overflow and raises no warning. The attention
+logits, `heads.score`'s similarities and AdamW's update use it too.
 
 Paths that never call `backward` (scoring, table snapshots, cached
 embeddings) run under `no_grad()`: ops compute the same data but record
@@ -71,6 +75,13 @@ class MissingGrad(RuntimeError):
 _ids = itertools.count()
 
 
+def _all_finite(a) -> np.bool_:
+    """Whether every entry of a is finite (True for an empty array):
+    what np.isfinite(a).all() computes, without its Python wrapper.
+    """
+    return np.logical_and.reduce(np.isfinite(a), axis=None)
+
+
 class Tensor:
     """A dense float64 array with an optional gradient slot.
 
@@ -83,7 +94,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _vjp=None):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
+        if not _all_finite(arr):
             raise NonFinite("tensor holds NaN/Inf values")
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -202,11 +213,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def _linear(x: np.ndarray, w: Tensor, b: Tensor, need_x: bool):
     """`linear` on an array x: the output, and a vjp giving x's (if `need_x`), w's and b's gradients."""
     _check_product("linear", x, w.data)
-    if b.data.ndim != 1 or b.shape[0] != w.shape[1]:
+    if b.data.ndim != 1 or b.data.shape[0] != w.data.shape[1]:
         raise ShapeMismatch(f"linear bias {b.shape} for output width {w.shape[1]}")
 
     def vjp(g):
-        return (*_product_vjp(x, w, g, need_x), g.sum(axis=0) if b.requires_grad else None)
+        return (*_product_vjp(x, w, g, need_x), np.add.reduce(g, axis=0) if b.requires_grad else None)
 
     return _gemm(x, w.data) + b.data, vjp
 
@@ -227,7 +238,7 @@ def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
     """Add a length-n vector to every row of an m-by-n matrix."""
     if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"add_rowvec shapes: {x.shape} + {b.shape}")
-    return _result(x.data + b.data, (x, b), lambda g: (g, g.sum(axis=0)))
+    return _result(x.data + b.data, (x, b), lambda g: (g, np.add.reduce(g, axis=0)))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -294,11 +305,11 @@ def _last_axis_max(a: np.ndarray) -> np.ndarray:
 def _softmax(a: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, with the max subtracted first."""
     e = np.exp(a - _last_axis_max(a))
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def _softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+    return p * (g - np.add.reduce(g * p, axis=-1, keepdims=True))
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -321,10 +332,10 @@ def _attention(x: np.ndarray, wq: Sequence[Tensor], wk: Sequence[Tensor], wv: Se
     n, width = x.shape
     d_h = wq[0].shape[-1]
     weights = (*wq, *wk, *wv)
-    if any(w.shape != (width, d_h) for w in weights):
+    if any(w.data.shape != (width, d_h) for w in weights):
         raise ShapeMismatch(f"attention head weights {[w.shape for w in weights]} for input {x.shape}")
     m = len(_blocks(x, group))
-    c = 1.0 / np.sqrt(d_h)
+    c = 1.0 / math.sqrt(d_h)
     # one gemm against every weight side by side; each column block is the
     # same bits as its own product. Rearranged to (heads, m, group, d_h)
     # each: every head's sequences stacked; the matrix products below still
@@ -334,7 +345,7 @@ def _attention(x: np.ndarray, wq: Sequence[Tensor], wk: Sequence[Tensor], wv: Se
         3, heads, m, group, d_h
     )
     logits = (q @ k.swapaxes(2, 3)) * c
-    if not np.isfinite(logits).all():
+    if not _all_finite(logits):
         raise NonFinite("attention logits hold NaN/Inf values")
     p = _softmax(logits)
 
@@ -378,7 +389,11 @@ def _layer_norm(x: np.ndarray, gain: Tensor, bias: Tensor):
     def vjp(g):
         dxhat = g * gain.data
         dx = inv * (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat))
-        return dx, (g * xhat).sum(axis=0) if gain.requires_grad else None, g.sum(axis=0) if bias.requires_grad else None
+        return (
+            dx,
+            np.add.reduce(g * xhat, axis=0) if gain.requires_grad else None,
+            np.add.reduce(g, axis=0) if bias.requires_grad else None,
+        )
 
     return xhat * gain.data + bias.data, vjp
 
@@ -437,7 +452,8 @@ def _topk_mean_cols(a: np.ndarray, k: int, group: int):
         np.put_along_axis(out, idx, g.reshape(m, 1, d) / k, axis=1)
         return out.reshape(a.shape)
 
-    return top.mean(axis=1), vjp
+    # what top.mean(axis=1) computes, without its Python wrapper
+    return np.add.reduce(top, axis=1) / k, vjp
 
 
 def topk_mean_cols(x: Tensor, k: int, group: int) -> Tensor:
@@ -479,12 +495,13 @@ def l1_distance(a: Tensor, b: Tensor) -> Tensor:
     """
     if a.data.ndim != 2 or a.shape != b.shape:
         raise ShapeMismatch(f"l1_distance needs two equal-shape matrices, got {a.shape} and {b.shape}")
-    s = np.sign(a.data - b.data)
+    d = a.data - b.data
 
     def vjp(g):
+        s = np.sign(d)
         return g[:, None] * s, -g[:, None] * s
 
-    return _result(np.abs(a.data - b.data).sum(axis=1), (a, b), vjp)
+    return _result(np.add.reduce(np.abs(d), axis=1), (a, b), vjp)
 
 
 def pairwise_hinge(scores: Tensor, pos: np.ndarray, neg: np.ndarray) -> Tensor:
@@ -507,9 +524,9 @@ def pairwise_hinge(scores: Tensor, pos: np.ndarray, neg: np.ndarray) -> Tensor:
     active = pos[:, :, None] & neg[:, None, :] & (margins > 0.0)
 
     def vjp(g):
-        return (g[:, None] * (active.sum(axis=1) - active.sum(axis=2)),)
+        return (g[:, None] * (np.add.reduce(active, axis=1) - np.add.reduce(active, axis=2)),)
 
-    return _result(np.where(active, margins, 0.0).sum(axis=(1, 2)), (scores,), vjp)
+    return _result(np.add.reduce(np.where(active, margins, 0.0), axis=(1, 2)), (scores,), vjp)
 
 
 # ----------------------------------------------------------------------
@@ -536,8 +553,8 @@ def finite_difference_check(build: Callable[[], Tensor], leaves: Sequence[Tensor
         for leaf in leaves:
             analytic = np.zeros_like(leaf.data) if leaf.grad is None else leaf.grad
             flat = leaf.data.reshape(-1)
-            for i in range(flat.size):
-                x0 = flat[i]
+            # Python floats: the same IEEE arithmetic as numpy scalars, without their overhead
+            for i, (x0, a) in enumerate(zip(flat.tolist(), analytic.reshape(-1).tolist())):
                 h = 1e-6 * max(1.0, abs(x0))
                 flat[i] = x0 + h
                 up = build().item()
@@ -545,7 +562,6 @@ def finite_difference_check(build: Callable[[], Tensor], leaves: Sequence[Tensor
                 down = build().item()
                 flat[i] = x0
                 numeric = (up - down) / (2 * h)
-                a = analytic.reshape(-1)[i]
                 err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
                 if err > worst:
                     worst = err

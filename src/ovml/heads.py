@@ -94,7 +94,7 @@ def score(emb: EmbeddingPair, labels: LabelEmbeddingTable, k: int, heads: str = 
         ad._check_product("score", e_patch.data, z_t)
         sims = ad._gemm(e_patch.data, z_t)
         # top-k pooling could drop a -inf, so the (B * N) x d similarities are checked here
-        if not np.isfinite(sims).all():
+        if not ad._all_finite(sims):
             raise NonFinite("patch-label similarities hold NaN/Inf values")
         local, topk_vjp = ad._topk_mean_cols(sims, k, group=n)  # B x d
         out = local if glob is None else glob + local

@@ -30,8 +30,9 @@ def ranking_loss(scores: Tensor, positive: np.ndarray) -> Tensor:
     """
     # logical_not, not ~, so that any non-bool mask reaches the hinge's check
     per_image = ad.pairwise_hinge(scores, positive, np.logical_not(positive))
-    n_pos = np.count_nonzero(positive, axis=1)
-    if np.any((n_pos == 0) | (n_pos == scores.shape[1])):
+    # the hinge has checked that the mask is boolean: reduce it with the ufuncs directly
+    n_pos = np.add.reduce(positive, axis=1)
+    if np.logical_or.reduce((n_pos == 0) | (n_pos == scores.shape[1]), axis=None):
         warnings.warn("image has no positive/negative pair", DegenerateImageWarning, stacklevel=2)
     return batch_mean(per_image)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import MissingGrad, NonFinite, Tensor
+from .autodiff import MissingGrad, NonFinite, Tensor, _all_finite
 
 BETA1 = 0.9  # first-moment decay
 BETA2 = 0.999  # second-moment decay
@@ -62,7 +62,7 @@ class AdamW:
         update = (m / c1) / (np.sqrt(v / c2) + EPS)
         w = self._w
         new = w - self.lr * update - self.lr * self.weight_decay * w
-        if not np.isfinite(new).all():
+        if not _all_finite(new):
             raise NonFinite("the AdamW update makes a weight NaN/Inf")
         w[...] = new
         self._m, self._v, self.step_count = m, v, t

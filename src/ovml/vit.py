@@ -266,7 +266,7 @@ def vit_forward(seq: PatchSequence, params: VitParams) -> BackboneOutput:
         g_patches, g_proj = ad._product_vjp(patches.data, proj, g[:, width:].reshape(b * n, width), patches.requires_grad)
         # a product with ones, not a column sum: the two round differently
         g_cls = np.ones((b, 1)).T @ g[:, :width] if cls.requires_grad else None
-        return g_patches, g_proj, g_cls, g.sum(axis=0).reshape(1 + n, width) if pos.requires_grad else None
+        return g_patches, g_proj, g_cls, np.add.reduce(g, axis=0).reshape(1 + n, width) if pos.requires_grad else None
 
     x = ad._result(tokens.reshape(b * (1 + n), width), (patches, proj, cls, pos), vjp)
     for block in params.blocks:
