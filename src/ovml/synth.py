@@ -75,6 +75,8 @@ class SynthConfig:
         check_at_least(self, 0.0, "sigma", "token_jitter")
         if self.patch_size < 1 or self.image_size % self.patch_size:
             raise ValueError(f"patch {self.patch_size} does not tile {self.image_size}")
+        if self.max_labels > self.n_patches:  # every positive needs a cell of its own
+            raise ValueError(f"max_labels={self.max_labels} exceeds the world's {self.n_patches} patches")
         check_heads(self.token_width, self.surrogate_heads, "token_width", "surrogate_heads")
         if self.background not in _BACKGROUNDS:
             raise ValueError(f"background must be one of {_BACKGROUNDS}")
@@ -219,6 +221,36 @@ class Dataset:
 _BLOCK = 256
 
 
+def _choice_bounds(n: int, k: int) -> list[int]:
+    """The inclusive upper bounds of the draws `Generator.choice(n, k,
+    replace=False)` makes, in its order: Floyd's j = n-k .. n-1, then the
+    Fisher-Yates shuffle's i = k-1 .. 1 over the k picks. For n > 10000 and
+    k > n // 50 numpy instead shuffles the tail of range(n): i = n-1 down to
+    max(n-k, 1). A bound of 0 draws nothing."""
+    if n > 10000 and k > n // 50:
+        return list(range(n - 1, max(n - k, 1) - 1, -1))
+    return [*range(n - k, n), *range(k - 1, 0, -1)]
+
+
+def _choice_picks(n: int, k: int, draws) -> list[int]:
+    """The k picks `Generator.choice(n, k, replace=False)` makes, from an
+    iterator over the draws `_choice_bounds(n, k)` bounds; consumes just those."""
+    # zip takes from its range first, so it stops without taking a draw too many
+    if n > 10000 and k > n // 50:
+        moved = {}  # position -> value, for the positions the tail shuffle swapped
+        for i, j in zip(range(n - 1, max(n - k, 1) - 1, -1), draws):
+            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+        return [moved.get(i, i) for i in range(n - k, n)]
+    picks, taken = [], set()
+    for j, v in zip(range(n - k, n), draws):  # Floyd: a value already picked gives j
+        v = j if v in taken else v
+        taken.add(v)
+        picks.append(v)
+    for i, j in zip(range(k - 1, 0, -1), draws):
+        picks[i], picks[j] = picks[j], picks[i]
+    return picks
+
+
 def sample(
     world: SynthWorld,
     n_images: int,
@@ -236,9 +268,13 @@ def sample(
 
     Each image makes its draws in a fixed order: the number of positives,
     the positives, their anchor cells, the other cells, then the `noise`
-    background and the sigma noise. Pixels and teacher rows are assembled
-    in bulk, one block of `_BLOCK` images at a time, with the same bits
-    that assembling each image on its own gives.
+    background and the sigma noise. The positives and anchors are the
+    picks of `Generator.choice(..., replace=False)` and the other cells
+    uniform over the positives plus background; one bounded `integers`
+    call per image makes all of those draws, in that order, and
+    `_choice_picks` turns them into picks as `choice` does. Pixels and
+    teacher rows are assembled in bulk, one block of `_BLOCK` images at a
+    time, with the same bits that assembling each image on its own gives.
     """
     cfg = world.config
     pool = tuple(label_pool)
@@ -255,6 +291,13 @@ def sample(
     rows = {lid: row for row, lid in enumerate(world.split.all_ids)}
     background = len(rows)
     table = np.concatenate([world.prototypes, np.zeros((1, cfg.channels, p, p))])
+    # per positive count, the bounds of an image's draws: its positives, anchor cells and other cells
+    bounds = {
+        n_pos: np.concatenate(
+            [_choice_bounds(len(pool), n_pos), _choice_bounds(n_cells, n_pos), np.full(n_cells - n_pos, n_pos)]
+        )
+        for n_pos in range(1, cfg.max_labels + 1)
+    }
     images = np.zeros((n_images,) + shape)
     teacher = np.zeros((n_images, cfg.embed_dim))
     positives: list[tuple[int, ...]] = []
@@ -264,13 +307,14 @@ def sample(
         bg = np.empty((hi - lo,) + shape) if cfg.background == "noise" else None
         for i in range(lo, hi):
             n_pos = int(rng.integers(1, cfg.max_labels + 1))
-            pos = tuple(sorted(int(pool[j]) for j in rng.choice(len(pool), n_pos, replace=False)))
+            draws = iter(rng.integers(0, bounds[n_pos], endpoint=True).tolist())
+            pos = tuple(sorted(int(pool[j]) for j in _choice_picks(len(pool), n_pos, draws)))
             cells = [background] * n_cells
-            for cell, lid in zip(rng.choice(n_cells, n_pos, replace=False).tolist(), pos):
+            for cell, lid in zip(_choice_picks(n_cells, n_pos, draws), pos):
                 cells[cell] = rows[lid]
             rest = [cell for cell, row in enumerate(cells) if row == background]
             choices = [rows[lid] for lid in pos] + [background]
-            for cell, k in zip(rest, rng.integers(0, len(choices), len(rest)).tolist()):
+            for cell, k in zip(rest, draws):
                 cells[cell] = choices[k]
             layout.append(cells)
             if bg is not None:
@@ -352,7 +396,7 @@ def write_dataset(directory: str | Path, dataset: Dataset) -> str:
         write_tensor(staging / _IMAGES, dataset.images)
         write_tensor(staging / _TEACHER, dataset.teacher)
         (staging / _POSITIVES).write_text(
-            "".join(" ".join(str(lid) for lid in pos) + "\n" for pos in dataset.positives)
+            "".join(" ".join(map(str, pos)) + "\n" for pos in dataset.positives)
         )
         head = {"seed": world.seed, "n_labels": world.n_labels, "seen_fraction": world.seen_fraction}
         (staging / _WORLD_CONFIG).write_text(key_values_text({**head, **asdict(world.config)}))
@@ -383,7 +427,7 @@ def read_dataset(directory: str | Path) -> Dataset:
         images = read_tensor(directory / _IMAGES)
         teacher = read_tensor(directory / _TEACHER)
         positives = [
-            tuple(int(x) for x in line.split())
+            tuple(map(int, line.split()))
             for line in (directory / _POSITIVES).read_text().splitlines()
         ]
         c = world.config

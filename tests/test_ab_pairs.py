@@ -66,3 +66,49 @@ def test_one_pair_summarizes_without_quartile_spread():
     items, p50 = ab_pairs.summarize(pairs, END_TO_END)
     assert items["base"] == (100.0, 100.0, 100.0) and items["wins"] == 0
     assert p50["change"] == 0.0 and p50["wins"] == 0
+
+
+PER_LAYER = [
+    {"name": "synth.sample.calls", "unit": "count", "better": "lower"},
+    {"name": "synth.sample.self_s", "unit": "s", "better": "lower"},
+    {"name": "trace.overhead.items_per_s", "unit": "1/s", "better": "higher"},
+]
+
+
+def _traced_output(sample_s: float, overhead: float) -> str:
+    """What `perfbench/run.py --trace 1` prints: its last line holds per-layer metrics only."""
+    last = {
+        "correct": True,
+        "attempted": 10,
+        "failed": 0,
+        "metrics": {
+            "synth.sample.calls": {"value": 2, "unit": "count"},
+            "synth.sample.self_s": {"value": sample_s, "unit": "s"},
+            "trace.overhead.items_per_s": {"value": overhead, "unit": "1/s"},
+        },
+    }
+    report = {"workload": "eval-wide", "end_to_end": {"items_per_s": {"value": 20000.0, "unit": "1/s"}}}
+    return json.dumps(report, indent=1) + "\n" + json.dumps(last) + "\n"
+
+
+def test_layer_mode_summarizes_traced_runs_in_each_metrics_direction():
+    metrics = ab_pairs.select_layers(["synth.sample.self_s", "trace.overhead.items_per_s"], PER_LAYER)
+    assert [m["name"] for m in metrics] == ["synth.sample.self_s", "trace.overhead.items_per_s"]
+    runs = [((0.070, -500.0), (0.046, -450.0)), ((0.068, -400.0), (0.047, -600.0)), ((0.072, -450.0), (0.075, -300.0))]
+    pairs = [(ab_pairs.parse_result(_traced_output(*b)), ab_pairs.parse_result(_traced_output(*h))) for b, h in runs]
+
+    # the progress line reads the traced metrics; a trace run has no items_per_s to print
+    assert ab_pairs.progress("eval-wide", 1, 3, *pairs[0], metrics) == (
+        "eval-wide pair 1/3: synth.sample.self_s 0.07 -> 0.046, trace.overhead.items_per_s -500 -> -450"
+    )
+    sample_s, overhead = ab_pairs.summarize(pairs, metrics)
+    assert sample_s["base"][1] == 0.070 and sample_s["head"][1] == 0.047
+    assert sample_s["wins"] == 2  # lower is better: 0.072 -> 0.075 loses
+    assert overhead["wins"] == 2  # higher is better: -400 -> -600 loses
+    line = ab_pairs.format_rows("eval-wide", [sample_s, overhead]).splitlines()[1]
+    assert line.split()[0] == "synth.sample.self_s" and line.split()[-1] == "2/3"
+
+
+def test_an_unknown_layer_is_refused_by_name():
+    with pytest.raises(ValueError, match=r"^synth\.sampel\.self_s is not a per-layer metric of BENCHMARK\.json$"):
+        ab_pairs.select_layers(["synth.sample.calls", "synth.sampel.self_s"], PER_LAYER)

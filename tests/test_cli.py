@@ -553,6 +553,7 @@ def test_value_out_of_its_range_is_config_error_naming_the_key(tmp_path, capsys,
         ("train", "background=plaid"),
         ("sweep", "sweep_axis=k"),  # TINY sweeps over 0.0 and 1.0, which are not integers
         ("gen", "max_labels=0"),
+        ("gen", "max_labels=10"),  # the 12-pixel image has 9 patches
         ("gen", "n_categories=0"),
         ("gen", "embed_dim=0"),
         ("gen", "prompt_length=0"),
@@ -569,6 +570,7 @@ def test_value_out_of_its_range_is_config_error_naming_the_key(tmp_path, capsys,
         ("sweep", "sweep_axis=k;sweep_values=2 1.5"),
         ("sweep", "sweep_axis=k;sweep_values=0"),
         ("sweep", "sweep_axis=k;sweep_values=3 17"),  # a 12-pixel image has 9 patches
+        ("sweep", "sweep_axis=max_labels;sweep_values=3 10"),
         ("sweep", "sweep_axis=head_mode;sweep_values=both wide"),
         # a sweep varies one world, sample, model or training key; `lambda` was the old name of lambda_distill
         ("sweep", "sweep_axis=out_dir"),

@@ -19,6 +19,8 @@ from ovml.synth import (
     InfeasibleConstraint,
     PoolTooSmall,
     SynthConfig,
+    _choice_bounds,
+    _choice_picks,
     _pick_split,
     build_world,
     oracle_scores,
@@ -172,15 +174,19 @@ def _per_image_sample(world, n_images, label_pool, seed, stream="sample"):
         (20, SynthConfig(image_size=4, patch_size=4, max_labels=1), 40, 0, "seen"),  # one cell
         (12, SynthConfig(image_size=4, patch_size=1, embed_dim=1), 40, 0, "seen"),  # one-pixel patches
         *((20, SynthConfig(), n, 1, "seen") for n in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1)),
+        (20, SynthConfig(image_size=8, patch_size=4, max_labels=4), 300, 2, "seen"),  # 4 positives fill 4 cells
+        (20, SynthConfig(), 300, 2, 3),  # a pool of max_labels: Floyd's first bound is 0
     ],
     ids=[
         "80x2000", "20x600", "20x600-seed3", "noise", "noise-3ch", "sigma0", "sigma0-noise", "3ch-16px-5labels",
         "24px-6px-3000", "one-cell", "one-pixel-patches", "n0", "n1", "block-1", "block", "block+1",
+        "all-cells-anchored", "pool-of-max-labels",
     ],
 )
 def test_sample_matches_the_per_image_loop(d, config, n_images, seed, pool):
+    """`pool` is "all", "seen" or the number of seen labels it takes."""
     w = build_world(d, 0.8, seed, config)
-    pool = w.split.all_ids if pool == "all" else w.split.seen
+    pool = w.split.all_ids if pool == "all" else w.split.seen if pool == "seen" else w.split.seen[:pool]
     images, teacher, positives = _per_image_sample(w, n_images, pool, seed, "test")
     ds = sample(w, n_images, pool, seed, "test")
     assert ds.images.tobytes() == images.tobytes()
@@ -196,17 +202,49 @@ def test_sample_keeps_negative_zero_pixels_at_sigma_zero():
     assert sample(w, 50, w.split.seen, 0).images.tobytes() == images.tobytes()
 
 
-@pytest.mark.parametrize(
-    "config",
-    [SynthConfig(image_size=4, patch_size=4, max_labels=3), SynthConfig(sigma=1e308)],
-    ids=["more-labels-than-cells", "overflowing-noise"],
-)
+@pytest.mark.parametrize("config", [SynthConfig(sigma=1e308)], ids=["overflowing-noise"])
 def test_sample_fails_as_the_per_image_loop_does(config):
     w = build_world(20, 0.8, 0, config)
     with pytest.raises(Exception) as want:
         _per_image_sample(w, 50, w.split.seen, 0)
     with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
         sample(w, 50, w.split.seen, 0)
+
+
+def test_config_refuses_more_labels_than_cells():
+    # every positive needs an anchor cell of its own
+    with pytest.raises(ValueError, match=r"^max_labels=3 exceeds the world's 1 patches$"):
+        SynthConfig(image_size=4, patch_size=4, max_labels=3)
+    assert SynthConfig(image_size=4, patch_size=2, max_labels=4).n_patches == 4
+
+
+def _assert_choice_picks_match_numpy(n, k, seed):
+    ours, numpy = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (ours, numpy):
+        rng.integers(0, 7)  # leaves half of a 64-bit word buffered for the next 32-bit draw
+    draws = iter(ours.integers(0, np.array(_choice_bounds(n, k), dtype=np.int64), endpoint=True).tolist())
+    assert _choice_picks(n, k, draws) == numpy.choice(n, k, replace=False).tolist(), (n, k, seed)
+    assert next(draws, None) is None  # every draw is used
+    # both streams stand at the same place: the buffered half, then whole words
+    assert ours.integers(0, 9, 3).tolist() == numpy.integers(0, 9, 3).tolist(), (n, k, seed)
+    assert ours.random(2).tolist() == numpy.random(2).tolist(), (n, k, seed)
+
+
+def test_choice_picks_match_numpy_choice_on_small_populations():
+    # `sample` reproduces choice(replace=False) from one integers call: this pins
+    # the draw order it relies on, Floyd's algorithm then a Fisher-Yates shuffle
+    for n in range(1, 31):
+        for k in range(1, n + 1):
+            for seed in range(4):
+                _assert_choice_picks_match_numpy(n, k, seed)
+
+
+@pytest.mark.parametrize("n", [10001, 20000])
+def test_choice_picks_match_numpy_choice_around_the_tail_shuffle(n):
+    # above 10000 numpy shuffles the tail of range(n) once k exceeds n // 50
+    for k in (1, n // 50 - 1, n // 50, n // 50 + 1, n // 50 + 2, n - 1, n):
+        for seed in range(3):
+            _assert_choice_picks_match_numpy(n, k, seed)
 
 
 def test_ground_truth_matches_the_per_image_loop():
