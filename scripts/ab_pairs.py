@@ -10,7 +10,11 @@ pair to pair, so a drift in the host's speed falls on both sides alike. Pair i u
 `--seed + i`. The last line of each run is its JSON result. At the end it
 prints, for every end-to-end metric of BENCHMARK.json, the median and
 quartiles of each side, the change of the median, and in how many pairs
-the head was better (by the metric's `better` direction).
+the head was better (by the metric's `better` direction), and the usable
+CPU count each side's runs saw (`environment.cpus_usable` in the report
+above the last line). A workload whose runs saw different CPU counts ends
+the script with exit code 1: a gain from running on more CPUs means
+nothing without its count.
 
 With `--layer NAME` (repeatable) every run is traced (`--trace 1`), whose
 last line holds the per-layer metrics instead, and the summary covers the
@@ -35,6 +39,20 @@ def parse_result(stdout: str) -> dict:
     if not lines:
         raise ValueError("benchmark run printed nothing")
     return json.loads(lines[-1])
+
+
+def parse_report(stdout: str) -> dict:
+    """The readable report above a benchmark run's last line: one JSON object."""
+    lines = [line for line in stdout.splitlines() if line.strip()]
+    return json.loads("\n".join(lines[:-1]))
+
+
+def cpus_line(cpus: dict[str, list[int]]) -> str:
+    """Each side's usable CPU counts: `  cpus_usable: base 2, head 2`, or
+    `base 1/2` when that side's runs saw different counts.
+    """
+    shown = {side: "/".join(map(str, sorted(set(counts)))) for side, counts in cpus.items()}
+    return f"  cpus_usable: base {shown['base']}, head {shown['head']}"
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -102,11 +120,11 @@ def select_layers(names: list[str], per_layer: list[dict]) -> list[dict]:
     return [known[name] for name in names]
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: bool) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: bool) -> str:
+    """One benchmark run's standard output."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(int(trace))]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    return parse_result(done.stdout)
+    return subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
 
 
 def main(argv=None) -> int:
@@ -130,18 +148,25 @@ def main(argv=None) -> int:
         parser.error(str(e))
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     for workload in workloads:
-        pairs = []
+        pairs, cpus = [], {"base": [], "head": []}
         for i in range(args.pairs):
             sides = {}
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for side in order:
                 checkout = args.base if side == "base" else HEAD
-                sides[side] = run_once(checkout, workload, args.seed + i, args.seconds, bool(args.layer))
+                out = run_once(checkout, workload, args.seed + i, args.seconds, bool(args.layer))
+                sides[side] = parse_result(out)
+                cpus[side].append(parse_report(out)["environment"]["cpus_usable"])
             pairs.append((sides["base"], sides["head"]))
             print(progress(workload, i + 1, args.pairs, *pairs[-1], metrics), file=sys.stderr, flush=True)
         print(format_rows(workload, summarize(pairs, metrics)))
         base_failed, head_failed = failures(pairs)
         print(f"  failed operations: base {base_failed}, head {head_failed}")
+        print(cpus_line(cpus))
+        if len({*cpus["base"], *cpus["head"]}) > 1:
+            print(f"ab_pairs: {workload} runs saw different usable CPU counts; their times do not compare",
+                  file=sys.stderr)
+            return 1
     return 0
 
 

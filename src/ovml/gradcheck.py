@@ -6,10 +6,20 @@ gradients at relative tolerance `autodiff.GRAD_REL_TOL` (1e-4).
 Instance generators steer clear of subgradient kinks (hinge margins at
 zero, top-k boundary ties, L1 ties); the exact-zero subgradient
 convention at those points is pinned by unit tests instead.
+
+`run_suite` runs the checks in forked workers, one per usable CPU (the
+process's affinity mask, at most one per check). Each check draws only
+from its own `gradcheck.<name>` substream, so every row is the same, bit
+for bit and in `CHECKS` order, as a run of one check after another. On
+one usable CPU, or where `os.fork` is missing, the checks run one after
+another in-process. A check that raises in a worker raises the same
+exception in the caller, chained to the worker's formatted traceback.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -361,18 +371,97 @@ CHECKS = [
 ]
 
 
+def _run_check(name: str, maker, instances: int, seed: int) -> CheckResult:
+    rng = substream(seed, f"gradcheck.{name}")
+    worst, ok = 0.0, True
+    for _ in range(instances):
+        build, leaves = maker(rng)
+        try:
+            worst = max(worst, finite_difference_check(build, leaves))
+        except AssertionError:
+            ok = False
+            worst = np.inf
+            break
+    return CheckResult(name=name, instances=instances, worst=worst, ok=ok)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_suite(instances: int = 20, seed: int = 0) -> list[CheckResult]:
-    results = []
-    for name, maker in CHECKS:
-        rng = substream(seed, f"gradcheck.{name}")
-        worst, ok = 0.0, True
-        for _ in range(instances):
-            build, leaves = maker(rng)
+    """One row per check, in `CHECKS` order. A maker's exception propagates:
+    that of the first failing check in `CHECKS` order, as in a serial run,
+    with a worker's traceback as its cause.
+    """
+    workers = min(_usable_cpus(), len(CHECKS)) if hasattr(os, "fork") else 1
+    if workers == 1:
+        return [_run_check(name, maker, instances, seed) for name, maker in CHECKS]
+    outcomes = _run_forked(workers, instances, seed)
+    rows = []
+    for i, (name, _) in enumerate(CHECKS):
+        if i not in outcomes:
+            raise RuntimeError(f"gradient suite worker stopped before reporting check {name}")
+        if isinstance(outcomes[i], tuple):
+            error, text = outcomes[i]
+            # the unpickled copy has no frames; the worker's text shows them
+            raise error from RuntimeError(f"in a gradient suite worker:\n{text}")
+        rows.append(outcomes[i])
+    return rows
+
+
+def _run_forked(workers: int, instances: int, seed: int) -> dict:
+    """Each check's row, or its exception and formatted traceback, by its
+    index in `CHECKS`, from `workers` forked children. They take indices
+    from one pipe, costliest first (`stage1_loss` is about half a suite),
+    and each sends back its outcomes through a pipe of its own. The parent
+    runs no check itself, and reaps every child before it returns or raises.
+    """
+    tasks, feed = os.pipe()
+    os.write(feed, bytes(reversed(range(len(CHECKS)))))  # one byte per index; later checks cost more
+    os.close(feed)
+    children = {}  # pid -> read end of its outcome pipe
+    try:
+        for _ in range(workers):
+            out_r, out_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(tasks, out_w, instances, seed)
+            os.close(out_w)
+            children[pid] = open(out_r, "rb")
+        outcomes = {}
+        for out in children.values():
+            if sent := out.read():  # nothing from a worker that died
+                outcomes.update(pickle.loads(sent))
+        return outcomes
+    finally:
+        while os.read(tasks, 256):  # on an error no worker starts another check
+            pass
+        os.close(tasks)
+        for pid, out in children.items():
+            out.close()
+            os.waitpid(pid, 0)
+
+
+def _worker(tasks: int, out_w: int, instances: int, seed: int) -> None:
+    """A forked child's whole life. It leaves only through `os._exit`, so it
+    never returns into its caller or flushes the buffers it inherited.
+    """
+    code = 1
+    try:
+        outcomes = {}
+        while task := os.read(tasks, 1):
+            name, maker = CHECKS[task[0]]
             try:
-                worst = max(worst, finite_difference_check(build, leaves))
-            except AssertionError:
-                ok = False
-                worst = np.inf
-                break
-        results.append(CheckResult(name=name, instances=instances, worst=worst, ok=ok))
-    return results
+                outcomes[task[0]] = _run_check(name, maker, instances, seed)
+            except Exception as e:
+                import traceback  # only a worker formats one; the parent does not load it
+
+                outcomes[task[0]] = (e, traceback.format_exc())
+        with open(out_w, "wb") as out:
+            pickle.dump(outcomes, out)
+        code = 0
+    finally:
+        os._exit(code)

@@ -1,4 +1,4 @@
-"""scripts/ab_pairs.py's parsing and summary, on canned benchmark output."""
+"""scripts/ab_pairs.py's parsing, summary and CPU-count check, on canned benchmark output."""
 
 import importlib.util
 import json
@@ -17,15 +17,16 @@ END_TO_END = [
 ]
 
 
-def _run_output(items: float, p50: float, failed: int = 0) -> str:
+def _run_output(items: float, p50: float, failed: int = 0, cpus: int = 2, metrics: dict | None = None) -> str:
     """What perfbench/run.py prints: a readable report, then one JSON line."""
     last = {
         "correct": failed == 0,
         "attempted": 10,
         "failed": failed,
-        "metrics": {"items_per_s": {"value": items, "unit": "1/s"}, "step_ms.p50": {"value": p50, "unit": "ms"}},
+        "metrics": metrics or {"items_per_s": {"value": items, "unit": "1/s"}, "step_ms.p50": {"value": p50, "unit": "ms"}},
     }
-    return json.dumps({"workload": "gradcheck", "units": 3}, indent=1) + "\n" + json.dumps(last) + "\n\n"
+    report = {"workload": "gradcheck", "units": 3, "environment": {"seed": 0, "cpus_usable": cpus}}
+    return json.dumps(report, indent=1) + "\n" + json.dumps(last) + "\n\n"
 
 
 def test_parse_result_reads_the_last_json_line():
@@ -112,3 +113,40 @@ def test_layer_mode_summarizes_traced_runs_in_each_metrics_direction():
 def test_an_unknown_layer_is_refused_by_name():
     with pytest.raises(ValueError, match=r"^synth\.sampel\.self_s is not a per-layer metric of BENCHMARK\.json$"):
         ab_pairs.select_layers(["synth.sample.calls", "synth.sampel.self_s"], PER_LAYER)
+
+
+def test_parse_report_reads_the_json_above_the_result_line():
+    assert ab_pairs.parse_report(_run_output(111.5, 8.25, cpus=1))["environment"]["cpus_usable"] == 1
+    assert ab_pairs.cpus_line({"base": [2, 2], "head": [2, 2]}) == "  cpus_usable: base 2, head 2"
+    assert ab_pairs.cpus_line({"base": [2, 1, 2], "head": [2, 2, 2]}) == "  cpus_usable: base 1/2, head 2"
+
+
+def _fake_runs(monkeypatch, cpus_of):
+    """Replace the benchmark runs: every end-to-end metric of BENCHMARK.json
+    reads 1.0, and a run sees `cpus_of(side, seed)` usable CPUs."""
+    bench = json.loads((ab_pairs.HEAD / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in bench["end_to_end"]}
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        side = "head" if checkout == ab_pairs.HEAD else "base"
+        return _run_output(0.0, 0.0, cpus=cpus_of(side, seed), metrics=metrics)
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+
+
+def test_runs_on_one_cpu_count_print_it_per_side(monkeypatch, capsys, tmp_path):
+    _fake_runs(monkeypatch, lambda side, seed: 2)
+    assert ab_pairs.main(["--base", str(tmp_path), "--workload", "gradcheck", "--pairs", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "  cpus_usable: base 2, head 2"
+    assert "usable CPU counts" not in err
+
+
+def test_runs_on_different_cpu_counts_exit_one_with_one_line(monkeypatch, capsys, tmp_path):
+    _fake_runs(monkeypatch, lambda side, seed: 1 if side == "head" and seed == 1 else 2)
+    assert ab_pairs.main(["--base", str(tmp_path), "--workload", "gradcheck", "--workload", "eval-wide",
+                          "--pairs", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "  cpus_usable: base 2, head 1/2"  # the summary still prints
+    assert "eval-wide" not in out + err  # the next workload never runs
+    assert err.splitlines()[-1] == "ab_pairs: gradcheck runs saw different usable CPU counts; their times do not compare"

@@ -28,7 +28,7 @@ from ovml.config import (
     resolved_text,
     write_resolved,
 )
-from ovml.gradcheck import CheckResult
+from ovml.gradcheck import CHECKS, CheckResult
 from ovml.metrics import evaluate
 from ovml.model import ModelConfig, fixed_table, init_model, score_batch
 from ovml.synth import SynthConfig, build_world, read_dataset, sample, write_dataset
@@ -946,6 +946,21 @@ def test_gradcheck_exit_code_follows_the_suite(monkeypatch, capsys, fail):
     assert lines[:2] == [r.line() for r in results]
     assert lines[1].startswith("FAIL" if fail else "ok  ")
     assert lines[2:] == ["gradient suite: FAILURES present" if fail else "gradient suite: all checks passed"]
+
+
+def test_gradcheck_prints_every_row_once_and_nothing_on_stderr(capfd, monkeypatch):
+    # A block-buffered stdout, as when piped, that holds unflushed text when
+    # the suite forks: its workers inherit the buffer and must not flush it.
+    with open(1, "w", closefd=False) as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        print("sentinel", end="")
+        assert main(["gradcheck"]) == 0
+    out, err = capfd.readouterr()
+    assert out.count("sentinel") == 1
+    lines = out.removeprefix("sentinel").splitlines()
+    assert [line.split()[:2] for line in lines[:-1]] == [["ok", name] for name, _ in CHECKS]
+    assert lines[-1] == "gradient suite: all checks passed"
+    assert err == ""
 
 
 def _ovml_exceptions() -> dict[str, type]:

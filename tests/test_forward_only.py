@@ -6,6 +6,7 @@ a wrong backward rule.
 """
 
 import inspect
+import os
 
 import numpy as np
 import pytest
@@ -79,6 +80,8 @@ def test_gradient_suite_reaches_every_op(monkeypatch):
     ops, called = _public_ops(), set()
     for name in ops:
         monkeypatch.setattr(ad, name, _recording(name, getattr(ad, name), called))
+    # one usable CPU runs the suite in-process; forked workers' calls would not reach `called`
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert all(r.ok for r in run_suite(instances=1))
     assert called == ops
 
