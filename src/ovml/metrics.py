@@ -1,4 +1,5 @@
-"""Multi-label evaluation: per-class AP, mAP/WmAP, top-K P/R/F1 over a task vocabulary.
+"""Multi-label evaluation: `evaluate` reports per-class AP, mAP/WmAP and
+top-K P/R/F1 over a task vocabulary, against boolean ground truth.
 
 Every ranking is by descending score with ties to the lower original
 index, the order `np.argsort(-a, kind="stable")` gives, so every metric
@@ -34,7 +35,7 @@ class EmptyTaskVocabulary(ValueError):
 
 @dataclass
 class GroundTruthMatrix:
-    """Boolean relevance per image and label; column j is label `label_ids[j]`; other dtypes must be 0/1."""
+    """Boolean relevance per image and label; column j is label `label_ids[j]`."""
 
     y: np.ndarray  # B x d bool
     label_ids: tuple[int, ...]
@@ -43,9 +44,8 @@ class GroundTruthMatrix:
         self.y = np.asarray(self.y)
         if self.y.ndim != 2 or self.y.shape[1] != len(self.label_ids):
             raise ShapeMismatch(f"ground truth {self.y.shape} vs {len(self.label_ids)} labels")
-        if self.y.dtype != bool and not np.isin(self.y, (0, 1)).all():
-            raise ValueError("ground truth entries must be 0 or 1")
-        self.y = self.y.astype(bool, copy=False)
+        if self.y.dtype != bool:
+            raise ValueError(f"ground truth must be a boolean matrix, got dtype {self.y.dtype}")
 
 
 # columns ranked together by _column_aps; keeps each temporary at 16 x B
@@ -86,32 +86,11 @@ def _column_aps(scores: np.ndarray, y: np.ndarray) -> list[float | None]:
     return aps
 
 
-def average_precision(scores: np.ndarray, relevance: np.ndarray) -> float:
-    """AP for one class column: sum of precision-at-hit over the positives count.
-
-    Images are ranked by descending score, ties broken by original index.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    relevance = np.asarray(relevance)
-    if scores.shape != relevance.shape or scores.ndim != 1:
-        raise ShapeMismatch(f"column shapes {scores.shape} vs {relevance.shape}")
-    ap = _column_aps(scores[:, None], GroundTruthMatrix(y=relevance[:, None], label_ids=(0,)).y)[0]
-    if ap is None:
-        raise NoPositives("class has no positive images")
-    return ap
-
-
 def _per_class_ap(
     scores: np.ndarray, y: np.ndarray, label_ids: tuple[int, ...]
 ) -> tuple[list[float | None], list[int]]:
     aps = _column_aps(scores, y)
     return aps, [lid for lid, ap in zip(label_ids, aps) if ap is None]
-
-
-def per_class_ap(scores: ScoreMatrix, gt: GroundTruthMatrix) -> tuple[list[float | None], list[int]]:
-    """AP per column; None and a skip entry for columns without positives."""
-    _check_aligned(scores, gt)
-    return _per_class_ap(scores.scores, gt.y, scores.label_ids)
 
 
 def _mean_ap(aps: list[float | None], weights: np.ndarray | None = None) -> float:
@@ -124,11 +103,6 @@ def _mean_ap(aps: list[float | None], weights: np.ndarray | None = None) -> floa
         return float(vals.mean())
     w = weights[keep]
     return float((vals * w).sum() / w.sum())
-
-
-def mean_ap(scores: ScoreMatrix, gt: GroundTruthMatrix) -> float:
-    """Mean AP over the classes that have a positive."""
-    return _mean_ap(per_class_ap(scores, gt)[0])
 
 
 def _topk_masks(scores: np.ndarray, ks: tuple[int, ...]) -> dict[int, np.ndarray]:
@@ -166,13 +140,6 @@ def _prf(predicted: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def topk_prf(scores: ScoreMatrix, gt: GroundTruthMatrix, k: int) -> tuple[float, float, float]:
-    """Precision, recall and F1 at K predictions per image, from true-positive,
-    prediction and positive counts summed over all images and labels."""
-    _check_aligned(scores, gt)
-    return _prf(_topk_masks(scores.scores, (k,))[k], gt.y)
-
-
 def task_labels(split: LabelSplit, mode: str) -> tuple[int, ...]:
     """A task's vocabulary in split order: ZSL is the unseen labels, GZSL
     the seen then the unseen ones."""
@@ -191,14 +158,6 @@ def _task_columns(label_ids: tuple[int, ...], split: LabelSplit, mode: str) -> t
         return keep, [col[lid] for lid in keep]
     except KeyError as e:
         raise EmptyTaskVocabulary(f"label {e} absent from matrix") from None
-
-
-def _check_aligned(scores: ScoreMatrix, gt: GroundTruthMatrix) -> None:
-    if scores.scores.shape != gt.y.shape or scores.label_ids != gt.label_ids:
-        raise ShapeMismatch(
-            f"scores {scores.scores.shape}/{scores.label_ids[:3]}... vs "
-            f"gt {gt.y.shape}/{gt.label_ids[:3]}..."
-        )
 
 
 @dataclass

@@ -208,9 +208,13 @@ def _read_checkpoint(directory: str | Path):
             if not abs(norm - 1.0) <= 1e-9:  # build_label_table's rows are unit-norm
                 raise BadCheckpoint(f"table.z row of label {lid} has norm {norm:.6g}, not 1")
         categories = read_vocabulary(directory / _VOCAB)
+        listed = set()
         for lid in table.label_ids:
+            if lid in listed:  # one label in two rows: retrieve would report it twice and another never
+                raise BadCheckpoint(f"{_META} table_ids lists label {lid} twice")
             if lid not in categories:
                 raise BadCheckpoint(f"{_VOCAB} lacks table label {lid}")
+            listed.add(lid)
         return config, split, meta["patch_size"], tensors, table, categories
     except NotADirectoryError:
         raise  # a path that is not a directory is a usage problem, not corruption

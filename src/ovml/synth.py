@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import NonFinite
 from .heads import ScoreMatrix
 from .labels import LabelSplit, build_label_table, init_prompt, vocabulary_text
 from .metrics import GroundTruthMatrix
@@ -333,14 +332,7 @@ def sample(
             images[lo:hi] += clean  # noise + clean has the bits of clean + noise
         else:
             images[lo:hi] = clean
-        if not np.isfinite(images[lo:hi]).all():
-            raise NonFinite("tensor holds NaN/Inf values")  # what patchify gives a non-finite image
-        patches = (
-            images[lo:hi]
-            .reshape(hi - lo, cfg.channels, grid, p, grid, p)
-            .transpose(0, 2, 4, 1, 3, 5)
-            .reshape(hi - lo, n_cells, cfg.patch_len)
-        )
+        patches = patchify(images[lo:hi], p).patches.data.reshape(hi - lo, n_cells, cfg.patch_len)
         # one vector-matrix product per image: a single gemm would round differently
         teacher[lo:hi] = np.matmul(patches.mean(axis=1)[:, None, :], world.w_teacher)[:, 0]
     return Dataset(images=images, teacher=teacher, positives=positives, world=world)

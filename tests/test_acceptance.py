@@ -31,13 +31,13 @@ from ovml.config import parse_config
 from ovml.gradcheck import run_suite
 from ovml.heads import ScoreMatrix, score
 from ovml.labels import retrieval_accuracy
-from ovml.metrics import evaluate, mean_ap, per_class_ap, topk_prf
+from ovml.metrics import evaluate
 from ovml.model import fixed_table, load_model, load_table, score_batch
 from ovml.seeds import substream
 from ovml.tensor_io import load_checkpoint
 
 from test_heads import pair, table_of
-from test_metrics import brute_force_ap, brute_force_prf, mats
+from test_metrics import brute_force_ap, brute_force_prf, full_report, mats
 
 EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
 SWEEPS = ("distill", "heads")
@@ -115,11 +115,10 @@ def test_grid_protocol_is_pinned():
 
 
 def test_criterion_01_worked_example_ap_values():
-    s, g = mats()
-    per_class, skipped = per_class_ap(s, g)
-    assert skipped == []
-    assert [round(a, 3) for a in per_class] == [0.75, 0.75, 0.806, 0.639]
-    assert mean_ap(s, g) == pytest.approx(53 / 72, abs=1e-12)
+    report = full_report(*mats())  # `evaluate`, as `ovml eval` runs it, over an all-seen GZSL split
+    assert report.skipped_classes == []
+    assert [round(a, 3) for a in report.ap] == [0.75, 0.75, 0.806, 0.639]
+    assert report.map == pytest.approx(53 / 72, abs=1e-12)
 
 
 def test_criterion_02_gradient_suite_covers_all_ops_under_budget():
@@ -167,14 +166,12 @@ def test_criterion_04_metrics_match_brute_force_on_100_matrices():
         y = rng.integers(0, 2, (b, d))
         y[int(rng.integers(0, b))] = 1  # keep every class evaluable
         s, g = mats(scores, y, ids=range(d))
+        k = int(rng.integers(1, d + 1))
+        report = full_report(s, g, (k,))
 
         want_map = np.mean([brute_force_ap(scores[:, j], y[:, j]) for j in range(d)])
-        assert mean_ap(s, g) == pytest.approx(want_map, abs=1e-10)
-
-        k = int(rng.integers(1, d + 1))
-        np.testing.assert_allclose(
-            topk_prf(s, g, k), brute_force_prf(scores, y, k), atol=1e-10
-        )
+        assert report.map == pytest.approx(want_map, abs=1e-10)
+        np.testing.assert_allclose(report.prf_at_k[k], brute_force_prf(scores, y, k), atol=1e-10)
 
 
 def test_criterion_05_distillation_lifts_zsl_map(grid):

@@ -306,6 +306,15 @@ def test_divergent_training_exits_two(workspace, tmp_path, capsys, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_gen_whose_pixels_overflow_exits_two(tmp_path, capsys):
+    # a finite sigma whose noise overflows to inf: the teacher's patches refuse it, not the config check
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(tiny(out_dir=f"{tmp_path}/out", sigma="1e308"))
+    assert main(["gen", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "numerical failure: tensor holds NaN/Inf values\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_update_that_overflows_a_weight_stops_before_the_checkpoint(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(tiny(
@@ -841,6 +850,22 @@ def test_vocabulary_that_lists_a_label_twice_exits_three(workspace, tmp_path, ca
         err = capsys.readouterr().err
         message = f"vocab.tsv line {len(lines) + 1} lists label 0 twice"
         assert err.startswith("invariant violation") and err.count("\n") == 1 and message in err, (command, err)
+
+
+def test_table_that_lists_a_label_twice_exits_three(workspace, tmp_path, capsys):
+    # label 0 in the table's first two rows; retrieve would report it twice and label 1 never
+    root, _ = workspace
+    ck = tmp_path / "ck"
+    shutil.copytree(root / "out" / "stage2", ck)
+    _sealed(_text_edit("meta.txt", "\ntable_ids=0 1 ", "\ntable_ids=0 0 "))(ck)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY + f"out_dir={tmp_path}/out\ndataset_dir={root}/out/dataset\ncheckpoint={ck}\n")
+    for command in ("retrieve", "eval"):
+        assert main([command, "--config", str(cfg)]) == 3, command
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation") and err.count("\n") == 1, (command, err)
+        assert "meta.txt table_ids lists label 0 twice" in err, (command, err)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("change", [lambda z: z[:, 0], lambda z: z[:, :, None]], ids=["table_1d", "table_3d"])

@@ -23,11 +23,7 @@ from ovml.metrics import (
     GroundTruthMatrix,
     NoPositives,
     _descending_order,
-    average_precision,
     evaluate,
-    mean_ap,
-    per_class_ap,
-    topk_prf,
     write_report,
 )
 from ovml.synth import build_world, sample
@@ -53,28 +49,28 @@ WORKED_APS = [Fraction(3, 4), Fraction(3, 4), Fraction(29, 36), Fraction(23, 36)
 
 
 def mats(scores=WORKED_SCORES, truth=WORKED_TRUTH, ids=None):
+    """Score and ground-truth matrices from a score array and a 0/1 truth array."""
     ids = tuple(range(scores.shape[1])) if ids is None else tuple(ids)
-    return ScoreMatrix(scores=scores, label_ids=ids), GroundTruthMatrix(y=truth, label_ids=ids)
+    return ScoreMatrix(scores=scores, label_ids=ids), GroundTruthMatrix(y=np.asarray(truth) == 1, label_ids=ids)
 
 
 def full_report(s, g, k_list=(1,)):
-    """evaluate over every column, in column order."""
+    """evaluate over every column, in column order: GZSL over a split that holds every label as seen."""
     return evaluate(s, g, LabelSplit(seen=s.label_ids, unseen=()), "GZSL", k_list)
 
 
 class TestWorkedExample:
     def test_per_class_ap(self):
-        s, g = mats()
-        aps, skipped = per_class_ap(s, g)
-        assert skipped == []
+        report = full_report(*mats())
+        aps = report.ap
+        assert report.skipped_classes == []
         for got, want in zip(aps, WORKED_APS):
             assert got == pytest.approx(float(want), abs=1e-12)
         # the published three-decimal values
         assert [round(a, 3) for a in aps] == [0.75, 0.75, 0.806, 0.639]
 
     def test_mean_ap_is_53_over_72(self):
-        s, g = mats()
-        assert mean_ap(s, g) == pytest.approx(53 / 72, abs=1e-12)
+        assert full_report(*mats()).map == pytest.approx(53 / 72, abs=1e-12)
 
     def test_weighted_map(self):
         s, g = mats()
@@ -118,37 +114,36 @@ def test_random_matrices_match_loop_oracles(seed):
     y[rng.integers(0, b), :] = 1  # every class evaluable
     s, g = mats(scores, y, ids=range(d))
 
-    aps = [brute_force_ap(scores[:, j], y[:, j]) for j in range(d)]
-    assert mean_ap(s, g) == pytest.approx(np.mean(aps), abs=1e-10)
-
-    k = int(rng.integers(1, d + 1))
-    got = topk_prf(s, g, k)
-    np.testing.assert_allclose(got, brute_force_prf(scores, y, k), atol=1e-10)
-
-    # evaluate shares one AP list and one ranking across its metrics; each must equal its own function
+    # evaluate shares one AP list and one ranking across its metrics; each must match its loop oracle
     report = full_report(s, g, tuple(range(1, d + 1)))
-    assert report.map == mean_ap(s, g)
+    aps = [brute_force_ap(scores[:, j], y[:, j]) for j in range(d)]
+    assert report.map == pytest.approx(np.mean(aps), abs=1e-10)
     counts = y.sum(axis=0)
     assert report.wmap == pytest.approx(np.dot(counts, aps) / counts.sum(), abs=1e-10)
-    assert report.prf_at_k == {j: topk_prf(s, g, j) for j in range(1, d + 1)}
+    for k in range(1, d + 1):
+        np.testing.assert_allclose(report.prf_at_k[k], brute_force_prf(scores, y, k), atol=1e-10)
 
 
 def test_ap_tie_keeps_original_image_order():
     # scores tie; image 0 is negative and stays ranked first
-    assert average_precision(np.array([0.5, 0.5]), np.array([0, 1])) == 0.5
-    assert average_precision(np.array([0.5, 0.5]), np.array([1, 0])) == 1.0
+    tied = np.array([[0.5], [0.5]])
+    assert full_report(*mats(tied, np.array([[0], [1]]))).ap == [0.5]
+    assert full_report(*mats(tied, np.array([[1], [0]]))).ap == [1.0]
 
 
 def test_ap_requires_positives():
+    # every task column is skipped, so there is no mean to take
+    s, g = mats(np.array([[0.1, 0.3], [0.2, 0.4]]), np.zeros((2, 2)))
     with pytest.raises(NoPositives):
-        average_precision(np.array([0.1, 0.2]), np.array([0, 0]))
+        full_report(s, g)
 
 
-@pytest.mark.parametrize("relevance", [[2, 0, 0], [0.5, 0, 0.5]])
+@pytest.mark.parametrize("relevance", [[2, 0, 0], [0.5, 0, 0.5], [1, 0, 0], [1.0, 0.0, 0.0]])
 def test_ap_relevance_must_be_binary(relevance):
-    # an AP over such relevance can leave [0, 1]: 2.0 for the first
-    with pytest.raises(ValueError, match=r"^ground truth entries must be 0 or 1$"):
-        average_precision(np.array([0.9, 0.5, 0.1]), np.array(relevance))
+    # an AP over 2 or 0.5 relevance can leave [0, 1]; 0/1 numbers are refused as well, not cast
+    relevance = np.array(relevance)[:, None]
+    with pytest.raises(ValueError, match=rf"^ground truth must be a boolean matrix, got dtype {relevance.dtype}$"):
+        GroundTruthMatrix(y=relevance, label_ids=(0,))
 
 
 def test_monotone_transform_leaves_metrics_unchanged():
@@ -158,8 +153,9 @@ def test_monotone_transform_leaves_metrics_unchanged():
     y[0] = 1
     s1, g = mats(scores, y, ids=range(5))
     s2, _ = mats(np.tanh(scores) * 3.0 + 1.0, y, ids=range(5))
-    assert mean_ap(s1, g) == pytest.approx(mean_ap(s2, g), abs=1e-12)
-    assert topk_prf(s1, g, 2) == topk_prf(s2, g, 2)
+    r1, r2 = full_report(s1, g, (2,)), full_report(s2, g, (2,))
+    assert r1.map == pytest.approx(r2.map, abs=1e-12)
+    assert r1.prf_at_k == r2.prf_at_k
 
 
 def test_image_permutation_invariance():
@@ -170,19 +166,18 @@ def test_image_permutation_invariance():
     perm = rng.permutation(10)
     s1, g1 = mats(scores, y, ids=range(4))
     s2, g2 = mats(scores[perm], y[perm], ids=range(4))
-    assert mean_ap(s1, g1) == pytest.approx(mean_ap(s2, g2), abs=1e-12)
+    assert full_report(s1, g1).map == pytest.approx(full_report(s2, g2).map, abs=1e-12)
 
 
 def test_zero_positive_classes_are_skipped_not_counted():
     scores = WORKED_SCORES.copy()
     y = WORKED_TRUTH.copy()
     y[:, 2] = 0
-    s, g = mats(scores, y)
-    aps, skipped = per_class_ap(s, g)
-    assert skipped == [2]
-    assert aps[2] is None
+    report = full_report(*mats(scores, y))
+    assert report.skipped_classes == [2]
+    assert report.ap[2] is None
     want = (WORKED_APS[0] + WORKED_APS[1] + WORKED_APS[3]) / 3
-    assert mean_ap(s, g) == pytest.approx(float(want), abs=1e-12)
+    assert report.map == pytest.approx(float(want), abs=1e-12)
 
 
 def test_wmap_renormalizes_over_evaluable_classes():
@@ -198,19 +193,19 @@ class TestTopK:
     def test_ties_to_lower_label_index(self):
         # labels 0 and 2 tie for the second place; the only positive is label 2, so P=0 unless the tie went to it
         s, g = mats(np.array([[0.5, 0.7, 0.5]]), np.array([[0, 0, 1]]))
-        assert topk_prf(s, g, 2) == (0.0, 0.0, 0.0)
+        assert full_report(s, g, (2,)).prf_at_k[2] == (0.0, 0.0, 0.0)
 
     def test_k_bounds(self):
         s, g = mats(np.zeros((2, 3)), np.ones((2, 3), dtype=int))
         for k in (0, 4):
             with pytest.raises(KOutOfRange):
-                topk_prf(s, g, k)
+                full_report(s, g, (k,))
 
     def test_prf_hand_case(self):
         # one image, top-2 of [9, 8, 1], truth {0, 2}: TP=1, pred=2, pos=2
         s = ScoreMatrix(scores=np.array([[9.0, 8.0, 1.0]]), label_ids=(0, 1, 2))
-        g = GroundTruthMatrix(y=np.array([[1, 0, 1]]), label_ids=(0, 1, 2))
-        p, r, f = topk_prf(s, g, 2)
+        g = GroundTruthMatrix(y=np.array([[True, False, True]]), label_ids=(0, 1, 2))
+        p, r, f = full_report(s, g, (2,)).prf_at_k[2]
         assert (p, r) == (0.5, 0.5)
         assert f == pytest.approx(0.5)
 
@@ -231,7 +226,7 @@ class TestMaskTask:
         for mode, cols in (("ZSL", [4, 3]), ("GZSL", [0, 1, 2, 4, 3])):
             report = evaluate(s, g, self.split, mode, (1,))
             assert report.label_ids == tuple(cols)
-            assert report.ap == [average_precision(s.scores[:, c], g.y[:, c]) for c in cols]
+            assert report.ap == [reference_ap(s.scores[:, c], g.y[:, c]) for c in cols]
 
     def test_zsl_ignores_seen_column_poisoning(self):
         s, g = self.make()
@@ -275,16 +270,13 @@ class TestMaskTask:
 def test_ground_truth_is_stored_boolean():
     y = np.array([[True, False]])
     assert GroundTruthMatrix(y=y, label_ids=(0, 1)).y is y  # a boolean matrix is kept, not copied
-    _, g = mats()
-    assert g.y.dtype == bool
-    np.testing.assert_array_equal(g.y, WORKED_TRUTH == 1)
 
 
 def test_ground_truth_must_be_binary():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="boolean"):
         GroundTruthMatrix(y=np.array([[0, 2]]), label_ids=(0, 1))
-    for bad in (0.5, -1, np.nan):
-        with pytest.raises(ValueError, match="0 or 1"):
+    for bad in (0.5, -1, np.nan, 0.0):
+        with pytest.raises(ValueError, match="boolean"):
             GroundTruthMatrix(y=np.array([[1.0, 0.0], [0.0, bad]]), label_ids=(0, 1))
     with pytest.raises(ShapeMismatch):
         GroundTruthMatrix(y=np.zeros((2, 3)), label_ids=(0, 1))
@@ -369,7 +361,7 @@ def test_descending_order_resolves_signed_zeros_and_nan_by_index():
 
 
 def reference_ap(scores, relevance):
-    """average_precision as one stable argsort per column computed it."""
+    """One column's AP, ranked by one stable argsort."""
     order = np.argsort(-scores, kind="stable")
     rel = relevance[order].astype(np.float64)
     precision_at = np.cumsum(rel) / np.arange(1, len(rel) + 1)

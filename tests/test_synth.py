@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ovml.metrics import mean_ap
+from ovml.metrics import evaluate
 from ovml.seeds import substream
 from ovml.synth import (
     _BLOCK,
@@ -391,7 +391,7 @@ def test_oracle_scores_separate_positives_at_sigma_zero():
         for i in range(len(ds)):
             y = gt.y[i].astype(bool)
             assert sm.scores[i][y].min() > sm.scores[i][~y].max()
-        assert mean_ap(sm, gt) == 1.0
+        assert evaluate(sm, gt, w.split, "GZSL", (1,)).map == 1.0
 
 
 def test_ground_truth_alignment_and_masking():
