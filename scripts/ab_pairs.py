@@ -19,6 +19,12 @@ nothing without its count.
 With `--layer NAME` (repeatable) every run is traced (`--trace 1`), whose
 last line holds the per-layer metrics instead, and the summary covers the
 named per-layer metrics of BENCHMARK.json, each in its own direction.
+
+With `--record PATH` the script also writes what it measured as one JSON
+file (a `BENCH_*.json` record), rewritten after every workload: the
+options, both checkouts' `git describe`, the head's environment, and per
+workload the summary rows, each side's usable CPU counts and failed
+operations, and every pair's seed, first side and both result lines.
 """
 
 from __future__ import annotations
@@ -120,6 +126,28 @@ def select_layers(names: list[str], per_layer: list[dict]) -> list[dict]:
     return [known[name] for name in names]
 
 
+def record_workload(rows: list[dict], pairs: list[tuple[dict, dict]], cpus: dict[str, list[int]], seed: int) -> dict:
+    """A workload's entry in the `--record` file; pair i ran on seed `seed + i`."""
+    def spread(q: tuple[float, float, float]) -> dict:
+        return dict(zip(("q1", "median", "q3"), q))
+
+    return {
+        "summary": [{**row, "base": spread(row["base"]), "head": spread(row["head"])} for row in rows],
+        "cpus_usable": cpus,
+        "failed_ops": {"base": [b["failed"] for b, _ in pairs], "head": [h["failed"] for _, h in pairs]},
+        "pairs": [
+            {"seed": seed + i, "first": "base" if i % 2 == 0 else "head", "base": b, "head": h}
+            for i, (b, h) in enumerate(pairs)
+        ],
+    }
+
+
+def describe(checkout: Path) -> str | None:
+    """`git describe --always --dirty` of a checkout, or None outside git."""
+    out = subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty"], capture_output=True, text=True)
+    return out.stdout.strip() or None
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: bool) -> str:
     """One benchmark run's standard output."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
@@ -137,6 +165,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--layer", action="append", help="repeatable; trace the runs and summarize these per-layer metrics instead"
     )
+    parser.add_argument("--record", type=Path, help="write the measurements to this JSON file")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -147,6 +176,14 @@ def main(argv=None) -> int:
     except ValueError as e:
         parser.error(str(e))
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    record = {
+        "command": "python3 scripts/ab_pairs.py",
+        "options": {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed, "layer": args.layer or []},
+        "base": describe(args.base),
+        "head": describe(HEAD),
+        "environment": None,
+        "workloads": {},
+    }
     for workload in workloads:
         pairs, cpus = [], {"base": [], "head": []}
         for i in range(args.pairs):
@@ -156,10 +193,17 @@ def main(argv=None) -> int:
                 checkout = args.base if side == "base" else HEAD
                 out = run_once(checkout, workload, args.seed + i, args.seconds, bool(args.layer))
                 sides[side] = parse_result(out)
-                cpus[side].append(parse_report(out)["environment"]["cpus_usable"])
+                report = parse_report(out)
+                cpus[side].append(report["environment"]["cpus_usable"])
+                if side == "head":
+                    record["environment"] = {k: v for k, v in report["environment"].items() if k != "seed"}
             pairs.append((sides["base"], sides["head"]))
             print(progress(workload, i + 1, args.pairs, *pairs[-1], metrics), file=sys.stderr, flush=True)
-        print(format_rows(workload, summarize(pairs, metrics)))
+        rows = summarize(pairs, metrics)
+        if args.record:
+            record["workloads"][workload] = record_workload(rows, pairs, cpus, args.seed)
+            args.record.write_text(json.dumps(record, indent=1) + "\n")
+        print(format_rows(workload, rows))
         base_failed, head_failed = failures(pairs)
         print(f"  failed operations: base {base_failed}, head {head_failed}")
         print(cpus_line(cpus))

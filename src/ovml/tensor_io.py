@@ -29,6 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import _all_finite
+
 MAGIC = b"MKT1"
 MANIFEST = "manifest.txt"
 
@@ -140,7 +142,7 @@ def read_tensor(path: str | Path) -> np.ndarray:
         got = f.readinto(array)
         if got != 8 * count:  # the file shrank after fstat
             raise BadTensorFile(f"{path}: payload holds {got} bytes, expected {8 * count}")
-    if not np.isfinite(array).all():
+    if not _all_finite(array):
         raise BadTensorFile(f"{path}: non-finite values")
     return array.reshape(shape)
 

@@ -1,4 +1,4 @@
-"""scripts/ab_pairs.py's parsing, summary and CPU-count check, on canned benchmark output."""
+"""scripts/ab_pairs.py's parsing, summary, CPU-count check and record file, on canned benchmark output."""
 
 import importlib.util
 import json
@@ -150,3 +150,44 @@ def test_runs_on_different_cpu_counts_exit_one_with_one_line(monkeypatch, capsys
     assert out.splitlines()[-1] == "  cpus_usable: base 2, head 1/2"  # the summary still prints
     assert "eval-wide" not in out + err  # the next workload never runs
     assert err.splitlines()[-1] == "ab_pairs: gradcheck runs saw different usable CPU counts; their times do not compare"
+
+
+def test_record_holds_each_workloads_rows_cpus_failures_and_result_lines(monkeypatch, capsys, tmp_path):
+    bench = json.loads((ab_pairs.HEAD / "BENCHMARK.json").read_text())
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        head = checkout == ab_pairs.HEAD
+        metrics = {m["name"]: {"value": 100.0 + seed + 10 * head, "unit": m["unit"]} for m in bench["end_to_end"]}
+        return _run_output(0.0, 0.0, failed=int(head and seed == 5), metrics=metrics)
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    path = tmp_path / "BENCH.json"
+    argv = ["--base", str(tmp_path), "--workload", "gradcheck", "--workload", "eval-wide", "--pairs", "3",
+            "--seconds", "7", "--seed", "4", "--record", str(path)]
+    assert ab_pairs.main(argv) == 0
+    capsys.readouterr()
+    record = json.loads(path.read_text())
+
+    assert list(record) == ["command", "options", "base", "head", "environment", "workloads"]
+    assert record["options"] == {"pairs": 3, "seconds": 7, "seed": 4, "layer": []}
+    assert record["base"] is None  # tmp_path is no git checkout
+    assert record["environment"] == {"cpus_usable": 2}  # the canned report's, less its seed
+    assert list(record["workloads"]) == ["gradcheck", "eval-wide"]
+    entry = record["workloads"]["eval-wide"]
+    assert list(entry) == ["summary", "cpus_usable", "failed_ops", "pairs"]
+    rows = {row["name"]: row for row in entry["summary"]}
+    assert list(rows) == [m["name"] for m in bench["end_to_end"]]
+    assert rows["items_per_s"] == {
+        "name": "items_per_s",
+        "base": {"q1": 104.5, "median": 105.0, "q3": 105.5},
+        "head": {"q1": 114.5, "median": 115.0, "q3": 115.5},
+        "change": pytest.approx(115.0 / 105.0 - 1.0),
+        "wins": 3,
+        "pairs": 3,
+    }
+    assert rows["setup_s"]["wins"] == 0  # lower is better
+    assert entry["cpus_usable"] == {"base": [2, 2, 2], "head": [2, 2, 2]}
+    assert entry["failed_ops"] == {"base": [0, 0, 0], "head": [0, 1, 0]}
+    assert [(p["seed"], p["first"]) for p in entry["pairs"]] == [(4, "base"), (5, "head"), (6, "base")]
+    assert entry["pairs"][1]["head"] == ab_pairs.parse_result(run_once(ab_pairs.HEAD, "eval-wide", 5, 7, False))
+    assert entry["pairs"][1]["base"] == ab_pairs.parse_result(run_once(tmp_path, "eval-wide", 5, 7, False))

@@ -1,7 +1,10 @@
-"""The finiteness test every tensor and the hot-path checks run: it gives
-np.isfinite(a).all()'s answer, raises the same NonFinite messages at the
-same ops, and never warns (it does not sum the values, so a finite array
-whose sum overflows is accepted silently).
+"""The finiteness test every tensor, the hot-path checks and tensor files
+run: it gives np.isfinite(a).all()'s answer, raises the same NonFinite
+messages at the same ops, and never warns. It first sums the squares in one
+BLAS dot, which proves a finite array finite; when that sum is not finite
+(a NaN, an Inf, or squares that overflow) the elementwise test decides. BLAS
+reports no overflow, so a finite array whose squares overflow is accepted
+silently, and the next numpy ufunc does not warn either.
 """
 
 import re
@@ -17,6 +20,7 @@ from ovml.heads import EmbeddingPair, score
 from ovml.labels import LabelEmbeddingTable
 from ovml.optim import AdamW
 from ovml.seeds import substream
+from ovml.tensor_io import BadTensorFile, read_tensor, tensor_bytes, write_tensor
 
 
 @pytest.fixture(autouse=True)
@@ -52,14 +56,45 @@ def test_finite_values_are_accepted_silently(data):
     assert np.array_equal(t.data, np.asarray(data, dtype=np.float64))
 
 
+# 1e-160 squares into the subnormal range, 1e-200 squares to 0, 1e300 squares to inf
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-200, 1e300])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
 @pytest.mark.parametrize("bad", [None, np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("shape", [(), (1,), (5,), (3, 4), (2, 3, 4), (0,)])
-def test_helper_answers_as_isfinite_all(bad, shape):
-    a = substream(0, f"test.finiteness.{shape}").normal(0, 1e300, shape)
+def test_helper_answers_as_isfinite_all(bad, shape, where, scale):
+    a = substream(0, f"test.finiteness.{shape}").normal(0, scale, shape)
     if bad is not None and a.size:
-        a[(0,) * len(shape)] = bad
+        a.flat[{"first": 0, "middle": a.size // 2, "last": a.size - 1}[where]] = bad
     for view in (a, a.T, a[..., ::2] if a.ndim else a):
         assert ad._all_finite(view) == np.isfinite(view).all()
+
+
+def test_a_finite_sum_of_squares_decides_without_the_elementwise_test(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.isfinite called")
+
+    a = substream(0, "test.finiteness.blas").normal(0, 1, (16, 24))
+    monkeypatch.setattr(np, "isfinite", refuse)
+    assert ad._all_finite(a) and ad._all_finite(np.empty((0, 3)))
+
+
+@pytest.mark.parametrize("data", [[1e300, -1e300, 1.0], [np.inf, -np.inf], [1.0, np.nan]])
+def test_a_sum_of_squares_that_is_not_finite_leaves_no_warning_behind(data):
+    a = np.array(data)
+    assert ad._all_finite(a) == np.isfinite(a).all()
+    # a ufunc run next reads the floating-point status afresh: nothing carries over
+    assert np.array_equal(np.multiply(np.ones(2), 3.0) + 1.0, [4.0, 4.0])
+    assert np.add.reduce(np.arange(4.0)) == 6.0
+
+
+def test_tensor_files_take_the_same_test(tmp_path):
+    write_tensor(tmp_path / "big.mkt1", np.full((2, 3), 1e300))  # squares overflow, values finite
+    assert np.array_equal(read_tensor(tmp_path / "big.mkt1"), np.full((2, 3), 1e300))
+    bad = np.ones(7)
+    bad[-1] = np.nan
+    (tmp_path / "bad.mkt1").write_bytes(tensor_bytes(bad))
+    with pytest.raises(BadTensorFile, match=r"bad\.mkt1: non-finite values$"):
+        read_tensor(tmp_path / "bad.mkt1")
 
 
 def test_attention_logits_check_raises_at_the_attention_kernel():
