@@ -87,7 +87,7 @@ def _all_finite(a: np.ndarray) -> bool:
     entry finite. A sum that is not finite (a NaN, an Inf, or finite
     entries whose squares overflow) falls back to the elementwise test.
     BLAS does not report overflow, so neither step warns. Entries near
-    1e-160 square into the subnormal range, where the dot runs about 4x
+    1e-160 square into the subnormal range, where the dot runs 4 to 5 times
     slower than the elementwise test; no array the benchmark's workloads
     check holds such values.
     """

@@ -20,7 +20,7 @@ from ovml.heads import EmbeddingPair, score
 from ovml.labels import LabelEmbeddingTable
 from ovml.optim import AdamW
 from ovml.seeds import substream
-from ovml.tensor_io import BadTensorFile, read_tensor, tensor_bytes, write_tensor
+from ovml.tensor_io import BadTensorFile, read_tensor, write_tensor
 
 
 @pytest.fixture(autouse=True)
@@ -92,7 +92,7 @@ def test_tensor_files_take_the_same_test(tmp_path):
     assert np.array_equal(read_tensor(tmp_path / "big.mkt1"), np.full((2, 3), 1e300))
     bad = np.ones(7)
     bad[-1] = np.nan
-    (tmp_path / "bad.mkt1").write_bytes(tensor_bytes(bad))
+    write_tensor(tmp_path / "bad.mkt1", bad)
     with pytest.raises(BadTensorFile, match=r"bad\.mkt1: non-finite values$"):
         read_tensor(tmp_path / "bad.mkt1")
 
