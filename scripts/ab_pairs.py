@@ -10,11 +10,20 @@ pair to pair, so a drift in the host's speed falls on both sides alike. Pair i u
 `--seed + i`. The last line of each run is its JSON result. At the end it
 prints, for every end-to-end metric of BENCHMARK.json, the median and
 quartiles of each side, the change of the median, and in how many pairs
-the head was better (by the metric's `better` direction), and the usable
+the head was better (by the metric's `better` direction), a verdict, and the usable
 CPU count each side's runs saw (`environment.cpus_usable` in the report
 above the last line). A workload whose runs saw different CPU counts ends
 the script with exit code 1: a gain from running on more CPUs means
 nothing without its count.
+
+The verdict follows the benchmark's rule for a claimed gain and each
+end-to-end metric's `bound` in BENCHMARK.json (a relative change):
+`gain` when the head was better in at least 9 of 10 pairs and its median
+beats the base's by more than the base's interquartile range; `worse`
+when the head's median is worse by more than the bound; `unresolved`
+when the base's interquartile range, relative to its median, is wider
+than the bound and the head did not win every pair; `same` otherwise. Per-layer metrics have no
+bound, so they read `gain` or no verdict (`-`).
 
 With `--layer NAME` (repeatable) every run is traced (`--trace 1`), whose
 last line holds the per-layer metrics instead, and the summary covers the
@@ -22,7 +31,8 @@ named per-layer metrics of BENCHMARK.json, each in its own direction.
 
 With `--record PATH` the script also writes what it measured as one JSON
 file (a `BENCH_*.json` record), rewritten after every workload: the
-options, both checkouts' `git describe`, the head's environment, and per
+options, both checkouts' `git describe`, the head's environment with the
+host's CPU model (numpy's sort kernels dispatch by CPU), and per
 workload the summary rows, each side's usable CPU counts and failed
 operations, and every pair's seed, first side and both result lines.
 """
@@ -69,12 +79,31 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(base: tuple[float, float, float], gap: float, wins: int, pairs: int, bound: float | None) -> str | None:
+    """`gain`, `worse`, `unresolved` or `same` (see the module docstring) for
+    a metric whose base quartiles are `base` and whose head median beats the
+    base median by `gap` in the metric's better direction; None for a metric
+    without a bound that shows no gain.
+    """
+    q1, median, q3 = base
+    if 10 * wins >= 9 * pairs and gap > q3 - q1:
+        return "gain"
+    if bound is None:
+        return None
+    if gap < -bound * abs(median):
+        return "worse"
+    if q3 - q1 > bound * abs(median) and wins < pairs:
+        return "unresolved"
+    return "same"
+
+
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
     """One row per metric (a BENCHMARK.json entry) over (base, head) result pairs.
 
     Each result is a parsed run (`parse_result`). A row holds the metric's
     name, both sides' quartiles, the head's median change relative to the
-    base's, and `wins`: the pairs whose head value is strictly better.
+    base's, `wins`: the pairs whose head value is strictly better, and the
+    `verdict`.
     """
     rows = []
     for metric in metrics:
@@ -82,13 +111,15 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
         base = [b["metrics"][name]["value"] for b, _ in pairs]
         head = [h["metrics"][name]["value"] for _, h in pairs]
         b_q, h_q = quartiles(base), quartiles(head)
+        wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
         rows.append({
             "name": name,
             "base": b_q,
             "head": h_q,
             "change": h_q[1] / b_q[1] - 1.0 if b_q[1] else float("nan"),
-            "wins": sum(sign * (h - b) > 0 for b, h in zip(base, head)),
+            "wins": wins,
             "pairs": len(pairs),
+            "verdict": verdict(b_q, sign * (h_q[1] - b_q[1]), wins, len(pairs), metric.get("bound")),
         })
     return rows
 
@@ -99,13 +130,13 @@ def failures(pairs: list[tuple[dict, dict]]) -> tuple[int, int]:
 
 
 def format_rows(workload: str, rows: list[dict]) -> str:
-    out = [f"{workload}: median [q1 - q3], base -> head, head better in"]
+    out = [f"{workload}: median [q1 - q3], base -> head, head better in, verdict"]
     width = max(12, *(len(r["name"]) for r in rows))
     for r in rows:
         (b1, b2, b3), (h1, h2, h3) = r["base"], r["head"]
         out.append(
             f"  {r['name']:<{width}s} {b2:.6g} [{b1:.6g} - {b3:.6g}] -> {h2:.6g} [{h1:.6g} - {h3:.6g}]"
-            f"  {100 * r['change']:+.1f}%  {r['wins']}/{r['pairs']}"
+            f"  {100 * r['change']:+.1f}%  {r['wins']}/{r['pairs']}  {r['verdict'] or '-'}"
         )
     return "\n".join(out)
 
@@ -140,6 +171,19 @@ def record_workload(rows: list[dict], pairs: list[tuple[dict, dict]], cpus: dict
             for i, (b, h) in enumerate(pairs)
         ],
     }
+
+
+def cpu_model(cpuinfo: Path = Path("/proc/cpuinfo")) -> str | None:
+    """The first `model name` of a cpuinfo file, or None where it cannot be read or holds none."""
+    try:
+        text = cpuinfo.read_text()
+    except OSError:
+        return None
+    for line in text.splitlines():
+        key, _, value = line.partition(":")
+        if key.strip() == "model name":
+            return value.strip()
+    return None
 
 
 def describe(checkout: Path) -> str | None:
@@ -197,6 +241,7 @@ def main(argv=None) -> int:
                 cpus[side].append(report["environment"]["cpus_usable"])
                 if side == "head":
                     record["environment"] = {k: v for k, v in report["environment"].items() if k != "seed"}
+                    record["environment"]["cpu_model"] = cpu_model()
             pairs.append((sides["base"], sides["head"]))
             print(progress(workload, i + 1, args.pairs, *pairs[-1], metrics), file=sys.stderr, flush=True)
         rows = summarize(pairs, metrics)

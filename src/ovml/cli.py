@@ -21,7 +21,7 @@ import numpy as np
 from .autodiff import KOutOfRange, NonFinite, NotScalar, ShapeMismatch
 from .config import ConfigError, RunConfig, parse_config, write_resolved
 from .gradcheck import run_suite
-from .labels import LabelEmbeddingTable, TopNOutOfRange, UnknownLabel, retrieval_accuracy, retrieve
+from .labels import LabelEmbeddingTable, TopNOutOfRange, UnknownLabel, category_accuracy, retrieve_each
 from .metrics import EmptyTaskVocabulary, MetricsReport, NoPositives, evaluate, task_labels, write_report
 from .model import (
     BadCheckpoint,
@@ -135,11 +135,9 @@ def cmd_retrieve(cfg: RunConfig) -> int:
     table, categories = load_table(cfg.checkpoint)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for lid in table.label_ids:
-        neighbors = retrieve(lid, table, cfg.topn)
-        lines.append(f"{lid}\t" + " ".join(str(n) for n in neighbors))
-    accuracy = retrieval_accuracy(table, categories, cfg.topn)
+    neighbours = retrieve_each(table.label_ids, table, cfg.topn)
+    lines = [f"{lid}\t" + " ".join(str(n) for n in row) for lid, row in zip(table.label_ids, neighbours)]
+    accuracy = category_accuracy(neighbours, table, categories)
     lines.append(f"category_accuracy\t{accuracy!r}")
     (out_dir / "retrieval.txt").write_text("\n".join(lines) + "\n")
     write_resolved(cfg, out_dir)

@@ -85,36 +85,44 @@ def retrieve(query_label: int, table: LabelEmbeddingTable, topn: int) -> list[in
 
     Ties break toward the lower row index; the query itself never appears.
     """
+    return retrieve_each((query_label,), table, topn)[0]
+
+
+def retrieve_each(query_labels: tuple[int, ...], table: LabelEmbeddingTable, topn: int) -> list[list[int]]:
+    """`retrieve` of each query label, from one stable argsort of their similarity rows."""
     d = len(table.label_ids)
     if not 1 <= topn < d:
         raise TopNOutOfRange(f"topn={topn} outside [1, {d - 1}]")
-    if query_label not in table.label_ids:
-        raise UnknownLabel(f"label {query_label} not in table")
-    qi = table.label_ids.index(query_label)
+    rows = []
+    for lid in query_labels:
+        if lid not in table.label_ids:
+            raise UnknownLabel(f"label {lid} not in table")
+        rows.append(table.label_ids.index(lid))
     z = table.matrix()
     norms = np.linalg.norm(z, axis=1)
-    sims = (z @ z[qi]) / (norms * norms[qi])
-    sims[qi] = -np.inf
-    order = np.argsort(-sims, kind="stable")
-    return [table.label_ids[i] for i in order[:topn]]
+    # one gemv per query: a z @ z.T gemm rounds some similarities differently
+    sims = np.array([(z @ z[q]) / (norms * norms[q]) for q in rows])
+    sims[np.arange(len(rows)), rows] = -np.inf
+    order = np.argsort(-sims, axis=1, kind="stable")[:, :topn]
+    return [[table.label_ids[i] for i in row] for row in order.tolist()]
+
+
+def category_accuracy(neighbours: list[list[int]], table: LabelEmbeddingTable, categories: dict[int, int]) -> float:
+    """Fraction of retrieved slots sharing the query's major category, where
+    `neighbours` is `retrieve_each(table.label_ids, table, topn)`.
+
+    Micro-average over all query x topn slots.
+    """
+    hits = sum(categories[got] == categories[lid] for lid, row in zip(table.label_ids, neighbours) for got in row)
+    return hits / sum(map(len, neighbours))
 
 
 def retrieval_accuracy(table: LabelEmbeddingTable, categories: dict[int, int], topn: int) -> float:
-    """Fraction of retrieved slots sharing the query's major category.
-
-    Micro-average over all query x topn slots, every table label queried.
-    """
+    """`category_accuracy` of every table label's retrieved labels."""
     for lid in table.label_ids:
         if lid not in categories:
             raise UnknownLabel(f"label {lid} missing from category map")
-    hits = 0
-    total = 0
-    for lid in table.label_ids:
-        want = categories[lid]
-        for got in retrieve(lid, table, topn):
-            hits += categories[got] == want
-            total += 1
-    return hits / total
+    return category_accuracy(retrieve_each(table.label_ids, table, topn), table, categories)
 
 
 def vocabulary_text(categories: dict[int, int]) -> str:

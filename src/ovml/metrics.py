@@ -48,20 +48,8 @@ class GroundTruthMatrix:
             raise ValueError(f"ground truth must be a boolean matrix, got dtype {self.y.dtype}")
 
 
-# columns ranked together by _column_aps; keeps each temporary at 16 x B
+# columns sorted together by _column_aps; keeps each temporary at 16 x B
 _AP_BLOCK = 16
-
-
-def _descending_order(a: np.ndarray) -> np.ndarray:
-    """np.argsort(-a, axis=-1, kind="stable") of a 2-D array, from numpy's
-    faster default sort wherever a row's order does not hang on ties."""
-    order = np.argsort(-a, axis=-1)
-    ascending = np.sort(a, axis=-1)
-    # NaN sorts last, so a row holds one exactly when its last sorted value is NaN
-    tied = (ascending[:, 1:] == ascending[:, :-1]).any(axis=-1) | np.isnan(ascending[:, -1])
-    if tied.any():
-        order[tied] = np.argsort(-a[tied], axis=-1, kind="stable")
-    return order
 
 
 def _column_aps(scores: np.ndarray, y: np.ndarray) -> list[float | None]:
@@ -70,18 +58,32 @@ def _column_aps(scores: np.ndarray, y: np.ndarray) -> list[float | None]:
     each positive's rank over the positives count.
 
     Columns go through in blocks of _AP_BLOCK, transposed so that each
-    column is a contiguous row, and each AP is summed along that row.
+    column is a contiguous row. The i-th positive down a row, at 0-based
+    descending rank r, puts its precision i / (r + 1) at place r of a zero
+    row, and the AP is that row's sum over the positives count: the values
+    and places a cumsum down the stable order gives, so the same bits. In a
+    row without a tie or a NaN, a positive scoring s has r = B - (the
+    number of scores <= s), read off the row's ascending sort; a row with
+    either takes its ranks from the stable order.
     """
-    n_pos = y.sum(axis=0)
-    aps: list[float | None] = [None] * scores.shape[1]
-    ranks = np.arange(1, scores.shape[0] + 1)
+    n, d = scores.shape
+    n_pos = np.count_nonzero(y, axis=0)
+    aps: list[float | None] = [None] * d
     live = np.flatnonzero(n_pos)
     for start in range(0, len(live), _AP_BLOCK):
         cols = live[start:start + _AP_BLOCK]
-        order = _descending_order(scores.T[cols])
-        rel = np.take_along_axis(y.T[cols], order, axis=-1).astype(np.float64)
-        precision_at = np.cumsum(rel, axis=-1) / ranks
-        for c, ap in zip(cols, (precision_at * rel).sum(axis=-1) / n_pos[cols]):
+        block, rel = scores.T[cols], y.T[cols]
+        ascending = np.sort(block, axis=-1)
+        # NaN sorts last, so a row holds one exactly when its last sorted value is NaN
+        tied = (ascending[:, 1:] == ascending[:, :-1]).any(axis=-1) | np.isnan(ascending[:, -1])
+        precision = np.zeros(block.shape)
+        for i in range(len(cols)):
+            if tied[i]:
+                ranks = np.flatnonzero(rel[i][np.argsort(-block[i], kind="stable")])
+            else:
+                ranks = np.sort(n - np.searchsorted(ascending[i], block[i][rel[i]], side="right"))
+            precision[i, ranks] = np.arange(1, len(ranks) + 1) / (ranks + 1)
+        for c, ap in zip(cols, precision.sum(axis=-1) / n_pos[cols]):
             aps[c] = float(ap)
     return aps
 
@@ -131,9 +133,9 @@ def _topk_masks(scores: np.ndarray, ks: tuple[int, ...]) -> dict[int, np.ndarray
 
 
 def _prf(predicted: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    true_pos = int((predicted & y).sum())
-    n_pred = int(predicted.sum())
-    n_pos = int(y.sum())
+    true_pos = int(np.count_nonzero(predicted & y))
+    n_pred = int(np.count_nonzero(predicted))
+    n_pos = int(np.count_nonzero(y))
     precision = true_pos / n_pred if n_pred else 0.0
     recall = true_pos / n_pos if n_pos else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0

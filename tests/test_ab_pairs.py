@@ -58,7 +58,7 @@ def test_summary_gives_quartiles_change_and_wins_in_each_direction():
 
     text = ab_pairs.format_rows("gradcheck", [items, p50])
     assert text.splitlines()[1].split() == [
-        "items_per_s", "101", "[99.5", "-", "102.5]", "->", "109", "[106.75", "-", "110.5]", "+7.9%", "3/4",
+        "items_per_s", "101", "[99.5", "-", "102.5]", "->", "109", "[106.75", "-", "110.5]", "+7.9%", "3/4", "same",
     ]
 
 
@@ -107,7 +107,7 @@ def test_layer_mode_summarizes_traced_runs_in_each_metrics_direction():
     assert sample_s["wins"] == 2  # lower is better: 0.072 -> 0.075 loses
     assert overhead["wins"] == 2  # higher is better: -400 -> -600 loses
     line = ab_pairs.format_rows("eval-wide", [sample_s, overhead]).splitlines()[1]
-    assert line.split()[0] == "synth.sample.self_s" and line.split()[-1] == "2/3"
+    assert line.split()[0] == "synth.sample.self_s" and line.split()[-2:] == ["2/3", "-"]  # no bound, no gain
 
 
 def test_an_unknown_layer_is_refused_by_name():
@@ -161,6 +161,7 @@ def test_record_holds_each_workloads_rows_cpus_failures_and_result_lines(monkeyp
         return _run_output(0.0, 0.0, failed=int(head and seed == 5), metrics=metrics)
 
     monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    monkeypatch.setattr(ab_pairs, "cpu_model", lambda: "Canned CPU @ 2.00GHz")
     path = tmp_path / "BENCH.json"
     argv = ["--base", str(tmp_path), "--workload", "gradcheck", "--workload", "eval-wide", "--pairs", "3",
             "--seconds", "7", "--seed", "4", "--record", str(path)]
@@ -171,7 +172,8 @@ def test_record_holds_each_workloads_rows_cpus_failures_and_result_lines(monkeyp
     assert list(record) == ["command", "options", "base", "head", "environment", "workloads"]
     assert record["options"] == {"pairs": 3, "seconds": 7, "seed": 4, "layer": []}
     assert record["base"] is None  # tmp_path is no git checkout
-    assert record["environment"] == {"cpus_usable": 2}  # the canned report's, less its seed
+    # the canned report's, less its seed, with the host's CPU model
+    assert record["environment"] == {"cpus_usable": 2, "cpu_model": "Canned CPU @ 2.00GHz"}
     assert list(record["workloads"]) == ["gradcheck", "eval-wide"]
     entry = record["workloads"]["eval-wide"]
     assert list(entry) == ["summary", "cpus_usable", "failed_ops", "pairs"]
@@ -184,6 +186,7 @@ def test_record_holds_each_workloads_rows_cpus_failures_and_result_lines(monkeyp
         "change": pytest.approx(115.0 / 105.0 - 1.0),
         "wins": 3,
         "pairs": 3,
+        "verdict": "gain",  # 3 of 3 pairs, median gap 10 against the base's IQR 1
     }
     assert rows["setup_s"]["wins"] == 0  # lower is better
     assert entry["cpus_usable"] == {"base": [2, 2, 2], "head": [2, 2, 2]}
@@ -191,3 +194,60 @@ def test_record_holds_each_workloads_rows_cpus_failures_and_result_lines(monkeyp
     assert [(p["seed"], p["first"]) for p in entry["pairs"]] == [(4, "base"), (5, "head"), (6, "base")]
     assert entry["pairs"][1]["head"] == ab_pairs.parse_result(run_once(ab_pairs.HEAD, "eval-wide", 5, 7, False))
     assert entry["pairs"][1]["base"] == ab_pairs.parse_result(run_once(tmp_path, "eval-wide", 5, 7, False))
+
+
+def _row(base, head, better="higher", bound=0.2):
+    """summarize's row for one metric over stubbed (base, head) values, one pair each."""
+    metric = {"name": "m", "unit": "1/s", "better": better, "bound": bound}
+    if bound is None:
+        del metric["bound"]
+    pairs = [({"metrics": {"m": {"value": b}}}, {"metrics": {"m": {"value": h}}}) for b, h in zip(base, head)]
+    return ab_pairs.summarize(pairs, [metric])[0]
+
+
+BASE = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]  # median 104.5, IQR 4.5
+
+
+@pytest.mark.parametrize("better", ["higher", "lower"])
+def test_gain_needs_nine_wins_in_ten_and_a_median_gap_beyond_the_base_iqr(better):
+    step = 1.0 if better == "higher" else -1.0
+    ahead = [b + step * 6.0 for b in BASE]  # 10/10, gap 6 > 4.5
+    assert _row(BASE, ahead, better)["verdict"] == "gain"
+    one_loss = ahead[:9] + [BASE[9] - step]  # 9/10, gap 5
+    assert _row(BASE, one_loss, better)["wins"] == 9 and _row(BASE, one_loss, better)["verdict"] == "gain"
+    two_losses = ahead[:8] + [BASE[8] - step, BASE[9] - step]
+    assert _row(BASE, two_losses, better)["verdict"] == "same"  # 8/10
+    narrow = [b + step * 4.0 for b in BASE]  # 10/10 but gap 4 <= 4.5
+    assert _row(BASE, narrow, better)["verdict"] == "same"
+    tie = [b + step * 5.0 for b in BASE[:9]] + [BASE[9]]
+    assert _row(BASE, tie, better)["wins"] == 9  # a tie counts for neither side
+
+
+@pytest.mark.parametrize("better", ["higher", "lower"])
+def test_worse_is_a_median_beyond_the_bound(better):
+    step = 1.0 if better == "higher" else -1.0
+    assert _row(BASE, [b - step * 20.0 for b in BASE], better)["verdict"] == "same"  # 19.1% of 104.5, bound 20%
+    assert _row(BASE, [b - step * 21.0 for b in BASE], better)["verdict"] == "worse"
+    assert _row(BASE, [b - step * 21.0 for b in BASE], better, bound=0.25)["verdict"] == "same"
+
+
+def test_unresolved_is_a_base_spread_beyond_the_bound_without_a_clean_sweep():
+    wide = [60.0, 70.0, 80.0, 90.0, 100.0, 110.0, 120.0, 130.0, 140.0, 150.0]  # IQR 45 of median 105
+    assert _row(wide, wide, bound=0.4)["verdict"] == "unresolved"
+    assert _row(wide, wide, bound=0.5)["verdict"] == "same"
+    assert _row(wide, [w + 1.0 for w in wide], bound=0.4)["verdict"] == "same"  # 10/10 wins, gap 1 <= IQR
+    assert _row(wide, [w - 60.0 for w in wide], bound=0.4)["verdict"] == "worse"
+
+
+def test_metrics_without_a_bound_read_gain_or_nothing():
+    assert _row(BASE, [b + 5.0 for b in BASE], bound=None)["verdict"] == "gain"
+    assert _row(BASE, [b - 50.0 for b in BASE], bound=None)["verdict"] is None
+
+
+def test_cpu_model_is_the_first_model_name(tmp_path):
+    info = tmp_path / "cpuinfo"
+    info.write_text("processor\t: 0\nmodel name\t: AMD EPYC\n\nprocessor\t: 1\nmodel name\t: Other\n")
+    assert ab_pairs.cpu_model(info) == "AMD EPYC"
+    info.write_text("processor\t: 0\nfeatures\t: fp asimd\n")
+    assert ab_pairs.cpu_model(info) is None
+    assert ab_pairs.cpu_model(tmp_path / "missing") is None

@@ -30,10 +30,12 @@ from ovml.config import (
 )
 from ovml.gradcheck import CHECKS, CheckResult
 from ovml.metrics import evaluate
-from ovml.model import ModelConfig, fixed_table, init_model, score_batch
+from ovml.model import ModelConfig, fixed_table, init_model, load_table, score_batch
 from ovml.synth import SynthConfig, build_world, read_dataset, sample, write_dataset
 from ovml.training import TrainConfig, run_stage1, run_stage2
 from ovml.tensor_io import directory_digest, read_tensor, seal, write_tensor
+
+from test_labels import per_query_accuracy, per_query_retrieve
 
 TINY = """
 # quick world for command tests
@@ -178,6 +180,11 @@ def test_retrieve_reports_neighbors(workspace, capsys):
     for line in lines[:-1]:
         lid, neighbors = line.split("\t")
         assert lid not in neighbors.split()
+    # the bytes of one retrieve call per label and a retrieval_accuracy of one more call per label
+    table, categories = load_table(root / "out" / "stage1")
+    want = [f"{lid}\t" + " ".join(map(str, per_query_retrieve(lid, table, 2))) for lid in table.label_ids]
+    want.append(f"category_accuracy\t{per_query_accuracy(table, categories, 2)!r}")
+    assert (root / "ret" / "retrieval.txt").read_text() == "\n".join(want) + "\n"
 
 
 def test_sweep_writes_csv(tmp_path, capsys):

@@ -13,9 +13,11 @@ from ovml.labels import (
     UnknownLabel,
     build_label_table,
     init_prompt,
+    category_accuracy,
     read_vocabulary,
     retrieval_accuracy,
     retrieve,
+    retrieve_each,
     vocabulary_text,
 )
 from ovml.seeds import substream
@@ -71,6 +73,69 @@ def test_retrieve_matches_brute_force_ranking(d, seed):
         want = [ids[i] for i in sorted(range(d), key=lambda i: (-sims[i], i)) if i != qi]
         assert got == want
         assert q not in got
+
+
+def per_query_retrieve(query_label, table, topn):
+    """retrieve as one gemv, one norm per row and one stable argsort per query."""
+    qi = table.label_ids.index(query_label)
+    z = table.matrix()
+    norms = np.linalg.norm(z, axis=1)
+    sims = (z @ z[qi]) / (norms * norms[qi])
+    sims[qi] = -np.inf
+    return [table.label_ids[i] for i in np.argsort(-sims, kind="stable")[:topn]]
+
+
+def per_query_accuracy(table, categories, topn):
+    """retrieval_accuracy as a loop of per_query_retrieve calls."""
+    hits = total = 0
+    for lid in table.label_ids:
+        for got in per_query_retrieve(lid, table, topn):
+            hits += categories[got] == categories[lid]
+            total += 1
+    return hits / total
+
+
+def table_with_duplicates(seed):
+    """A random table, some of whose rows repeat earlier rows exactly or in sign, under shuffled label ids."""
+    rng = np.random.default_rng(seed)
+    d, width = int(rng.integers(2, 30)), int(rng.integers(1, 9))
+    z = rng.normal(0, 1, (d, width))
+    copies = rng.random(d) < 0.4
+    z[copies] = z[rng.integers(0, d, int(copies.sum()))] * rng.choice([1.0, -1.0], (int(copies.sum()), 1))
+    ids = tuple(int(i) for i in rng.permutation(np.arange(100, 100 + 3 * d))[:d])
+    return table_from(z, ids), {lid: int(rng.integers(0, 3)) for lid in ids}
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_one_ranking_equals_the_per_query_loop(seed):
+    table, cats = table_with_duplicates(seed)
+    d = len(table.label_ids)
+    for topn in sorted({1, (d + 1) // 2, d - 1}):
+        want = [per_query_retrieve(lid, table, topn) for lid in table.label_ids]
+        assert retrieve_each(table.label_ids, table, topn) == want
+        assert [retrieve(lid, table, topn) for lid in table.label_ids] == want
+        assert retrieval_accuracy(table, cats, topn) == per_query_accuracy(table, cats, topn)
+        assert category_accuracy(want, table, cats) == per_query_accuracy(table, cats, topn)
+
+
+def test_retrieval_accuracy_ranks_all_queries_in_one_argsort(monkeypatch):
+    table, cats = table_with_duplicates(3)
+    want = per_query_accuracy(table, cats, 1)
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(a[0].shape) or argsort(*a, **k))
+    assert retrieval_accuracy(table, cats, 1) == want
+    assert calls == [(len(table.label_ids), len(table.label_ids))]
+
+
+def test_retrieval_errors_keep_their_order():
+    t = table_from(np.eye(3))
+    with pytest.raises(UnknownLabel, match="label 2 missing from category map"):
+        retrieval_accuracy(t, {0: 0, 1: 0}, 5)  # a label without a category before a topn out of range
+    with pytest.raises(TopNOutOfRange):
+        retrieve_each((99,), t, 3)  # a topn out of range before an unknown query
+    with pytest.raises(UnknownLabel, match="label 99 not in table"):
+        retrieve_each((0, 99), t, 1)
 
 
 class TestRetrievalAccuracy:

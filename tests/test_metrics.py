@@ -22,7 +22,8 @@ from ovml.metrics import (
     EmptyTaskVocabulary,
     GroundTruthMatrix,
     NoPositives,
-    _descending_order,
+    _column_aps,
+    _prf,
     evaluate,
     write_report,
 )
@@ -345,21 +346,6 @@ def tied_matrix(seed, shape=None):
     return a
 
 
-@given(st.integers(0, 2**32 - 1), st.sampled_from([None, "1xn", "nx1", "distinct"]))
-@settings(max_examples=200, deadline=None)
-def test_descending_order_is_the_stable_argsort(seed, form):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 50))
-    shape = {None: None, "1xn": (1, n), "nx1": (n, 1), "distinct": (3, n)}[form]
-    a = rng.permutation(np.arange(3 * n, dtype=float)).reshape(3, n) if form == "distinct" else tied_matrix(seed, shape)
-    np.testing.assert_array_equal(_descending_order(a), np.argsort(-a, axis=-1, kind="stable"))
-
-
-def test_descending_order_resolves_signed_zeros_and_nan_by_index():
-    a = np.array([[-0.0, 0.0, np.nan, 1.0, -0.0, np.nan, 0.0], [np.nan, 1.0, np.nan, 2.0, np.nan, -3.0, 0.5]])
-    np.testing.assert_array_equal(_descending_order(a), [[3, 0, 1, 4, 6, 2, 5], [3, 1, 6, 5, 0, 2, 4]])
-
-
 def reference_ap(scores, relevance):
     """One column's AP, ranked by one stable argsort."""
     order = np.argsort(-scores, kind="stable")
@@ -368,8 +354,13 @@ def reference_ap(scores, relevance):
     return float((precision_at * rel).sum() / int(relevance.sum()))
 
 
+def reference_column_aps(scores, y):
+    """_column_aps as one stable argsort, cumsum and sum per column."""
+    return [reference_ap(scores[:, c], y[:, c]) if y[:, c].any() else None for c in range(scores.shape[1])]
+
+
 def reference_per_class_ap(scores, y, label_ids):
-    aps = [reference_ap(scores[:, c], y[:, c]) if y[:, c].any() else None for c in range(len(label_ids))]
+    aps = reference_column_aps(scores, y)
     return aps, [lid for lid, ap in zip(label_ids, aps) if ap is None]
 
 
@@ -425,3 +416,76 @@ def test_tied_reports_match_the_per_column_reference(seed, monkeypatch):
     s, g = mats(scores, y, ids=range(d))
     cut = int(rng.integers(1, d - 4))
     assert_reports_match_reference(s, g, LabelSplit(seen=s.label_ids[:cut], unseen=s.label_ids[cut:]), monkeypatch)
+
+
+def relevance_with_edge_columns(rng, b, d):
+    """Random 0/1 relevance whose first three columns hold no, one and every image as positive."""
+    y = rng.random((b, d)) < rng.uniform(0.05, 0.6)
+    y[:, 0] = False
+    y[:, 1] = np.arange(b) == rng.integers(b)
+    y[:, 2] = True
+    return y
+
+
+def assert_aps_match_reference(scores, y):
+    want = reference_column_aps(scores, y)
+    assert _column_aps(scores, y) == want
+    s, g = mats(scores, y.astype(int), ids=range(scores.shape[1]))
+    assert full_report(s, g).ap == want
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([None, "one column", "one image", "distinct"]))
+@settings(max_examples=200, deadline=None)
+def test_column_aps_equal_the_stable_argsort_reference(seed, form):
+    # ties, +0.0/-0.0 pairs, NaN and ±inf down a column
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 50))
+    shape = {None: None, "one column": (n, 1), "one image": (1, n), "distinct": (n, 3)}[form]
+    a = rng.permutation(np.arange(3 * n, dtype=float)).reshape(n, 3) if form == "distinct" else tied_matrix(seed, shape)
+    y = rng.random(a.shape) < 0.4
+    y[rng.integers(a.shape[0])] = True
+    assert_aps_match_reference(a, y)
+
+
+@pytest.mark.parametrize("b, d", [(1, 3), (2, 3), (2, 7), (37, 20), (2000, 80)])
+@pytest.mark.parametrize("values", ["distinct", "tied"])
+def test_column_aps_with_no_one_or_every_positive(b, d, values):
+    rng = np.random.default_rng(b * d)
+    scores = rng.normal(0, 1, (b, d)) if values == "distinct" else tied_matrix(b + d, (b, d))
+    assert_aps_match_reference(scores, relevance_with_edge_columns(rng, b, d))
+
+
+def test_signed_zeros_and_nan_rank_by_image_index():
+    # column 0: +0.0 and -0.0 tie, so the positive at -0.0 (image 1) ranks third;
+    # column 1: the positive at NaN (image 0) ranks last, behind the one at 0.5
+    scores = np.array([[0.0, np.nan], [-0.0, 0.5], [1.0, 2.0]])
+    y = np.array([[False, True], [True, True], [False, False]])
+    assert _column_aps(scores, y) == [1 / 3, (1 / 2 + 2 / 3) / 2] == reference_column_aps(scores, y)
+
+
+def test_untied_columns_rank_without_argsort(monkeypatch):
+    # distinct scores at 2000 x 80 give no argsort a reason to run, in AP or in top-K
+    rng = np.random.default_rng(5)
+    scores = rng.normal(0, 1, (2000, 80))
+    y = relevance_with_edge_columns(rng, 2000, 80)
+    s, g = mats(scores, y.astype(int), ids=range(80))
+    want = full_report(s, g, (1, 3, 80))
+    assert want.ap == reference_column_aps(scores, y)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.argsort called on an untied matrix")
+
+    monkeypatch.setattr(np, "argsort", refuse)
+    assert full_report(s, g, (1, 3, 80)).to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_prf_counts_equal_summed_loops(seed):
+    rng = np.random.default_rng(seed)
+    predicted, y = rng.random((2, 300, 40)) < rng.uniform(0, 0.5, (2, 1, 1))
+    tp = sum(bool(p and t) for p, t in zip(predicted.flat, y.flat))
+    n_pred, n_pos = sum(map(bool, predicted.flat)), sum(map(bool, y.flat))
+    p, r = tp / n_pred, tp / n_pos
+    assert _prf(predicted, y) == (p, r, 2 * p * r / (p + r))
+    assert _prf(np.zeros_like(y), y) == (0.0, 0.0, 0.0)
+    assert all(type(v) is float for v in _prf(predicted, y))
