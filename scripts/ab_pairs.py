@@ -10,11 +10,14 @@ pair to pair, so a drift in the host's speed falls on both sides alike. Pair i u
 `--seed + i`. The last line of each run is its JSON result. At the end it
 prints, for every end-to-end metric of BENCHMARK.json, the median and
 quartiles of each side, the change of the median, in how many pairs the
-head was better (by the metric's `better` direction), a verdict, and the
-usable CPU count each side's runs saw (`environment.cpus_usable` in the
-report above the last line). A workload whose runs saw different CPU
-counts ends the script with exit code 1: a gain from running on more
-CPUs means nothing without its count.
+head was better (by the metric's `better` direction), a verdict, the
+median number of units each side's runs completed (`units` in the report
+above the last line) and the usable CPU count each side's runs saw
+(`environment.cpus_usable` in that report). A run that completes more
+units holds more of them in memory, so a `peak_rss_mb` change reads
+against the unit counts. A workload whose runs saw different CPU counts
+ends the script with exit code 1: a gain from running on more CPUs means
+nothing without its count.
 
 The verdict follows the benchmark's rule for a claimed gain and each
 end-to-end metric's `bound` in BENCHMARK.json (a relative change):
@@ -33,8 +36,8 @@ With `--record PATH` the script also writes what it measured as one JSON
 file (a `BENCH_*.json` record), rewritten after every workload: the
 options, both checkouts' `git describe`, the head's environment with the
 host's CPU model (numpy's sort kernels dispatch by CPU), and per
-workload the summary rows, each side's usable CPU counts and failed
-operations, and every pair's seed, first side and both result lines.
+workload the summary rows, each side's usable CPU counts, unit counts and
+failed operations, and every pair's seed, first side and both result lines.
 """
 
 from __future__ import annotations
@@ -69,6 +72,11 @@ def cpus_line(cpus: dict[str, list[int]]) -> str:
     """
     shown = {side: "/".join(map(str, sorted(set(counts)))) for side, counts in cpus.items()}
     return f"  cpus_usable: base {shown['base']}, head {shown['head']}"
+
+
+def units_line(units: dict[str, list[int]]) -> str:
+    """Each side's median number of completed units: `  units (median): base 14, head 15.5`."""
+    return f"  units (median): base {statistics.median(units['base']):g}, head {statistics.median(units['head']):g}"
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -157,7 +165,9 @@ def select_layers(names: list[str], per_layer: list[dict]) -> list[dict]:
     return [known[name] for name in names]
 
 
-def record_workload(rows: list[dict], pairs: list[tuple[dict, dict]], cpus: dict[str, list[int]], seed: int) -> dict:
+def record_workload(
+    rows: list[dict], pairs: list[tuple[dict, dict]], cpus: dict[str, list[int]], units: dict[str, list[int]], seed: int
+) -> dict:
     """A workload's entry in the `--record` file; pair i ran on seed `seed + i`."""
     def spread(q: tuple[float, float, float]) -> dict:
         return dict(zip(("q1", "median", "q3"), q))
@@ -165,6 +175,7 @@ def record_workload(rows: list[dict], pairs: list[tuple[dict, dict]], cpus: dict
     return {
         "summary": [{**row, "base": spread(row["base"]), "head": spread(row["head"])} for row in rows],
         "cpus_usable": cpus,
+        "units": units,
         "failed_ops": {"base": [b["failed"] for b, _ in pairs], "head": [h["failed"] for _, h in pairs]},
         "pairs": [
             {"seed": seed + i, "first": "base" if i % 2 == 0 else "head", "base": b, "head": h}
@@ -229,7 +240,7 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     for workload in workloads:
-        pairs, cpus = [], {"base": [], "head": []}
+        pairs, cpus, units = [], {"base": [], "head": []}, {"base": [], "head": []}
         for i in range(args.pairs):
             sides = {}
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
@@ -239,6 +250,7 @@ def main(argv=None) -> int:
                 sides[side] = parse_result(out)
                 report = parse_report(out)
                 cpus[side].append(report["environment"]["cpus_usable"])
+                units[side].append(report["units"])
                 if side == "head":
                     record["environment"] = {k: v for k, v in report["environment"].items() if k != "seed"}
                     record["environment"]["cpu_model"] = cpu_model()
@@ -246,11 +258,12 @@ def main(argv=None) -> int:
             print(progress(workload, i + 1, args.pairs, *pairs[-1], metrics), file=sys.stderr, flush=True)
         rows = summarize(pairs, metrics)
         if args.record:
-            record["workloads"][workload] = record_workload(rows, pairs, cpus, args.seed)
+            record["workloads"][workload] = record_workload(rows, pairs, cpus, units, args.seed)
             args.record.write_text(json.dumps(record, indent=1) + "\n")
         print(format_rows(workload, rows))
         base_failed, head_failed = failures(pairs)
         print(f"  failed operations: base {base_failed}, head {head_failed}")
+        print(units_line(units))
         print(cpus_line(cpus))
         if len({*cpus["base"], *cpus["head"]}) > 1:
             print(f"ab_pairs: {workload} runs saw different usable CPU counts; their times do not compare",

@@ -193,8 +193,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_gradcheck(_: RunConfig) -> int:
-    results = run_suite()
+def cmd_gradcheck(cfg: RunConfig) -> int:
+    results = run_suite(seed=cfg.seed)
     for r in results:
         print(r.line())
     if all(r.ok for r in results):

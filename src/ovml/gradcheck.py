@@ -7,8 +7,9 @@ Instance generators steer clear of subgradient kinks (hinge margins at
 zero, top-k boundary ties, L1 ties); the exact-zero subgradient
 convention at those points is pinned by unit tests instead.
 
-`run_suite` runs the checks in forked workers, one per usable CPU (the
-process's affinity mask, at most one per check). Each check draws only
+`run_suite` runs the checks in two forked workers where the process may
+use two CPUs or more (its affinity mask): `stage1_loss` is about half a
+suite, so a third worker could not finish it sooner. Each check draws only
 from its own `gradcheck.<name>` substream, so every row is the same, bit
 for bit and in `CHECKS` order, as a run of one check after another. On
 one usable CPU, or where `os.fork` is missing, the checks run one after
@@ -396,7 +397,7 @@ def run_suite(instances: int = 20, seed: int = 0) -> list[CheckResult]:
     that of the first failing check in `CHECKS` order, as in a serial run,
     with a worker's traceback as its cause.
     """
-    workers = min(_usable_cpus(), len(CHECKS)) if hasattr(os, "fork") else 1
+    workers = min(_usable_cpus(), 2) if hasattr(os, "fork") else 1
     if workers == 1:
         return [_run_check(name, maker, instances, seed) for name, maker in CHECKS]
     outcomes = _run_forked(workers, instances, seed)

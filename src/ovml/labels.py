@@ -80,16 +80,12 @@ def build_label_table(
     return LabelEmbeddingTable(z=z, label_ids=split.all_ids, provenance=provenance)
 
 
-def retrieve(query_label: int, table: LabelEmbeddingTable, topn: int) -> list[int]:
-    """Rank all other labels by cosine similarity to the query, descending.
-
-    Ties break toward the lower row index; the query itself never appears.
-    """
-    return retrieve_each((query_label,), table, topn)[0]
-
-
 def retrieve_each(query_labels: tuple[int, ...], table: LabelEmbeddingTable, topn: int) -> list[list[int]]:
-    """`retrieve` of each query label, from one stable argsort of their similarity rows."""
+    """The `topn` labels nearest each query label by cosine similarity,
+    descending, from one stable argsort of their similarity rows.
+
+    Ties break toward the lower row index; a query never lists itself.
+    """
     d = len(table.label_ids)
     if not 1 <= topn < d:
         raise TopNOutOfRange(f"topn={topn} outside [1, {d - 1}]")

@@ -1,5 +1,6 @@
-"""Multi-label evaluation: `evaluate` reports per-class AP, mAP/WmAP and
-top-K P/R/F1 over a task vocabulary, against boolean ground truth.
+"""Multi-label evaluation: `evaluate`, the one entry point, reports
+per-class AP, mAP/WmAP and top-K P/R/F1 over a task vocabulary, against
+boolean ground truth.
 
 Every ranking is by descending score with ties to the lower original
 index, the order `np.argsort(-a, kind="stable")` gives, so every metric
@@ -12,8 +13,9 @@ sort. Top-K sets take the stable order only for rows with a tie at the
 K-th place or a NaN. On eval-wide's 2000 x 80 scores a ZSL plus GZSL
 `evaluate` takes 3.1 ms, against 5.1 ms with every column argsorted
 (medians of 100 calls, alternating processes, AMD EPYC, one BLAS thread).
-Classes without a single positive in the task vocabulary are excluded
-from mAP/WmAP and reported as skipped.
+Each task column's positives are counted once: the counts are the AP
+denominators and the WmAP weights, and a class without a single positive
+in the task vocabulary is excluded from mAP/WmAP and reported as skipped.
 """
 
 from __future__ import annotations
@@ -56,10 +58,11 @@ class GroundTruthMatrix:
 _AP_BLOCK = 16
 
 
-def _column_aps(scores: np.ndarray, y: np.ndarray) -> list[float | None]:
+def _column_aps(scores: np.ndarray, y: np.ndarray, n_pos: np.ndarray) -> list[float | None]:
     """AP of each column of a B x d score matrix against its boolean relevance
-    column, None for a column without positives: the sum of precision at
-    each positive's rank over the positives count.
+    column, whose positives number `n_pos`, None for a column without
+    positives: the sum of precision at each positive's rank over the
+    positives count.
 
     Columns go through in blocks of _AP_BLOCK, transposed so that each
     column is a contiguous row. The i-th positive down a row, at 0-based
@@ -71,7 +74,6 @@ def _column_aps(scores: np.ndarray, y: np.ndarray) -> list[float | None]:
     either takes its ranks from the stable order.
     """
     n, d = scores.shape
-    n_pos = y.sum(axis=0)
     aps: list[float | None] = [None] * d
     live = np.flatnonzero(n_pos)
     for start in range(0, len(live), _AP_BLOCK):
@@ -90,25 +92,6 @@ def _column_aps(scores: np.ndarray, y: np.ndarray) -> list[float | None]:
         for c, ap in zip(cols, precision.sum(axis=-1) / n_pos[cols]):
             aps[c] = float(ap)
     return aps
-
-
-def _per_class_ap(
-    scores: np.ndarray, y: np.ndarray, label_ids: tuple[int, ...]
-) -> tuple[list[float | None], list[int]]:
-    aps = _column_aps(scores, y)
-    return aps, [lid for lid, ap in zip(label_ids, aps) if ap is None]
-
-
-def _mean_ap(aps: list[float | None], weights: np.ndarray | None = None) -> float:
-    """Mean AP over the classes that have a positive, weighted by `weights` (one per column) when given."""
-    keep = [c for c, ap in enumerate(aps) if ap is not None]
-    if not keep:
-        raise NoPositives("no class has positives")
-    vals = np.array([aps[c] for c in keep])
-    if weights is None:
-        return float(vals.mean())
-    w = weights[keep]
-    return float((vals * w).sum() / w.sum())
 
 
 def _topk_masks(scores: np.ndarray, ks: tuple[int, ...]) -> dict[int, np.ndarray]:
@@ -219,14 +202,19 @@ def evaluate(
     y = gt.y[:, _task_columns(gt.label_ids, split, mode)[1]]
     if s.shape != y.shape:
         raise ShapeMismatch(f"scores {scores.scores.shape} vs gt {gt.y.shape}")
-    aps, skipped = _per_class_ap(s, y, label_ids)
+    n_pos = np.count_nonzero(y, axis=0)
+    aps = _column_aps(s, y, n_pos)
+    vals = np.array([ap for ap in aps if ap is not None])
+    if not vals.size:
+        raise NoPositives("no class has positives")
+    w = n_pos[n_pos > 0].astype(np.float64)
     return MetricsReport(
         task=mode,
         label_ids=label_ids,
         ap=aps,
-        skipped_classes=skipped,
-        map=_mean_ap(aps),
-        wmap=_mean_ap(aps, weights=y.sum(axis=0).astype(np.float64)),
+        skipped_classes=[lid for lid, ap in zip(label_ids, aps) if ap is None],
+        map=float(vals.mean()),
+        wmap=float((vals * w).sum() / w.sum()),
         prf_at_k={k: _prf(mask, y) for k, mask in _topk_masks(s, k_list).items()},
     )
 

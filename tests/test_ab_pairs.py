@@ -1,4 +1,4 @@
-"""scripts/ab_pairs.py's parsing, summary, CPU-count check and record file, on canned benchmark output."""
+"""scripts/ab_pairs.py's parsing, summary, CPU-count check, unit counts and record file, on canned benchmark output."""
 
 import importlib.util
 import json
@@ -17,7 +17,9 @@ END_TO_END = [
 ]
 
 
-def _run_output(items: float, p50: float, failed: int = 0, cpus: int = 2, metrics: dict | None = None) -> str:
+def _run_output(
+    items: float, p50: float, failed: int = 0, cpus: int = 2, metrics: dict | None = None, units: int = 3
+) -> str:
     """What perfbench/run.py prints: a readable report, then one JSON line."""
     last = {
         "correct": failed == 0,
@@ -25,7 +27,7 @@ def _run_output(items: float, p50: float, failed: int = 0, cpus: int = 2, metric
         "failed": failed,
         "metrics": metrics or {"items_per_s": {"value": items, "unit": "1/s"}, "step_ms.p50": {"value": p50, "unit": "ms"}},
     }
-    report = {"workload": "gradcheck", "units": 3, "environment": {"seed": 0, "cpus_usable": cpus}}
+    report = {"workload": "gradcheck", "units": units, "environment": {"seed": 0, "cpus_usable": cpus}}
     return json.dumps(report, indent=1) + "\n" + json.dumps(last) + "\n\n"
 
 
@@ -176,7 +178,7 @@ def test_record_holds_each_workloads_rows_cpus_failures_and_result_lines(monkeyp
     assert record["environment"] == {"cpus_usable": 2, "cpu_model": "Canned CPU @ 2.00GHz"}
     assert list(record["workloads"]) == ["gradcheck", "eval-wide"]
     entry = record["workloads"]["eval-wide"]
-    assert list(entry) == ["summary", "cpus_usable", "failed_ops", "pairs"]
+    assert list(entry) == ["summary", "cpus_usable", "units", "failed_ops", "pairs"]
     rows = {row["name"]: row for row in entry["summary"]}
     assert list(rows) == [m["name"] for m in bench["end_to_end"]]
     assert rows["items_per_s"] == {
@@ -190,10 +192,27 @@ def test_record_holds_each_workloads_rows_cpus_failures_and_result_lines(monkeyp
     }
     assert rows["setup_s"]["wins"] == 0  # lower is better
     assert entry["cpus_usable"] == {"base": [2, 2, 2], "head": [2, 2, 2]}
+    assert entry["units"] == {"base": [3, 3, 3], "head": [3, 3, 3]}
     assert entry["failed_ops"] == {"base": [0, 0, 0], "head": [0, 1, 0]}
     assert [(p["seed"], p["first"]) for p in entry["pairs"]] == [(4, "base"), (5, "head"), (6, "base")]
     assert entry["pairs"][1]["head"] == ab_pairs.parse_result(run_once(ab_pairs.HEAD, "eval-wide", 5, 7, False))
     assert entry["pairs"][1]["base"] == ab_pairs.parse_result(run_once(tmp_path, "eval-wide", 5, 7, False))
+
+
+def test_units_print_as_each_sides_median_and_record_as_lists(monkeypatch, capsys, tmp_path):
+    bench = json.loads((ab_pairs.HEAD / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in bench["end_to_end"]}
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        return _run_output(0.0, 0.0, metrics=metrics, units=(15 if checkout == ab_pairs.HEAD else 12) + seed)
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    path = tmp_path / "BENCH.json"
+    argv = ["--base", str(tmp_path), "--workload", "eval-wide", "--pairs", "2", "--record", str(path)]
+    assert ab_pairs.main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["  units (median): base 12.5, head 15.5", "  cpus_usable: base 2, head 2"]
+    assert json.loads(path.read_text())["workloads"]["eval-wide"]["units"] == {"base": [12, 13], "head": [15, 16]}
 
 
 def _row(base, head, better="higher", bound=0.2):

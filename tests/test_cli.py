@@ -28,7 +28,7 @@ from ovml.config import (
     resolved_text,
     write_resolved,
 )
-from ovml.gradcheck import CHECKS, CheckResult
+from ovml.gradcheck import CHECKS, CheckResult, run_suite
 from ovml.metrics import evaluate
 from ovml.model import ModelConfig, fixed_table, init_model, load_table, score_batch
 from ovml.synth import SynthConfig, build_world, read_dataset, sample, write_dataset
@@ -180,7 +180,7 @@ def test_retrieve_reports_neighbors(workspace, capsys):
     for line in lines[:-1]:
         lid, neighbors = line.split("\t")
         assert lid not in neighbors.split()
-    # the bytes of one retrieve call per label and a retrieval_accuracy of one more call per label
+    # the bytes of one per-query ranking per label and a retrieval_accuracy of one more ranking per label
     table, categories = load_table(root / "out" / "stage1")
     want = [f"{lid}\t" + " ".join(map(str, per_query_retrieve(lid, table, 2))) for lid in table.label_ids]
     want.append(f"category_accuracy\t{per_query_accuracy(table, categories, 2)!r}")
@@ -972,12 +972,21 @@ def test_flipped_exponent_bit_in_a_weight_exits_three(workspace, tmp_path, capsy
 @pytest.mark.parametrize("fail", [False, True], ids=["all_ok", "one_failure"])
 def test_gradcheck_exit_code_follows_the_suite(monkeypatch, capsys, fail):
     results = [CheckResult("matmul", 3, 1e-9, True), CheckResult("gelu", 3, 0.5 if fail else 1e-9, not fail)]
-    monkeypatch.setattr(cli, "run_suite", lambda: results)
+    monkeypatch.setattr(cli, "run_suite", lambda seed: results)
     assert main(["gradcheck"]) == (2 if fail else 0)
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == [r.line() for r in results]
     assert lines[1].startswith("FAIL" if fail else "ok  ")
     assert lines[2:] == ["gradient suite: FAILURES present" if fail else "gradient suite: all checks passed"]
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_gradcheck_runs_the_suite_at_the_run_seed(tmp_path, capsys, how):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=7\n")
+    assert main(["gradcheck", "--seed", "7"] if how == "flag" else ["gradcheck", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [r.line() for r in run_suite(seed=7)] + ["gradient suite: all checks passed"]
 
 
 def test_gradcheck_prints_every_row_once_and_nothing_on_stderr(capfd, monkeypatch):

@@ -1,7 +1,8 @@
-"""`run_suite` runs its checks in forked workers, one per usable CPU: its
-rows equal a serial loop's bit for bit and in `CHECKS` order, one usable
-CPU forks nothing, a maker's exception surfaces as in a serial run, with
-the worker's traceback as its cause, and no worker outlives the call.
+"""`run_suite` runs its checks in two forked workers wherever two CPUs or
+more are usable: its rows equal a serial loop's bit for bit and in
+`CHECKS` order, one usable CPU forks nothing, a maker's exception surfaces
+as in a serial run, with the worker's traceback as its cause, and no
+worker outlives the call.
 """
 
 import os
@@ -49,9 +50,10 @@ def _serial_rows(instances: int, seed: int) -> list[tuple]:
 
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("instances", [1, 2])
-def test_forked_rows_equal_a_serial_loop_bit_for_bit(monkeypatch, seed, instances):
+@pytest.mark.parametrize("cpus", [2, 20])
+def test_forked_rows_equal_a_serial_loop_bit_for_bit(monkeypatch, seed, instances, cpus):
     expected = _serial_rows(instances, seed)
-    _usable_cpus(monkeypatch, 2)
+    _usable_cpus(monkeypatch, cpus)
     forks = _counting_forks(monkeypatch)
     rows = run_suite(instances=instances, seed=seed)
     assert len(forks) == 2

@@ -135,7 +135,7 @@ def test_ap_tie_keeps_original_image_order():
 def test_ap_requires_positives():
     # every task column is skipped, so there is no mean to take
     s, g = mats(np.array([[0.1, 0.3], [0.2, 0.4]]), np.zeros((2, 2)))
-    with pytest.raises(NoPositives):
+    with pytest.raises(NoPositives, match="^no class has positives$"):
         full_report(s, g)
 
 
@@ -359,11 +359,6 @@ def reference_column_aps(scores, y):
     return [reference_ap(scores[:, c], y[:, c]) if y[:, c].any() else None for c in range(scores.shape[1])]
 
 
-def reference_per_class_ap(scores, y, label_ids):
-    aps = reference_column_aps(scores, y)
-    return aps, [lid for lid, ap in zip(label_ids, aps) if ap is None]
-
-
 def reference_topk_masks(scores, ks):
     b, d = scores.shape
     order = np.argsort(-scores, axis=1, kind="stable")
@@ -386,7 +381,7 @@ def assert_reports_match_reference(s, g, split, monkeypatch):
         k_lists = {mode: ks or (d,) for mode, d in widths.items() if ks is None or max(ks) <= d}
         got = report_bytes(s, g, split, k_lists)
         with monkeypatch.context() as m:
-            m.setattr(metrics, "_per_class_ap", reference_per_class_ap)
+            m.setattr(metrics, "_column_aps", lambda scores, y, n_pos: reference_column_aps(scores, y))
             m.setattr(metrics, "_topk_masks", reference_topk_masks)
             assert got == report_bytes(s, g, split, k_lists)
 
@@ -429,7 +424,7 @@ def relevance_with_edge_columns(rng, b, d):
 
 def assert_aps_match_reference(scores, y):
     want = reference_column_aps(scores, y)
-    assert _column_aps(scores, y) == want
+    assert _column_aps(scores, y, np.count_nonzero(y, axis=0)) == want
     s, g = mats(scores, y.astype(int), ids=range(scores.shape[1]))
     assert full_report(s, g).ap == want
 
@@ -455,12 +450,40 @@ def test_column_aps_with_no_one_or_every_positive(b, d, values):
     assert_aps_match_reference(scores, relevance_with_edge_columns(rng, b, d))
 
 
+def reference_mean_ap(aps, weights=None):
+    """Mean AP over the classes with a positive, weighted by `weights` (one
+    per column) when given: evaluate's mAP and WmAP arithmetic."""
+    keep = [c for c, ap in enumerate(aps) if ap is not None]
+    vals = np.array([aps[c] for c in keep])
+    if weights is None:
+        return float(vals.mean())
+    w = weights[keep]
+    return float((vals * w).sum() / w.sum())
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_means_and_skipped_classes_equal_the_per_class_reference(seed):
+    # tied scores; a column with no positive, one with one, one with every image, and more skipped at random
+    rng = np.random.default_rng(seed)
+    b, d = int(rng.integers(1, 60)), int(rng.integers(3, 30))
+    scores = tied_matrix(seed, (b, d))
+    y = relevance_with_edge_columns(rng, b, d)
+    y[:, 3:] &= rng.random(d - 3) >= 0.2
+    ids = tuple(int(i) for i in rng.permutation(np.arange(100, 100 + 2 * d))[:d])
+    report = full_report(*mats(scores, y.astype(int), ids=ids))
+    aps = reference_column_aps(scores, y)
+    assert report.skipped_classes == [lid for lid, ap in zip(ids, aps) if ap is None]
+    assert report.map == reference_mean_ap(aps)
+    assert report.wmap == reference_mean_ap(aps, y.sum(axis=0).astype(np.float64))
+
+
 def test_signed_zeros_and_nan_rank_by_image_index():
     # column 0: +0.0 and -0.0 tie, so the positive at -0.0 (image 1) ranks third;
     # column 1: the positive at NaN (image 0) ranks last, behind the one at 0.5
     scores = np.array([[0.0, np.nan], [-0.0, 0.5], [1.0, 2.0]])
     y = np.array([[False, True], [True, True], [False, False]])
-    assert _column_aps(scores, y) == [1 / 3, (1 / 2 + 2 / 3) / 2] == reference_column_aps(scores, y)
+    want = [1 / 3, (1 / 2 + 2 / 3) / 2]
+    assert _column_aps(scores, y, np.count_nonzero(y, axis=0)) == want == reference_column_aps(scores, y)
 
 
 def test_untied_columns_rank_without_argsort(monkeypatch):
