@@ -144,8 +144,11 @@ _KINDS = {k: v for k, v in field_kinds(RunConfig, *_PARTS.values()).items() if k
 def parse_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
-        raise ConfigError(f"config file {path} does not exist")
-    return parse_config_text(path.read_text())
+        raise ConfigError(f"config file {path} {'is not a file' if path.exists() else 'does not exist'}")
+    try:
+        return parse_config_text(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"config file {path} cannot be read: {e}") from None
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -178,5 +181,5 @@ def write_resolved(cfg: RunConfig, out_dir: str | Path) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "config.resolved.txt"
-    path.write_text(resolved_text(cfg))
+    path.write_text(resolved_text(cfg), encoding="utf-8")
     return path

@@ -7,18 +7,19 @@ Instance generators steer clear of subgradient kinks (hinge margins at
 zero, top-k boundary ties, L1 ties); the exact-zero subgradient
 convention at those points is pinned by unit tests instead.
 
-`run_suite` runs the checks in two forked workers where the process may
-use two CPUs or more (its affinity mask): `stage1_loss` is about half a
-suite, so a third worker could not finish it sooner. Each check draws only
-from its own `gradcheck.<name>` substream, so every row is the same, bit
-for bit and in `CHECKS` order, as a run of one check after another. On
-one usable CPU, or where `os.fork` is missing, the checks run one after
-another in-process. A check that raises in a worker raises the same
-exception in the caller, chained to the worker's formatted traceback.
+`run_suite` has one rule: the caller runs, in `CHECKS` order, every check
+that forked workers did not finish. Where the process may use two CPUs or
+more (its affinity mask) and has `os.fork`, two workers run every check
+ahead (`stage1_loss` is about half a suite, so a third could not finish it
+sooner); a check that raises in a worker, or whose worker dies or cannot
+be started, is left to the caller, which then raises as a serial run does.
+Each check draws only from its own `gradcheck.<name>` substream, so every
+row is the same, bit for bit, as a run of one check after another.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 from dataclasses import dataclass
@@ -393,50 +394,47 @@ def _usable_cpus() -> int:
 
 
 def run_suite(instances: int = 20, seed: int = 0) -> list[CheckResult]:
-    """One row per check, in `CHECKS` order. A maker's exception propagates:
-    that of the first failing check in `CHECKS` order, as in a serial run,
-    with a worker's traceback as its cause.
+    """One row per check, in `CHECKS` order: the workers' rows, and a run in
+    the caller for every check without one, so a maker's exception is the
+    first failing check's in `CHECKS` order, as in a serial run.
     """
-    workers = min(_usable_cpus(), 2) if hasattr(os, "fork") else 1
-    if workers == 1:
-        return [_run_check(name, maker, instances, seed) for name, maker in CHECKS]
-    outcomes = _run_forked(workers, instances, seed)
-    rows = []
-    for i, (name, _) in enumerate(CHECKS):
-        if i not in outcomes:
-            raise RuntimeError(f"gradient suite worker stopped before reporting check {name}")
-        if isinstance(outcomes[i], tuple):
-            error, text = outcomes[i]
-            # the unpickled copy has no frames; the worker's text shows them
-            raise error from RuntimeError(f"in a gradient suite worker:\n{text}")
-        rows.append(outcomes[i])
-    return rows
+    rows = _run_forked(instances, seed) if hasattr(os, "fork") and _usable_cpus() >= 2 else {}
+    return [rows.get(i) or _run_check(name, maker, instances, seed) for i, (name, maker) in enumerate(CHECKS)]
 
 
-def _run_forked(workers: int, instances: int, seed: int) -> dict:
-    """Each check's row, or its exception and formatted traceback, by its
-    index in `CHECKS`, from `workers` forked children. They take indices
-    from one pipe, costliest first (`stage1_loss` is about half a suite),
-    and each sends back its outcomes through a pipe of its own. The parent
-    runs no check itself, and reaps every child before it returns or raises.
+def _run_forked(instances: int, seed: int) -> dict[int, CheckResult]:
+    """The rows two forked workers finish, by index in `CHECKS`. They take
+    indices from one pipe, costliest first (`stage1_loss` is about half a
+    suite), and send back their rows through a pipe each. A check that raises
+    in a worker, or whose worker dies or cannot be started, gets no row. The
+    parent runs no check itself, and reaps every child before it returns.
     """
-    tasks, feed = os.pipe()
+    try:
+        tasks, feed = os.pipe()
+    except OSError:
+        return {}
     os.write(feed, bytes(reversed(range(len(CHECKS)))))  # one byte per index; later checks cost more
     os.close(feed)
-    children = {}  # pid -> read end of its outcome pipe
+    children = {}  # pid -> read end of its row pipe
     try:
-        for _ in range(workers):
-            out_r, out_w = os.pipe()
-            pid = os.fork()
+        for _ in range(2):
+            ends = ()
+            try:  # a failing pipe or fork closes what it opened and starts no further worker
+                ends = out_r, out_w = os.pipe()
+                pid = os.fork()
+            except OSError:
+                for end in ends:
+                    os.close(end)
+                break
             if pid == 0:
                 _worker(tasks, out_w, instances, seed)
             os.close(out_w)
             children[pid] = open(out_r, "rb")
-        outcomes = {}
+        rows = {}
         for out in children.values():
             if sent := out.read():  # nothing from a worker that died
-                outcomes.update(pickle.loads(sent))
-        return outcomes
+                rows.update(pickle.loads(sent))
+        return rows
     finally:
         while os.read(tasks, 256):  # on an error no worker starts another check
             pass
@@ -452,17 +450,12 @@ def _worker(tasks: int, out_w: int, instances: int, seed: int) -> None:
     """
     code = 1
     try:
-        outcomes = {}
+        rows = {}
         while task := os.read(tasks, 1):
-            name, maker = CHECKS[task[0]]
-            try:
-                outcomes[task[0]] = _run_check(name, maker, instances, seed)
-            except Exception as e:
-                import traceback  # only a worker formats one; the parent does not load it
-
-                outcomes[task[0]] = (e, traceback.format_exc())
+            with contextlib.suppress(Exception):  # a check that raises is left to the caller
+                rows[task[0]] = _run_check(*CHECKS[task[0]], instances, seed)
         with open(out_w, "wb") as out:
-            pickle.dump(outcomes, out)
+            pickle.dump(rows, out)
         code = 0
     finally:
         os._exit(code)

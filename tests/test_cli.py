@@ -113,6 +113,12 @@ class TestConfigParsing:
         assert path.name == "config.resolved.txt"
         assert parse_config_text(path.read_text()) == cfg
 
+    def test_write_resolved_writes_utf8(self, tmp_path):
+        cfg = RunConfig(out_dir="runs/ünïcode")
+        path = write_resolved(cfg, tmp_path)
+        assert path.read_bytes() == resolved_text(cfg).encode("utf-8")
+        assert parse_config(path) == cfg
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -286,6 +292,25 @@ def test_sweep_scores_each_untrained_baseline_once(tmp_path, monkeypatch, capsys
 def test_missing_config_file_is_usage_error(capsys):
     assert main(["gen", "--config", "/nonexistent/x.cfg"]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "make,reason",
+    [
+        (lambda p: p.write_bytes(b"seed=0\nout_dir=\xff\xfe\n"),
+         "cannot be read: 'utf-8' codec can't decode byte 0xff in position 15: invalid start byte"),
+        (lambda p: p.mkdir(), "is not a file"),
+        (lambda p: None, "does not exist"),
+    ],
+    ids=["undecodable", "directory", "missing"],
+)
+def test_unreadable_config_is_a_one_line_config_error(tmp_path, monkeypatch, capsys, make, reason):
+    monkeypatch.chdir(tmp_path)
+    make(tmp_path / "bad.cfg")
+    before = sorted(tmp_path.iterdir())
+    assert main(["gen", "--config", "bad.cfg"]) == 1
+    assert capsys.readouterr().err == f"config error: config file bad.cfg {reason}\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_bad_argv_is_usage_error(capsys):
