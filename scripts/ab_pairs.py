@@ -32,12 +32,17 @@ With `--layer NAME` (repeatable) every run is traced (`--trace 1`), whose
 last line holds the per-layer metrics instead, and the summary covers the
 named per-layer metrics of BENCHMARK.json, each in its own direction.
 
+A run that exits non-zero ends the script with exit code 1, after
+printing its workload, pair and side and the last lines of its standard
+error.
+
 With `--record PATH` the script also writes what it measured as one JSON
-file (a `BENCH_*.json` record), rewritten after every workload: the
-options, both checkouts' `git describe`, the head's environment with the
-host's CPU model (numpy's sort kernels dispatch by CPU), and per
-workload the summary rows, each side's usable CPU counts, unit counts and
-failed operations, and every pair's seed, first side and both result lines.
+file (a `BENCH_*.json` record), rewritten after every pair, so the pairs
+finished before a failed run are kept: the options, both checkouts' `git
+describe`, the head's environment with the host's CPU model (numpy's
+sort kernels dispatch by CPU), and per workload the summary rows, each
+side's usable CPU counts, unit counts and failed operations, and every
+pair's seed, first side and both result lines.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ import sys
 from pathlib import Path
 
 HEAD = Path(__file__).resolve().parent.parent
+STDERR_LINES = 10  # of a failed run, printed
 
 
 def parse_result(stdout: str) -> dict:
@@ -246,7 +252,14 @@ def main(argv=None) -> int:
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for side in order:
                 checkout = args.base if side == "base" else HEAD
-                out = run_once(checkout, workload, args.seed + i, args.seconds, bool(args.layer))
+                try:
+                    out = run_once(checkout, workload, args.seed + i, args.seconds, bool(args.layer))
+                except subprocess.CalledProcessError as e:
+                    print(f"ab_pairs: {workload} pair {i + 1}/{args.pairs}: the {side} run in {checkout} exited "
+                          f"{e.returncode}; the last lines of its stderr:", file=sys.stderr)
+                    for line in (e.stderr or "").splitlines()[-STDERR_LINES:]:
+                        print(f"  {line}", file=sys.stderr)
+                    return 1
                 sides[side] = parse_result(out)
                 report = parse_report(out)
                 cpus[side].append(report["environment"]["cpus_usable"])
@@ -256,10 +269,10 @@ def main(argv=None) -> int:
                     record["environment"]["cpu_model"] = cpu_model()
             pairs.append((sides["base"], sides["head"]))
             print(progress(workload, i + 1, args.pairs, *pairs[-1], metrics), file=sys.stderr, flush=True)
-        rows = summarize(pairs, metrics)
-        if args.record:
-            record["workloads"][workload] = record_workload(rows, pairs, cpus, units, args.seed)
-            args.record.write_text(json.dumps(record, indent=1) + "\n")
+            rows = summarize(pairs, metrics)
+            if args.record:
+                record["workloads"][workload] = record_workload(rows, pairs, cpus, units, args.seed)
+                args.record.write_text(json.dumps(record, indent=1) + "\n")
         print(format_rows(workload, rows))
         base_failed, head_failed = failures(pairs)
         print(f"  failed operations: base {base_failed}, head {head_failed}")

@@ -4,8 +4,8 @@ Subcommands: gen, train, eval, retrieve, sweep, gradcheck. Every run
 writes its fully resolved config next to its outputs and produces
 byte-identical primary artifacts when repeated with the same config and
 seed. Exit codes: 0 ok, 1 usage or config problem (a dataset or checkpoint
-path that is not a directory, a test split that cannot be scored), 2
-numerical failure, 3 invariant violation.
+path that is not a directory, a path the OS refuses, a test split that
+cannot be scored), 2 numerical failure, 3 invariant violation.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .synth import (
     sample,
     write_dataset,
 )
-from .tensor_io import BadManifest, BadTensorFile, directory_digest
+from .tensor_io import BadManifest, BadTensorFile
 from .training import FrozenViolation, NonFiniteLoss, train
 
 
@@ -88,7 +88,7 @@ def cmd_train(cfg: RunConfig) -> int:
     paths = train(model, dataset, cfg.train, cfg.seed, out_dir)
     write_resolved(cfg, out_dir)
     for stage in ("stage1", "stage2"):
-        print(f"{stage} checkpoint {paths[stage]} hash {directory_digest(paths[stage])}")
+        print(f"{stage} checkpoint {paths[stage]} hash {paths['digests'][stage]}")
     print(f"log {paths['log']}")
     return 0
 
@@ -238,8 +238,8 @@ def main(argv=None) -> int:
         # no numpy warnings before the one-line message: the Tensor and AdamW checks catch NaN/Inf
         with np.errstate(over="ignore", invalid="ignore"):
             return _COMMANDS[args.command](cfg)
-    except (ConfigError, FileNotFoundError, FileExistsError, NotADirectoryError, PoolTooSmall,
-            InfeasibleConstraint, KOutOfRange, TopNOutOfRange, UnknownLabel) as e:
+    except (ConfigError, OSError, PoolTooSmall, InfeasibleConstraint, KOutOfRange, TopNOutOfRange,
+            UnknownLabel) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     except (NonFiniteLoss, NonFinite, NotScalar) as e:

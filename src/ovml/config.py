@@ -13,6 +13,7 @@ line break, is refused.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -143,8 +144,8 @@ _KINDS = {k: v for k, v in field_kinds(RunConfig, *_PARTS.values()).items() if k
 
 def parse_config(path: str | Path) -> RunConfig:
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file {path} {'is not a file' if path.exists() else 'does not exist'}")
+    if not os.path.isfile(path):  # os.path, unlike Path, takes a path the OS refuses to check as absent
+        raise ConfigError(f"config file {path} {'is not a file' if os.path.exists(path) else 'does not exist'}")
     try:
         return parse_config_text(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as e:

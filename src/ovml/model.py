@@ -179,7 +179,8 @@ _META_KINDS = {
 }
 
 
-def save_model(directory: str | Path, model: Model, table: LabelEmbeddingTable) -> None:
+def save_model(directory: str | Path, model: Model, table: LabelEmbeddingTable) -> str:
+    """Write the model and its label table as a sealed checkpoint; return its digest."""
     tensors = {name: t.data for name, t in model.named_params().items()}
     tensors["table.z"] = table.matrix()
     meta = {
@@ -190,7 +191,8 @@ def save_model(directory: str | Path, model: Model, table: LabelEmbeddingTable) 
         "table_ids": table.label_ids,
         "table_provenance": table.provenance,
     }
-    save_checkpoint(directory, tensors, {_META: key_values_text(meta), _VOCAB: vocabulary_text(model.categories)})
+    texts = {_META: key_values_text(meta), _VOCAB: vocabulary_text(model.categories)}
+    return save_checkpoint(directory, tensors, texts)
 
 
 def _read_checkpoint(directory: str | Path):

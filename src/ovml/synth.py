@@ -26,7 +26,7 @@ from .metrics import GroundTruthMatrix
 from .seeds import substream
 from .tensor_io import (
     check_at_least, directory_digest, field_kinds, key_values_text, read_key_values, read_tensor, tensor_bytes,
-    write_sealed, write_tensor,
+    write_sealed,
 )
 from .text_encoder import TextSurrogateParams, init_text_surrogate
 from .vit import check_heads, patchify
@@ -382,20 +382,14 @@ _WORLD_FILES: dict[str, Callable[[SynthWorld], bytes]] = {
 def write_dataset(directory: str | Path, dataset: Dataset) -> str:
     """Write the sealed directory layout and return its content hash."""
     world = dataset.world
-
-    def fill(staging: Path) -> None:
-        (staging / "world").mkdir()
-        write_tensor(staging / _IMAGES, dataset.images)
-        write_tensor(staging / _TEACHER, dataset.teacher)
-        (staging / _POSITIVES).write_text(
-            "".join(" ".join(map(str, pos)) + "\n" for pos in dataset.positives)
-        )
-        head = {"seed": world.seed, "n_labels": world.n_labels, "seen_fraction": world.seen_fraction}
-        (staging / _WORLD_CONFIG).write_text(key_values_text({**head, **asdict(world.config)}))
-        for rel, content in _WORLD_FILES.items():
-            (staging / rel).write_bytes(content(world))
-
-    return write_sealed(directory, fill)
+    head = {"seed": world.seed, "n_labels": world.n_labels, "seen_fraction": world.seen_fraction}
+    files = {
+        _IMAGES: tensor_bytes(dataset.images),
+        _TEACHER: tensor_bytes(dataset.teacher),
+        _POSITIVES: "".join(" ".join(map(str, pos)) + "\n" for pos in dataset.positives).encode(),
+        _WORLD_CONFIG: key_values_text({**head, **asdict(world.config)}).encode(),
+    }
+    return write_sealed(directory, {**files, **{rel: content(world) for rel, content in _WORLD_FILES.items()}})
 
 
 def read_dataset(directory: str | Path) -> Dataset:

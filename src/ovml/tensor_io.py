@@ -6,9 +6,10 @@ little-endian extents, then the row-major IEEE-754 f64 payload, whose
 values must all be finite.
 
 A sealed directory (a dataset split or a checkpoint) holds its files and
-a manifest.txt of sorted "path<TAB>sha256" lines, written last in a fresh
-sibling that then moves into place. It is read only once its files are
-exactly those listed. A checkpoint's tensors are its *.mkt1 files.
+a manifest.txt of sorted "path<TAB>sha256" lines, hashed from the bytes
+written and written last in a fresh sibling that then moves into place.
+It is read only once its files are exactly those listed. A checkpoint's
+tensors are its *.mkt1 files; its texts are UTF-8.
 
 Key=value text: one `key=value` per line, `#` comments and blank lines
 skipped. Each key's type is a dataclass field's declared type: int,
@@ -23,7 +24,7 @@ import os
 import secrets
 import shutil
 import struct
-from collections.abc import Callable
+from collections.abc import Mapping
 from dataclasses import fields
 from pathlib import Path
 
@@ -147,18 +148,9 @@ def read_tensor(path: str | Path) -> np.ndarray:
     return array.reshape(shape)
 
 
-def _manifest(directory: Path) -> tuple[bytes, dict[str, str]]:
-    """The manifest the files now under a directory call for, and its path -> sha256 entries."""
-    rels = sorted(p.relative_to(directory).as_posix() for p in directory.rglob("*") if p.is_file())
-    digests = {rel: hashlib.sha256((directory / rel).read_bytes()).hexdigest() for rel in rels if rel != MANIFEST}
-    return "".join(f"{rel}\t{digest}\n" for rel, digest in digests.items()).encode(), digests
-
-
-def seal(directory: str | Path) -> str:
-    """Write the manifest of the files now in a directory; return its digest."""
-    manifest, _ = _manifest(Path(directory))
-    (Path(directory) / MANIFEST).write_bytes(manifest)
-    return hashlib.sha256(manifest).hexdigest()
+def _manifest(digests: dict[str, str]) -> bytes:
+    """The manifest of path -> sha256 entries: one "path<TAB>sha256" line each, sorted by path."""
+    return "".join(f"{rel}\t{digests[rel]}\n" for rel in sorted(digests)).encode()
 
 
 def remove_sealed(*directories: Path) -> None:
@@ -172,21 +164,29 @@ def remove_sealed(*directories: Path) -> None:
         shutil.rmtree(directory, ignore_errors=True)
 
 
-def write_sealed(directory: str | Path, fill: Callable[[Path], None]) -> str:
-    """Have `fill` write a fresh sibling directory, seal it and move it to
-    `directory`; return its digest. Only an empty or sealed directory is
-    ever replaced, and a fill that raises leaves the target as it was."""
+def write_sealed(directory: str | Path, files: Mapping[str, bytes]) -> str:
+    """Write `files`, relative posix path -> bytes, and the manifest of those
+    bytes to a fresh sibling, then move it to `directory`; return its digest.
+    Only an empty or sealed directory is ever replaced, and a write that
+    raises leaves the target as it was."""
     directory = Path(directory)
     staging = directory.parent / f".ovml-{directory.name}-{secrets.token_hex(4)}"
     staging.mkdir(parents=True)
     try:
-        fill(staging)
-        digest = seal(staging)
+        digests = {}
+        for rel, content in files.items():
+            path = staging / rel
+            if "/" in rel:
+                path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(content)
+            digests[rel] = hashlib.sha256(content).hexdigest()
+        manifest = _manifest(digests)
+        (staging / MANIFEST).write_bytes(manifest)
         remove_sealed(directory)
         staging.rename(directory)
     finally:
-        shutil.rmtree(staging, ignore_errors=True)  # left only when the fill or the replacement raised
-    return digest
+        shutil.rmtree(staging, ignore_errors=True)  # left only when a write or the replacement raised
+    return hashlib.sha256(manifest).hexdigest()
 
 
 def directory_digest(directory: str | Path) -> str:
@@ -194,11 +194,12 @@ def directory_digest(directory: str | Path) -> str:
     files are checked to be exactly those listed. A path that is not a
     directory raises NotADirectoryError; a failed check, BadManifest."""
     directory = Path(directory)
-    if not directory.is_dir():
+    if not os.path.isdir(directory):  # unlike Path.is_dir, False for a path the OS refuses to check
         raise NotADirectoryError(f"{directory} is not a directory")
     manifest = (directory / MANIFEST).read_bytes()
-    expected, actual = _manifest(directory)
-    if manifest != expected:
+    rels = (p.relative_to(directory).as_posix() for p in directory.rglob("*") if p.is_file())
+    actual = {rel: hashlib.sha256((directory / rel).read_bytes()).hexdigest() for rel in rels if rel != MANIFEST}
+    if manifest != _manifest(actual):
         listed = dict(line.partition("\t")[::2] for line in manifest.decode(errors="replace").splitlines())
         if any(len(digest) != 64 for digest in listed.values()):
             raise BadManifest(f"{MANIFEST} is not a digest manifest (retrain a checkpoint saved before digests)")
@@ -209,12 +210,8 @@ def directory_digest(directory: str | Path) -> str:
 
 def save_checkpoint(directory: str | Path, tensors: dict[str, np.ndarray], texts: dict[str, str]) -> str:
     """Write a sealed checkpoint of `<name>.mkt1` per tensor plus the given text files; return its digest."""
-    def fill(staging: Path) -> None:
-        for name, array in tensors.items():
-            write_tensor(staging / f"{name}.mkt1", array)
-        for rel, text in texts.items():
-            (staging / rel).write_text(text)
-    return write_sealed(directory, fill)
+    files = {f"{name}.mkt1": tensor_bytes(array) for name, array in tensors.items()}
+    return write_sealed(directory, {**files, **{rel: text.encode() for rel, text in texts.items()}})
 
 
 def load_checkpoint(directory: str | Path) -> dict[str, np.ndarray]:

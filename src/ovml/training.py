@@ -189,7 +189,8 @@ def run_stage2(
 def train(model: Model, dataset: Dataset, cfg: TrainConfig, seed: int, out_dir: str | Path) -> dict:
     """Run both stages, streaming the step log and checkpointing each stage.
 
-    Returns the artifact paths. Deterministic for fixed inputs: the log
+    Returns the artifact paths, and under "digests" each checkpoint's digest
+    as its write computed it. Deterministic for fixed inputs: the log
     carries no timestamps and checkpoints serialize in sorted name order.
     An earlier run's checkpoints in `out_dir` go first, so none outlives a failed run.
     """
@@ -202,7 +203,7 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig, seed: int, out_dir: 
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
         run_stage1(model, dataset, cfg, seed, log)
-        save_model(out_dir / "stage1", model, fixed_table(model))
+        digests = {"stage1": save_model(out_dir / "stage1", model, fixed_table(model))}
         run_stage2(model, dataset, cfg, seed, log)
-        save_model(out_dir / "stage2", model, fixed_table(model, provenance="tuned"))
-    return {"log": log_path, "stage1": out_dir / "stage1", "stage2": out_dir / "stage2"}
+        digests["stage2"] = save_model(out_dir / "stage2", model, fixed_table(model, provenance="tuned"))
+    return {"log": log_path, "stage1": out_dir / "stage1", "stage2": out_dir / "stage2", "digests": digests}

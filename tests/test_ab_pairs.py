@@ -270,3 +270,33 @@ def test_cpu_model_is_the_first_model_name(tmp_path):
     info.write_text("processor\t: 0\nfeatures\t: fp asimd\n")
     assert ab_pairs.cpu_model(info) is None
     assert ab_pairs.cpu_model(tmp_path / "missing") is None
+
+
+def test_a_failed_run_names_its_pair_and_side_and_keeps_the_finished_pairs(monkeypatch, capsys, tmp_path):
+    # a base checkout whose benchmark cannot start, as one without src/ fails
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\nfor i in range(12):\n    print(f'noise {i}', file=sys.stderr)\n"
+        "print(\"ModuleNotFoundError: No module named 'ovml'\", file=sys.stderr)\nsys.exit(3)\n"
+    )
+    bench = json.loads((ab_pairs.HEAD / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in bench["end_to_end"]}
+    real_run_once = ab_pairs.run_once
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        if checkout == ab_pairs.HEAD or seed == 0:  # the first pair finishes; the base run of the second fails
+            return _run_output(0.0, 0.0, metrics=metrics)
+        return real_run_once(checkout, workload, seed, seconds, trace)
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    path = tmp_path / "BENCH.json"
+    argv = ["--base", str(tmp_path), "--workload", "gradcheck", "--pairs", "3", "--record", str(path)]
+    assert ab_pairs.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[1:] == [
+        f"ab_pairs: gradcheck pair 2/3: the base run in {tmp_path} exited 3; the last lines of its stderr:",
+        *(f"  noise {i}" for i in range(3, 12)),
+        "  ModuleNotFoundError: No module named 'ovml'",
+    ]
+    assert [p["seed"] for p in json.loads(path.read_text())["workloads"]["gradcheck"]["pairs"]] == [0]

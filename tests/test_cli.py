@@ -4,6 +4,7 @@ Every command runs in-process through main(argv) so the asserted return
 values are exactly the process exit codes.
 """
 
+import errno
 import importlib
 import os
 import pkgutil
@@ -33,8 +34,9 @@ from ovml.metrics import evaluate
 from ovml.model import ModelConfig, fixed_table, init_model, load_table, score_batch
 from ovml.synth import SynthConfig, build_world, read_dataset, sample, write_dataset
 from ovml.training import TrainConfig, run_stage1, run_stage2
-from ovml.tensor_io import directory_digest, read_tensor, seal, write_tensor
+from ovml.tensor_io import directory_digest, read_tensor, write_tensor
 
+from test_io import reseal
 from test_labels import per_query_accuracy, per_query_retrieve
 
 TINY = """
@@ -417,7 +419,7 @@ def _sealed(edit):
     """Apply an edit, then re-seal the manifest, so the edit reaches the parser check it is aimed at."""
     def sealed_edit(directory):
         edit(directory)
-        seal(directory)
+        reseal(directory)
     return sealed_edit
 
 
@@ -874,7 +876,7 @@ def test_vocabulary_that_lists_a_label_twice_exits_three(workspace, tmp_path, ca
     shutil.copytree(root / "out" / "stage2", ck)
     lines = (ck / "vocab.tsv").read_text().splitlines(keepends=True)
     (ck / "vocab.tsv").write_text("".join(lines) + "0\t1\n")
-    seal(ck)
+    reseal(ck)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(TINY + f"out_dir={tmp_path}/out\ndataset_dir={root}/out/dataset\ncheckpoint={ck}\n")
     for command in ("retrieve", "eval"):
@@ -938,6 +940,35 @@ def test_checkpoint_that_is_no_directory_is_config_error(workspace, tmp_path, ca
         cfg.write_text(TINY + f"out_dir={tmp_path}/out\ndataset_dir={root}/out/dataset\ncheckpoint={checkpoint}\n")
         assert main([command, "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == f"config error: {checkpoint} is not a directory\n"
+
+
+LONG = "x" * 300  # over the 255 bytes a file name may hold: the OS refuses the path with ENAMETOOLONG
+
+
+@pytest.mark.parametrize(
+    "argv,settings,message",
+    [
+        (["gen", "--out", LONG], "", f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: "),
+        (["gen", "--config", f"{LONG}.cfg"], None, f"config file {LONG}.cfg does not exist"),
+        (["train"], f"dataset_dir={LONG}\n", f"{LONG}/train is not a directory"),
+        (["eval"], f"checkpoint={LONG}\n", f"{LONG} is not a directory"),
+        (["retrieve"], f"checkpoint={LONG}\n", f"{LONG} is not a directory"),
+    ],
+    ids=["gen_out", "gen_config", "train_dataset_dir", "eval_checkpoint", "retrieve_checkpoint"],
+)
+def test_a_path_the_os_refuses_is_a_one_line_config_error(workspace, tmp_path, monkeypatch, capsys, argv, settings,
+                                                          message):
+    root, _ = workspace
+    monkeypatch.chdir(tmp_path)
+    if settings is not None:
+        dataset = "" if argv[0] == "gen" or "dataset_dir" in settings else f"dataset_dir={root}/out/dataset\n"
+        (tmp_path / "run.cfg").write_text(TINY + "out_dir=out\n" + dataset + settings)
+        argv = [*argv, "--config", "run.cfg"]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1, err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 FUZZ = {

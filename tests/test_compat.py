@@ -19,9 +19,10 @@ from ovml.cli import main
 from ovml.config import RunConfig, parse_config_text, resolved_text
 from ovml.model import ModelConfig, fixed_table, init_model, load_model, save_model
 from ovml.synth import SynthConfig, build_world, read_dataset, sample, write_dataset
-from ovml.tensor_io import directory_digest, seal
+from ovml.tensor_io import directory_digest
 
 from test_cli import TINY
+from test_io import reseal
 
 DEFAULT_RESOLVED = """\
 seed=0
@@ -177,7 +178,7 @@ def test_tiny_resolved_text_is_pinned():
 def test_old_world_config_reads_back(world, tmp_path):
     write_dataset(tmp_path, sample(world, 4, world.split.seen, 7))
     (tmp_path / "world" / "config.txt").write_text(OLD_WORLD_CONFIG)
-    seal(tmp_path)
+    reseal(tmp_path)
     back = read_dataset(tmp_path).world
     assert back.config == WORLD
     assert (back.seed, back.n_labels, back.seen_fraction) == (7, 12, 0.75)

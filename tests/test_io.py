@@ -1,9 +1,11 @@
 """Binary tensor format and checkpoint directory round trips."""
 
+import hashlib
 import math
 import os
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from ovml import tensor_io
 from ovml.tensor_io import (
+    MANIFEST,
     BadTensorFile,
     directory_digest,
     load_checkpoint,
@@ -21,6 +24,14 @@ from ovml.tensor_io import (
     write_sealed,
     write_tensor,
 )
+
+
+def reseal(directory: Path) -> str:
+    """Seal the files a directory holds now through write_sealed, so an edit
+    reaches the check behind the digests; return the new digest."""
+    files = {p.relative_to(directory).as_posix(): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+    del files[MANIFEST]
+    return write_sealed(directory, files)
 
 
 def test_known_byte_layout(tmp_path):
@@ -167,20 +178,38 @@ def test_resave_replaces_the_whole_directory(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["ck"]
 
 
-def test_writer_that_raises_leaves_no_half_directory(tmp_path):
-    def interrupted(staging):
-        write_tensor(staging / "a.mkt1", np.ones(2))
+class _Interrupted(dict):
+    """A mapping whose second item raises KeyboardInterrupt as the writer reaches it."""
+
+    def items(self):
+        yield "a.txt", b"written\n"
         raise KeyboardInterrupt
 
+
+def test_writer_that_raises_leaves_no_half_directory(tmp_path):
     with pytest.raises(KeyboardInterrupt):
-        write_sealed(tmp_path / "ck", interrupted)
+        write_sealed(tmp_path / "ck", _Interrupted())
     assert list(tmp_path.iterdir()) == []
 
     save_checkpoint(tmp_path / "ck", {"a": np.zeros(2)}, {})
     with pytest.raises(KeyboardInterrupt):
-        write_sealed(tmp_path / "ck", interrupted)
+        write_sealed(tmp_path / "ck", _Interrupted())
     assert load_checkpoint(tmp_path / "ck")["a"].tolist() == [0.0, 0.0]
     assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+
+
+def test_manifest_hashed_from_the_bytes_is_the_one_recomputed_from_disk(tmp_path):
+    # as strings "a.b" sorts before "a/b" ('.' < '/'); as Paths, ("a", "b") sorts before ("a.b",)
+    files = {"a/b": b"nested\n", "a.b": b"dotted\n", "world/deep/z.mkt1": b"\x00\xff", "m.txt": "\u00fc\n".encode()}
+    digest = write_sealed(tmp_path / "d", files)
+    manifest = (tmp_path / "d" / MANIFEST).read_bytes()
+    assert manifest.decode().splitlines() == [
+        f"{rel}\t{hashlib.sha256(files[rel]).hexdigest()}" for rel in ("a.b", "a/b", "m.txt", "world/deep/z.mkt1")
+    ]
+    assert digest == hashlib.sha256(manifest).hexdigest() == directory_digest(tmp_path / "d")
+    assert {p.relative_to(tmp_path / "d").as_posix(): p.read_bytes() for p in (tmp_path / "d").rglob("*")
+            if p.is_file() and p.name != MANIFEST} == files
+    assert reseal(tmp_path / "d") == digest
 
 
 def test_writer_never_replaces_a_directory_it_did_not_write(tmp_path):

@@ -24,7 +24,7 @@ from ovml.model import (
     score_batch,
 )
 from ovml.synth import SynthConfig, build_world, sample
-from ovml.tensor_io import directory_digest, seal, write_tensor
+from ovml.tensor_io import directory_digest, write_tensor
 from ovml.training import (
     FrozenViolation,
     NonFiniteLoss,
@@ -34,6 +34,8 @@ from ovml.training import (
     run_stage2,
     train,
 )
+
+from test_io import reseal
 
 QUICK = TrainConfig(epochs_stage1=2, epochs_stage2=2, batch_size=8)
 
@@ -122,7 +124,7 @@ def test_load_model_rejects_nonfinite_weights(world, tmp_path):
     bad = model.streams.global_w.data.copy()
     bad[0, 0] = np.inf
     write_tensor(tmp_path / "ck" / "heads.global_w.mkt1", bad)
-    seal(tmp_path / "ck")  # reach the finiteness check behind the digests
+    reseal(tmp_path / "ck")  # reach the finiteness check behind the digests
     with pytest.raises(BadCheckpoint, match="non-finite"):
         load_model(tmp_path / "ck", world)
 
@@ -255,6 +257,8 @@ def test_train_writes_deterministic_artifacts(world, dataset, tmp_path):
     assert directory_digest(p1["stage1"]) == directory_digest(p2["stage1"])
     assert directory_digest(p1["stage2"]) == directory_digest(p2["stage2"])
     assert directory_digest(p1["stage1"]) != directory_digest(p1["stage2"])
+    # the digests the writes return are those a reader recomputes from disk
+    assert p1["digests"] == {stage: directory_digest(p1[stage]) for stage in ("stage1", "stage2")}
 
     records = [json.loads(line) for line in (tmp_path / "a" / "train_log.jsonl").read_text().splitlines()]
     stages = {r["stage"] for r in records}
