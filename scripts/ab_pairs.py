@@ -55,7 +55,7 @@ import sys
 from pathlib import Path
 
 HEAD = Path(__file__).resolve().parent.parent
-STDERR_LINES = 10  # of a failed run, printed
+STDERR_LINES = 10  # how many of a failed run's last stderr lines are printed
 
 
 def parse_result(stdout: str) -> dict:
