@@ -32,7 +32,7 @@ send it on to the elementwise `np.isfinite` reduction, which decides. The
 dot runs in BLAS, outside numpy's ufunc loops, which are what turn a
 floating-point overflow into a RuntimeWarning, so neither step warns. The
 attention logits, `heads.score`'s similarities, AdamW's update and
-`tensor_io.read_tensor` use it too.
+`tensor_io.parse_tensor` use it too.
 
 Paths that never call `backward` (scoring, table snapshots, cached
 embeddings) run under `no_grad()`: ops compute the same data but record

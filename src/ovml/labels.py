@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -126,14 +125,14 @@ def vocabulary_text(categories: dict[int, int]) -> str:
     return "".join(f"{lid}\t{categories[lid]}\n" for lid in sorted(categories))
 
 
-def read_vocabulary(path: str | Path) -> dict[int, int]:
-    """The category map of a vocabulary_text file; a label listed twice is a ValueError."""
+def read_vocabulary(text: str, name: str) -> dict[int, int]:
+    """The category map of a vocabulary_text; a label listed twice is a ValueError naming the file `name`."""
     out: dict[int, int] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         lid, cat = (int(word) for word in line.split("\t"))
         if lid in out:
-            raise ValueError(f"{Path(path).name} line {lineno} lists label {lid} twice")
+            raise ValueError(f"{name} line {lineno} lists label {lid} twice")
         out[lid] = cat
     return out

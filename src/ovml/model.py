@@ -21,24 +21,10 @@ from .heads import (
     score,
     two_stream,
 )
-from .labels import (
-    LabelEmbeddingTable,
-    LabelSplit,
-    build_label_table,
-    init_prompt,
-    read_vocabulary,
-    vocabulary_text,
-)
+from .labels import LabelEmbeddingTable, LabelSplit, build_label_table, init_prompt, read_vocabulary, vocabulary_text
 from .seeds import substream
 from .synth import SynthWorld
-from .tensor_io import (
-    check_at_least,
-    field_kinds,
-    key_values_text,
-    load_checkpoint,
-    read_key_values,
-    save_checkpoint,
-)
+from .tensor_io import check_at_least, field_kinds, key_values_text, load_checkpoint, read_key_values, save_checkpoint
 from .text_encoder import TextSurrogateParams
 from .vit import VitParams, check_heads, init_vit, patchify, vit_forward
 
@@ -200,8 +186,8 @@ def _read_checkpoint(directory: str | Path):
     verified before parsing."""
     directory = Path(directory)
     try:
-        tensors = load_checkpoint(directory)
-        meta = read_key_values((directory / _META).read_text(), _META_KINDS, complete=True)
+        tensors, texts = load_checkpoint(directory)
+        meta = read_key_values(texts[_META], _META_KINDS, complete=True)
         config = ModelConfig(**{key: meta[key] for key in field_kinds(ModelConfig)})
         split = LabelSplit(seen=meta["seen"], unseen=meta["unseen"])
         table = LabelEmbeddingTable(ad.tensor(tensors.pop("table.z")), meta["table_ids"], meta["table_provenance"])
@@ -209,7 +195,7 @@ def _read_checkpoint(directory: str | Path):
         for lid, norm in zip(table.label_ids, norms):
             if not abs(norm - 1.0) <= 1e-9:  # build_label_table's rows are unit-norm
                 raise BadCheckpoint(f"table.z row of label {lid} has norm {norm:.6g}, not 1")
-        categories = read_vocabulary(directory / _VOCAB)
+        categories = read_vocabulary(texts[_VOCAB], _VOCAB)
         listed = set()
         for lid in table.label_ids:
             if lid in listed:  # one label in two rows: retrieve would report it twice and another never

@@ -25,7 +25,7 @@ from .labels import LabelSplit, build_label_table, init_prompt, vocabulary_text
 from .metrics import GroundTruthMatrix
 from .seeds import substream
 from .tensor_io import (
-    check_at_least, directory_digest, field_kinds, key_values_text, read_key_values, read_tensor, tensor_bytes,
+    check_at_least, field_kinds, key_values_text, parse_tensor, read_key_values, read_sealed, tensor_bytes,
     write_sealed,
 )
 from .text_encoder import TextSurrogateParams, init_text_surrogate
@@ -393,29 +393,22 @@ def write_dataset(directory: str | Path, dataset: Dataset) -> str:
 
 
 def read_dataset(directory: str | Path) -> Dataset:
-    """Verify the directory, rebuild the world from its recorded seed and
-    load the samples.
-
-    Every file the world fixes is compared with the regenerated world, so
-    a stale or edited directory fails loudly.
-    """
+    """Read and verify the directory once, rebuild the world from its recorded seed and parse the
+    samples; a file the world fixes that differs from the regenerated world's fails loudly."""
     directory = Path(directory)
     try:
-        directory_digest(directory)  # verifies every file before any is parsed
-        values = read_key_values((directory / _WORLD_CONFIG).read_text(), _WORLD_KINDS, complete=True)
+        files = read_sealed(directory)[1]  # every file, read once and checked before any is parsed
+        values = read_key_values(str(files[_WORLD_CONFIG], "utf-8"), _WORLD_KINDS, complete=True)
         seed, d, seen_fraction = values.pop("seed"), values.pop("n_labels"), values.pop("seen_fraction")
         world = build_world(d, seen_fraction, seed, SynthConfig(**values))
 
         for rel, content in _WORLD_FILES.items():
-            if (directory / rel).read_bytes() != content(world):
+            if files[rel] != content(world):
                 raise DatasetCorrupt(f"{rel} disagrees with the regenerated world")
 
-        images = read_tensor(directory / _IMAGES)
-        teacher = read_tensor(directory / _TEACHER)
-        positives = [
-            tuple(map(int, line.split()))
-            for line in (directory / _POSITIVES).read_text().splitlines()
-        ]
+        images = parse_tensor(files[_IMAGES], directory / _IMAGES)
+        teacher = parse_tensor(files[_TEACHER], directory / _TEACHER)
+        positives = [tuple(map(int, line.split())) for line in str(files[_POSITIVES], "utf-8").splitlines()]
         c = world.config
         want = (c.channels, c.image_size, c.image_size), (c.embed_dim,)
         if (images.shape[1:], teacher.shape[1:]) != want:
@@ -438,6 +431,8 @@ def read_dataset(directory: str | Path) -> Dataset:
                 raise DatasetCorrupt(f"{_POSITIVES} line {line} lists a label twice: {' '.join(map(str, ids))}")
     except NotADirectoryError:
         raise  # a path that is not a directory is a usage problem, not corruption
+    except KeyError as e:
+        raise DatasetCorrupt(f"{directory}: missing {e}") from None
     except (OSError, ValueError) as e:  # unparsable or inconsistent contents
         raise DatasetCorrupt(f"{directory}: {e}") from None
     return Dataset(images=images, teacher=teacher, positives=positives, world=world)

@@ -8,8 +8,9 @@ values must all be finite.
 A sealed directory (a dataset split or a checkpoint) holds its files and
 a manifest.txt of sorted "path<TAB>sha256" lines, hashed from the bytes
 written and written last in a fresh sibling that then moves into place.
-It is read only once its files are exactly those listed. A checkpoint's
-tensors are its *.mkt1 files; its texts are UTF-8.
+`read_sealed` reads each file once and hands on only bytes that passed
+the manifest check. A checkpoint's tensors are its *.mkt1 files; its
+texts are UTF-8.
 
 Key=value text: one `key=value` per line, `#` comments and blank lines
 skipped. Each key's type is a dataclass field's declared type: int,
@@ -122,30 +123,40 @@ def write_tensor(path: str | Path, array: np.ndarray) -> None:
     Path(path).write_bytes(tensor_bytes(array))
 
 
-def read_tensor(path: str | Path) -> np.ndarray:
-    """The array a tensor file holds; a malformed file, or one holding NaN or
-    Inf, raises BadTensorFile naming the path. The payload is read straight
-    into the returned array, so the read holds no second copy of it."""
+def _read_file(path: str | Path) -> memoryview:
+    """A file's bytes, read once into a buffer 3 bytes past an 8-byte boundary, which aligns a tensor
+    file's payload (5 + 8 * rank bytes in); a file that shrinks mid-read yields the bytes read."""
     with open(path, "rb") as f:
-        head = f.read(5)
-        if head[:4] != MAGIC:
-            raise BadTensorFile(f"{path}: bad magic {head[:4]!r}")
-        rank = head[4] if len(head) > 4 else 0
-        header_end = 5 + 8 * rank
         size = os.fstat(f.fileno()).st_size
-        if size < header_end:
-            raise BadTensorFile(f"{path}: header holds {size} bytes, rank {rank} needs {header_end}")
-        shape = struct.unpack(f"<{rank}Q", f.read(8 * rank))
-        count = math.prod(shape)  # exact, where np.prod wraps at int64; 1 for rank 0
-        if size - header_end != 8 * count:
-            raise BadTensorFile(f"{path}: payload holds {size - header_end} bytes, expected {8 * count}")
-        array = np.empty(count, dtype="<f8")
-        got = f.readinto(array)
-        if got != 8 * count:  # the file shrank after fstat
-            raise BadTensorFile(f"{path}: payload holds {got} bytes, expected {8 * count}")
+        raw = np.empty(size + 8, dtype=np.uint8)
+        start = (3 - raw.ctypes.data) % 8
+        got = f.readinto(raw[start:start + size])
+    return raw[start:start + got].data
+
+
+def parse_tensor(buffer: bytes | memoryview, path: str | Path) -> np.ndarray:
+    """The array of a tensor file's bytes, a view of `buffer` with no copy of the payload; a
+    malformed buffer, or one holding NaN or Inf, raises BadTensorFile naming `path`."""
+    if buffer[:4] != MAGIC:
+        raise BadTensorFile(f"{path}: bad magic {bytes(buffer[:4])!r}")
+    size = len(buffer)
+    rank = buffer[4] if size > 4 else 0
+    header_end = 5 + 8 * rank
+    if size < header_end:
+        raise BadTensorFile(f"{path}: header holds {size} bytes, rank {rank} needs {header_end}")
+    shape = struct.unpack_from(f"<{rank}Q", buffer, 5)
+    count = math.prod(shape)  # exact, where np.prod wraps at int64; 1 for rank 0
+    if size - header_end != 8 * count:
+        raise BadTensorFile(f"{path}: payload holds {size - header_end} bytes, expected {8 * count}")
+    array = np.frombuffer(buffer, dtype="<f8", count=count, offset=header_end)
     if not _all_finite(array):
         raise BadTensorFile(f"{path}: non-finite values")
     return array.reshape(shape)
+
+
+def read_tensor(path: str | Path) -> np.ndarray:
+    """The array a tensor file holds, parsed from the one buffer the file is read into."""
+    return parse_tensor(_read_file(path), path)
 
 
 def _manifest(digests: dict[str, str]) -> bytes:
@@ -189,23 +200,29 @@ def write_sealed(directory: str | Path, files: Mapping[str, bytes]) -> str:
     return hashlib.sha256(manifest).hexdigest()
 
 
-def directory_digest(directory: str | Path) -> str:
-    """Content hash of a sealed directory, the sha256 of its manifest, once its
-    files are checked to be exactly those listed. A path that is not a
-    directory raises NotADirectoryError; a failed check, BadManifest."""
+def read_sealed(directory: str | Path) -> tuple[str, dict[str, memoryview]]:
+    """The digest (its manifest's sha256) and relative posix path -> bytes of every other file of a
+    sealed directory, each read once and returned only once those bytes pass the manifest check.
+    A path that is not a directory raises NotADirectoryError; a failed check, BadManifest."""
     directory = Path(directory)
     if not os.path.isdir(directory):  # unlike Path.is_dir, False for a path the OS refuses to check
         raise NotADirectoryError(f"{directory} is not a directory")
-    manifest = (directory / MANIFEST).read_bytes()
-    rels = (p.relative_to(directory).as_posix() for p in directory.rglob("*") if p.is_file())
-    actual = {rel: hashlib.sha256((directory / rel).read_bytes()).hexdigest() for rel in rels if rel != MANIFEST}
+    manifest = _read_file(directory / MANIFEST).tobytes()
+    rels = sorted(p.relative_to(directory).as_posix() for p in directory.rglob("*") if p.is_file())
+    files = {rel: _read_file(directory / rel) for rel in rels if rel != MANIFEST}
+    actual = {rel: hashlib.sha256(content).hexdigest() for rel, content in files.items()}
     if manifest != _manifest(actual):
         listed = dict(line.partition("\t")[::2] for line in manifest.decode(errors="replace").splitlines())
         if any(len(digest) != 64 for digest in listed.values()):
             raise BadManifest(f"{MANIFEST} is not a digest manifest (retrain a checkpoint saved before digests)")
         bad = sorted(rel for rel in listed.keys() | actual.keys() if listed.get(rel) != actual.get(rel))
         raise BadManifest(f"files disagree with {MANIFEST}: {bad or 'not one sorted line per file'}")
-    return hashlib.sha256(manifest).hexdigest()
+    return hashlib.sha256(manifest).hexdigest(), files
+
+
+def directory_digest(directory: str | Path) -> str:
+    """Content hash of a sealed directory once `read_sealed` has checked it."""
+    return read_sealed(directory)[0]
 
 
 def save_checkpoint(directory: str | Path, tensors: dict[str, np.ndarray], texts: dict[str, str]) -> str:
@@ -214,7 +231,9 @@ def save_checkpoint(directory: str | Path, tensors: dict[str, np.ndarray], texts
     return write_sealed(directory, {**files, **{rel: text.encode() for rel, text in texts.items()}})
 
 
-def load_checkpoint(directory: str | Path) -> dict[str, np.ndarray]:
-    """Every tensor of a verified checkpoint, named by its file's stem: `<name>.mkt1` holds `name`."""
-    directory_digest(directory)
-    return {path.stem: read_tensor(path) for path in sorted(Path(directory).glob("*.mkt1"))}
+def load_checkpoint(directory: str | Path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    """The tensors and texts `save_checkpoint` took, from the bytes `read_sealed` checked:
+    `<name>.mkt1` holds tensor `name`, and every other file is a UTF-8 text."""
+    files = read_sealed(directory)[1]
+    tensors = {rel[:-5]: parse_tensor(b, Path(directory) / rel) for rel, b in files.items() if rel.endswith(".mkt1")}
+    return tensors, {rel: str(b, "utf-8") for rel, b in files.items() if not rel.endswith(".mkt1")}

@@ -203,7 +203,7 @@ def test_criterion_06_stage2_freezes_weights_and_keeps_loss_down(grid):
             assert loss["end"] <= loss["start"], (
                 f"seed {seed} {mode}: ranking loss rose {loss['start']:.6f} -> {loss['end']:.6f}"
             )
-            before, after = (load_checkpoint(run / stage) for stage in ("stage1", "stage2"))
+            before, after = (load_checkpoint(run / stage)[0] for stage in ("stage1", "stage2"))
             assert before.keys() == after.keys()
             for name in before:
                 if name.startswith(("vit.", "heads.")):

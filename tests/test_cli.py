@@ -450,8 +450,11 @@ def _truncate(rel, length):
         lambda ds: (ds / "manifest.txt").unlink(),
         _sealed(_text_edit("world/config.txt", "sigma=0.1\n", "sigma=fast\n")),
         lambda ds: (ds / "extra.txt").write_text("not in the manifest\n"),
+        _sealed(lambda ds: (ds / "positives.txt").unlink()),
     ],
-    ids=["teacher_flipped", "manifest_missing", "world_config_unparsable", "file_not_in_manifest"],
+    ids=[
+        "teacher_flipped", "manifest_missing", "world_config_unparsable", "file_not_in_manifest", "positives_unlisted",
+    ],
 )
 def test_corrupted_dataset_exits_three(workspace, tmp_path, capsys, edit):
     root, _ = workspace
@@ -813,12 +816,13 @@ def _entry_elsewhere(target):
         _entry_elsewhere(lambda ck: f"../{ck.name}-other/heads.global_b.mkt1"),
         _entry_elsewhere(lambda ck: f"{ck.parent}/{ck.name}-other/heads.global_b.mkt1"),
         _sealed(_text_edit("vocab.tsv", "0\t0\n", "")),
+        _sealed(lambda ck: (ck / "meta.txt").unlink()),
     ],
     ids=[
         "meta_missing_key", "meta_non_integer", "meta_bad_head_mode", "meta_zero_heads", "meta_k_above_patches",
         "table_rows_off_ids", "table_non_finite", "tensor_header_7_bytes", "tensor_header_4_bytes",
         "manifest_line_without_tab", "manifest_entry_in_parent_dir", "manifest_entry_absolute",
-        "vocab_lacks_table_label_0",
+        "vocab_lacks_table_label_0", "meta_unlisted",
     ],
 )
 def test_checkpoint_faults_exit_three(workspace, tmp_path, capsys, edit):

@@ -195,8 +195,6 @@ def test_table_row_count_must_match_ids():
         LabelEmbeddingTable(z=ad.tensor(np.eye(3)), label_ids=(0, 1))
 
 
-def test_vocabulary_round_trip(tmp_path):
+def test_vocabulary_round_trip():
     cats = {0: 0, 1: 3, 7: 1, 2: 2}
-    path = tmp_path / "vocab.tsv"
-    path.write_text(vocabulary_text(cats))
-    assert read_vocabulary(path) == cats
+    assert read_vocabulary(vocabulary_text(cats), "vocab.tsv") == cats

@@ -35,7 +35,7 @@ from ovml.training import (
     train,
 )
 
-from test_io import reseal
+from test_io import assert_read_once, assert_writable_aligned, count_reads, reseal, rewrite_after_hashing
 
 QUICK = TrainConfig(epochs_stage1=2, epochs_stage2=2, batch_size=8)
 
@@ -100,6 +100,20 @@ def test_save_load_round_trip(world, dataset, tmp_path):
     a = score_batch(model, dataset.images[:4], table)
     b = score_batch(back, dataset.images[:4], back_table)
     np.testing.assert_array_equal(a.scores, b.scores)
+
+
+def test_load_model_parses_the_bytes_its_check_hashed(world, tmp_path, monkeypatch):
+    # a weight rewritten, same shape and finite, after the check hashed it: the checked values load
+    model = init_model(1, world)
+    save_model(tmp_path / "ck", model, fixed_table(model))
+    weight = model.streams.global_w.data
+    rewrite_after_hashing(monkeypatch, tmp_path / "ck" / "heads.global_w.mkt1", weight + 1.0)
+    opened = count_reads(monkeypatch)
+    back, _ = load_model(tmp_path / "ck", world)
+    np.testing.assert_array_equal(back.streams.global_w.data, weight)
+    assert_read_once(opened, tmp_path / "ck")
+    for t in back.named_params().values():
+        assert_writable_aligned(t.data)
 
 
 def test_load_table_needs_no_world(world, tmp_path):

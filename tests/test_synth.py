@@ -31,6 +31,8 @@ from ovml.synth import (
 from ovml.tensor_io import directory_digest
 from ovml.vit import patchify
 
+from test_io import assert_read_once, assert_writable_aligned, count_reads, rewrite_after_hashing
+
 CLEAN = SynthConfig(sigma=0.0)
 
 
@@ -420,6 +422,19 @@ class TestPersistence:
         assert back.positives == ds.positives
         assert back.world.split == w.split
         np.testing.assert_array_equal(back.world.z, w.z)
+
+    def test_read_parses_the_bytes_its_check_hashed(self, tmp_path, monkeypatch):
+        # images.mkt1 rewritten, same shape and finite, after the check hashed it: the checked values load
+        w = small_world(5, sigma=0.1)
+        ds = sample(w, 6, w.split.seen, seed=5)
+        write_dataset(tmp_path / "d", ds)
+        rewrite_after_hashing(monkeypatch, tmp_path / "d" / "images.mkt1", ds.images + 1.0)
+        opened = count_reads(monkeypatch)
+        back = read_dataset(tmp_path / "d")
+        np.testing.assert_array_equal(back.images, ds.images)
+        assert_read_once(opened, tmp_path / "d")
+        for array in (back.images, back.teacher):
+            assert_writable_aligned(array)
 
     def test_corruption_detected(self, tmp_path):
         w = small_world(5)
