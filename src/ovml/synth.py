@@ -403,7 +403,7 @@ def read_dataset(directory: str | Path) -> Dataset:
         world = build_world(d, seen_fraction, seed, SynthConfig(**values))
 
         for rel, content in _WORLD_FILES.items():
-            if files[rel] != content(world):
+            if files[rel].tobytes() != content(world):  # as bytes: a memoryview compares byte by byte, 40x slower
                 raise DatasetCorrupt(f"{rel} disagrees with the regenerated world")
 
         images = parse_tensor(files[_IMAGES], directory / _IMAGES)
