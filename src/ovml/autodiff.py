@@ -22,7 +22,9 @@ arithmetic of the subgraph it stands for in the same order, so results
 are bit-identical to it. They run the ops' array kernels (`_gemm`,
 `_linear`, `_attention`, `_layer_norm`, `_gelu`, `_topk_mean_cols`);
 `softmax_rows` runs the softmax kernel, and `topk_mean` is one column of
-`topk_mean_cols`.
+`topk_mean_cols`. One top-k rule, `_top_k_mask` (the k largest, ties to
+the lower index), picks the entries `topk_mean_cols`'s backward reaches
+and the sets of `metrics`' top-K precision and recall.
 
 Every tensor is verified finite at construction, so a NaN/Inf produced
 anywhere surfaces immediately instead of propagating. The test is
@@ -444,6 +446,20 @@ def topk_mean(v: Tensor, k: int) -> Tensor:
     return reshape(topk_mean_cols(reshape(v, (n, 1)), k, group=n), ())
 
 
+def _top_k_mask(a: np.ndarray, kth: np.ndarray, k: int) -> np.ndarray:
+    """Where the k largest entries along axis 1 of a sit, given the k-th
+    largest value `kth` (axis 1 kept); ties go to the lower index, as in
+    `np.argsort(-a, kind="stable")`, NaN last. A lane's entries at least
+    `kth` are its k if they number k; a lane with another count has a tie
+    at the k-th place or a NaN, and takes its k from that stable order."""
+    mask = a >= kth
+    redo = np.count_nonzero(mask, axis=1) != k
+    if redo.any():
+        order = np.argsort(-np.moveaxis(a, 1, -1)[redo], axis=-1, kind="stable")
+        np.moveaxis(mask, 1, -1)[redo] = np.argsort(order, axis=-1) < k
+    return mask
+
+
 def _topk_mean_cols(a: np.ndarray, k: int, group: int):
     """`topk_mean_cols` on an array: the output and its vjp."""
     blocks = _blocks(a, group)
@@ -457,12 +473,8 @@ def _topk_mean_cols(a: np.ndarray, k: int, group: int):
     ranked = np.sort(np.ascontiguousarray(blocks.transpose(0, 2, 1)), axis=-1)
     top = np.ascontiguousarray(ranked[:, :, ::-1][:, :, :k].transpose(0, 2, 1))
 
-    def vjp(g):
-        # the stable ranking of the forward's values: ties go to the lower row
-        idx = np.argsort(-blocks, axis=1, kind="stable")[:, :k]
-        out = np.zeros_like(blocks)
-        np.put_along_axis(out, idx, g.reshape(m, 1, d) / k, axis=1)
-        return out.reshape(a.shape)
+    def vjp(g):  # top[:, k - 1:] is each column's k-th largest value
+        return np.where(_top_k_mask(blocks, top[:, k - 1:], k), g.reshape(m, 1, d) / k, 0.0).reshape(a.shape)
 
     # what top.mean(axis=1) computes, without its Python wrapper
     return np.add.reduce(top, axis=1) / k, vjp
@@ -552,10 +564,10 @@ GRAD_REL_TOL = 1e-4
 def finite_difference_check(build: Callable[[], Tensor], leaves: Sequence[Tensor]) -> float:
     """Compare analytic gradients against central finite differences.
 
-    `build` must reconstruct the scalar loss from the current leaf data
-    on every call. Steps are 1e-6 * max(1, |x|) per coordinate; the error
-    measure is |a - n| / max(1, |a|, |n|). Returns the worst error seen
-    and raises AssertionError if it exceeds `GRAD_REL_TOL`.
+    `build` must rebuild the scalar loss from the current leaf data on
+    every call. Steps are 1e-6 * max(1, |x|) per coordinate; the error is
+    |a - n| / max(1, |a|, |n|), inf for a NaN or Inf analytic gradient.
+    Raises AssertionError if the worst exceeds `GRAD_REL_TOL`, else returns it.
     """
     for leaf in leaves:
         leaf.zero_grad()
@@ -575,8 +587,8 @@ def finite_difference_check(build: Callable[[], Tensor], leaves: Sequence[Tensor
                 flat[i] = x0
                 numeric = (up - down) / (2 * h)
                 err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-                if err > worst:
-                    worst = err
+                if not err <= worst:
+                    worst = math.inf if math.isnan(err) else err
     if worst > GRAD_REL_TOL:
         raise AssertionError(f"gradient mismatch: worst relative error {worst:.3e} > {GRAD_REL_TOL:g}")
     return worst

@@ -9,13 +9,15 @@ is computed. AP reads each positive's rank: in a column whose ascending
 sort holds no equal pair (+0.0 and -0.0 included) and no NaN, a
 positive's rank is the count of higher scores, found by a binary search
 of that sort, and only a column with either is ranked by the stable
-sort. Top-K sets take the stable order only for rows with a tie at the
-K-th place or a NaN. On eval-wide's 2000 x 80 scores a ZSL plus GZSL
-`evaluate` takes 3.1 ms, against 5.1 ms with every column argsorted
-(medians of 100 calls, alternating processes, AMD EPYC, one BLAS thread).
-Each task column's positives are counted once: the counts are the AP
-denominators and the WmAP weights, and a class without a single positive
-in the task vocabulary is excluded from mAP/WmAP and reported as skipped.
+sort. Top-K sets come from `autodiff._top_k_mask`, the one top-k rule,
+shared with the pooling backward: only a row with a tie at the K-th place
+or a NaN takes the stable order. On eval-wide's 2000 x 80 scores a ZSL
+plus GZSL `evaluate` takes 3.1 ms, against 5.1 ms with every column
+argsorted (medians of 100 calls, alternating processes, AMD EPYC, one
+BLAS thread). Each task column's positives are counted once: the counts
+are the AP denominators and the WmAP weights, and a class without a
+single positive in the task vocabulary is excluded from mAP/WmAP and
+reported as skipped.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import KOutOfRange, ShapeMismatch
+from .autodiff import KOutOfRange, ShapeMismatch, _top_k_mask
 from .heads import ScoreMatrix
 from .labels import LabelSplit
 
@@ -95,28 +97,14 @@ def _column_aps(scores: np.ndarray, y: np.ndarray, n_pos: np.ndarray) -> list[fl
 
 
 def _topk_masks(scores: np.ndarray, ks: tuple[int, ...]) -> dict[int, np.ndarray]:
-    """Boolean B x d mask of each row's K highest scores, per K, ties going
-    to the lower label index.
-
-    A row's mask is its scores at least its K-th highest. When that holds
-    exactly K scores, they are the K the stable order puts first, NaN
-    sorting last in both; any other row has a tie at the K-th place or a
-    NaN and takes its K from the stable order.
-    """
-    b, d = scores.shape
+    """Boolean B x d mask of each row's K highest scores, per K, by the top-k
+    rule of `autodiff._top_k_mask`: ties go to the lower label index."""
+    d = scores.shape[1]
     ascending = np.sort(scores, axis=1)
-    masks = {}
     for k in map(int, ks):
         if not 1 <= k <= d:
             raise KOutOfRange(f"K={k} outside [1, {d}]")
-        mask = scores >= ascending[:, d - k:d - k + 1]
-        redo = np.flatnonzero(mask.sum(axis=1) != k)
-        if len(redo):
-            order = np.argsort(-scores[redo], axis=1, kind="stable")
-            mask[redo] = False
-            mask[redo[:, None], order[:, :k]] = True
-        masks[k] = mask
-    return masks
+    return {k: _top_k_mask(scores, ascending[:, d - k:d - k + 1], k) for k in map(int, ks)}
 
 
 def _prf(predicted: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

@@ -254,16 +254,60 @@ def test_topk_mean_cols_gradient_sends_ties_to_the_lower_row():
     np.testing.assert_array_equal(x.grad, want)
 
 
-def test_topk_mean_cols_gradient_follows_the_stable_ranking():
-    rng = rng_for("tie_grads")
-    data = _ties(rng, (12, 5))
-    x = ad.tensor(data, requires_grad=True)
-    ad.backward(ad.mean_all(ad.topk_mean_cols(x, 2, group=4)))
-    blocks = data.reshape(3, 4, 5)
-    idx = np.argsort(-blocks, axis=1, kind="stable")[:, :2]
+def topk_grad_reference(x: np.ndarray, g: np.ndarray, k: int, group: int) -> np.ndarray:
+    """The stable-ranking backward: g / k at each column's k largest, ties
+    to the lower row, put into zeros."""
+    n, d = x.shape
+    blocks = x.reshape(n // group, group, d)
+    idx = np.argsort(-blocks, axis=1, kind="stable")[:, :k]
     want = np.zeros_like(blocks)
-    np.put_along_axis(want, idx, 1.0 / (2 * 3 * 5), axis=1)
-    np.testing.assert_allclose(x.grad, want.reshape(12, 5), rtol=1e-15, atol=0)
+    np.put_along_axis(want, idx, g.reshape(-1, 1, d) / k, axis=1)
+    return want.reshape(n, d)
+
+
+def _signed_zeros(rng, shape):
+    # +0.0 and -0.0 compare equal, so a column can tie them across the k boundary
+    return rng.choice([-0.0, 0.0, -0.0, 0.0, 1.0, -1.0], shape)
+
+
+GRAD_CASES = {
+    "ties": (lambda r: _ties(r, (12, 5)), 2, 4),
+    "signed_zeros": (lambda r: _signed_zeros(r, (12, 5)), 2, 4),
+    "signed_zeros_k1": (lambda r: _signed_zeros(r, (8, 3)), 1, 2),
+    "k1_ties": (lambda r: _ties(r, (12, 5)), 1, 3),
+    "k_is_group_ties": (lambda r: _ties(r, (12, 5)), 4, 4),
+    "one_block_ties": (lambda r: _ties(r, (9, 6)), 4, 9),
+    "blocks_of_ten": (lambda r: _ties(r, (50, 7)), 9, 10),
+    "untied": (lambda r: r.normal(0, 1, (12, 5)), 2, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAD_CASES))
+def test_topk_mean_cols_gradient_follows_the_stable_ranking(case):
+    make, k, group = GRAD_CASES[case]
+    rng = rng_for(f"tie_grads.{case}")
+    data = make(rng)
+    g = rng.normal(0, 1, (data.shape[0] // group, data.shape[1]))
+    g[0, 0] = -0.0  # a -0.0 upstream gradient stays -0.0 where it lands
+    x = ad.tensor(data, requires_grad=True)
+    (got,) = ad.topk_mean_cols(x, k, group=group)._vjp(g)
+    want = topk_grad_reference(data, g, k, group)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_untied_topk_mean_cols_backward_calls_no_argsort(monkeypatch):
+    # distinct values: the forward's k-th largest marks every column's k, so no ranking runs
+    x = ad.tensor(rng_for("untied_backward").normal(0, 1, (48, 20)), requires_grad=True)
+    loss = ad.mean_all(ad.topk_mean_cols(x, 3, group=8))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.argsort called on an untied backward")
+
+    monkeypatch.setattr(np, "argsort", refuse)
+    ad.backward(loss)
+    monkeypatch.undo()
+    assert np.array_equal(x.grad, topk_grad_reference(x.data, np.full((6, 20), 1.0 / 120), 3, 8))
 
 
 # --- the gradient checker ---

@@ -1,7 +1,8 @@
 """`finite_difference_check` runs its per-coordinate loop on Python floats.
 That is the same IEEE arithmetic as the numpy-scalar loop kept below as a
 reference, so every worst error keeps its bits and a wrong backward rule
-fails with the same message.
+fails with the same message. A NaN or Inf analytic gradient fails both
+with a worst error of inf.
 """
 
 import numpy as np
@@ -33,9 +34,10 @@ def reference_check(build, leaves) -> float:
                 flat[i] = x0
                 numeric = (up - down) / (2 * h)
                 a = analytic.reshape(-1)[i]
-                err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-                if err > worst:
-                    worst = err
+                with np.errstate(invalid="ignore"):  # an Inf gradient makes inf / inf
+                    err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
+                if not err <= worst:  # a NaN error, from a NaN or Inf gradient, counts as inf
+                    worst = np.inf if np.isnan(err) else err
     if worst > GRAD_REL_TOL:
         raise AssertionError(f"gradient mismatch: worst relative error {worst:.3e} > {GRAD_REL_TOL:g}")
     return worst
@@ -65,4 +67,31 @@ def test_wrong_backward_rule_fails_with_the_reference_message():
 
     message = run(finite_difference_check)
     assert message.startswith("gradient mismatch: worst relative error ")
+    assert message == run(reference_check)
+
+
+def _non_finite_vjp(kind):
+    def vjp(g):
+        g = g * 2.0
+        if kind == "nan_at_one_entry":
+            g[0, 1] = np.nan
+        else:
+            g[...] = np.inf
+        return (g,)
+
+    return vjp
+
+
+@pytest.mark.parametrize("kind", ["nan_at_one_entry", "inf_everywhere"])
+def test_non_finite_backward_rule_fails_as_an_infinite_error(kind):
+    def run(check):
+        x = ad.tensor(substream(0, "test.gradient_checker.non_finite").normal(0, 1, (2, 3)), requires_grad=True)
+        # 2 * x whose backward rule emits NaN at one entry, or Inf everywhere
+        build = lambda: ad.mean_all(ad._result(x.data * 2.0, (x,), _non_finite_vjp(kind)))  # noqa: E731
+        with pytest.raises(AssertionError) as excinfo:
+            check(build, [x])
+        return str(excinfo.value)
+
+    message = run(finite_difference_check)
+    assert message == f"gradient mismatch: worst relative error inf > {GRAD_REL_TOL:g}"
     assert message == run(reference_check)
