@@ -397,7 +397,10 @@ def _layer_norm(x: np.ndarray, gain: Tensor, bias: Tensor):
     if x.ndim != 2 or gain.shape != x.shape[1:] or bias.shape != x.shape[1:]:
         raise ShapeMismatch(f"layer_norm of {x.shape} with affine shapes {gain.shape}/{bias.shape}")
     xc = x - _row_mean(x)
-    inv = 1.0 / np.sqrt(_row_mean(xc * xc) + LAYER_NORM_EPS)
+    var = _row_mean(xc * xc)
+    if not _all_finite(var):  # an overflowing variance would give all-zero rows
+        raise NonFinite("layer_norm variance overflows float64")
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
 
     def vjp(g):
@@ -505,6 +508,8 @@ def l2_normalize(x: Tensor) -> Tensor:
     n = np.sqrt(np.vecdot(x.data, x.data))[:, None]
     if n.min() < 1e-30:
         raise NonFinite("cannot normalize a zero vector")
+    if not _all_finite(n):  # a finite row whose sum of squares overflows would give an all-zero row
+        raise NonFinite("a row's L2 norm overflows float64")
     y = x.data / n
 
     def vjp(g):

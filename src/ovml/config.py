@@ -92,10 +92,11 @@ class RunConfig:
     def _array_factors(self) -> list[dict[str, int]]:
         """An estimate of the float64 arrays whose size the config sets, each as
         the keys whose factors multiply into its element count: a split's
-        images, the label rows of a table build and their attention logits,
-        the label table, a weight matrix, AdamW's flat buffer of every ViT and
-        head weight, the surrogate's block weights, and one training batch's or
-        scoring chunk's activations, attention logits and patch-label scores.
+        images, the category centroids, the label rows of a table build and
+        their attention logits, the label table, a weight matrix, AdamW's
+        flat buffer of every ViT and head weight, the surrogate's block
+        weights, and one training batch's or scoring chunk's activations,
+        attention logits and patch-label scores.
         """
         s, m = self.synth, self.model
         tokens = s.n_patches + 1  # an image's class token and patches
@@ -104,6 +105,7 @@ class RunConfig:
         return [
             {"n_train": self.n_train, "channels": s.channels, "image_size": s.image_size**2},
             {"n_test": self.n_test, "channels": s.channels, "image_size": s.image_size**2},
+            {"n_categories": s.n_categories, "token_width": s.token_width},
             {"n_labels": self.n_labels, "prompt_length": labels, "token_width": s.token_width},
             {"n_labels": self.n_labels, "surrogate_heads": s.surrogate_heads, "prompt_length": labels**2},
             {"n_labels": self.n_labels, "embed_dim": s.embed_dim},
@@ -140,6 +142,16 @@ class RunConfig:
 # The component dataclasses RunConfig owns, by field name.
 _PARTS = {"synth": SynthConfig, "model": ModelConfig, "train": TrainConfig}
 _KINDS = {k: v for k, v in field_kinds(RunConfig, *_PARTS.values()).items() if k not in _PARTS}
+
+
+def check_recorded_world(n_labels: int, seen_fraction: float, synth: SynthConfig) -> None:
+    """Hold a world a dataset records to RunConfig's size rule, at the smallest run that can use
+    it (one image per split, a width-1 model without blocks), so a world that some run config
+    made passes; a ConfigError naming the dominating key before anything is built otherwise."""
+    RunConfig(
+        n_labels=n_labels, seen_fraction=seen_fraction, synth=synth, n_train=1, n_test=1,
+        model=ModelConfig(width=1, heads=1, depth=0),
+    )
 
 
 def parse_config(path: str | Path) -> RunConfig:

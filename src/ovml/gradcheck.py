@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, finite_difference_check
-from .heads import EmbeddingPair, init_two_stream, score, two_stream
+from .heads import HEAD_MODES, MODE_STREAMS, EmbeddingPair, init_two_stream, score, two_stream
 from .labels import LabelEmbeddingTable, LabelSplit
 from .losses import distill_loss, ranking_loss
 from .model import Model, ModelConfig, encode, fixed_table, score_image
@@ -239,12 +239,12 @@ def _score_instance(rng, mode: str):
     while True:
         e_cls = _param(rng, b, dim)
         e_patch = _param(rng, b * n, dim)
-        if mode == "global" or _topk_gap(e_patch.data @ table.matrix().T, n, k) > GAP:
+        if "local" not in MODE_STREAMS[mode] or _topk_gap(e_patch.data @ table.matrix().T, n, k) > GAP:
             return e_cls, e_patch, table, k
 
 
-def _check_score(rng, _modes=("both", "global", "local")):
-    mode = _modes[int(rng.integers(0, len(_modes)))]
+def _check_score(rng):
+    mode = HEAD_MODES[int(rng.integers(0, len(HEAD_MODES)))]
     e_cls, e_patch, table, k = _score_instance(rng, mode)
     def build():
         s = score(EmbeddingPair(e_cls=e_cls, e_patch=e_patch), table, k=k, heads=mode)
@@ -298,7 +298,8 @@ def _tiny_model(rng, d: int, dim: int) -> Model:
 
 
 def _check_stage1_loss(rng):
-    """The training step's loss: images -> backbone -> heads -> rank + distill."""
+    """The training step's loss, stage 1's total at lambda_distill = 0.7:
+    images -> backbone -> heads -> rank + distill."""
     d, dim = 3, 3
     model = _tiny_model(rng, d, dim)
     table = LabelEmbeddingTable(
@@ -312,10 +313,7 @@ def _check_stage1_loss(rng):
         images = rng.normal(0.0, 1.0, (2, 1, 2, 6))
         positive = _random_positives(rng, 2, d)
         if _stage1_kink_free(model, images, positive, teacher, table):
-            def build():
-                rank, dist = stage1_losses(model, images, positive, teacher, table)
-                return ad.add(rank, ad.scale(dist, 0.7))
-            return build, leaves
+            return lambda: stage1_losses(model, images, positive, teacher, table, 0.7)[0], leaves
     raise RuntimeError("no kink-free instance found for the full pipeline loss")
 
 

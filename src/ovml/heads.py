@@ -5,7 +5,10 @@ Per image and label i the score is
     s_i = <z_i, e_cls> + topk_mean([<z_i, e_1>, ..., <z_i, e_N>], k)
 
 with the global or local term dropped in the single-head ablation modes.
-Image-side embeddings are left unnormalized; label rows are unit norm.
+`MODE_STREAMS` is the one table of the streams each head mode scores, and
+`STREAM_FIELDS` of the `TwoStreamParams` tensors each stream owns; scoring,
+the config check, stage 1's parameter selection and the gradient suite
+read them. Image-side embeddings are left unnormalized; label rows are unit norm.
 A batch of B images scores as one B x d matrix, and `score` is one graph
 node over (e_cls, e_patch, z), bit-identical to the composition of
 autodiff ops it stands for.
@@ -22,7 +25,11 @@ from .autodiff import NonFinite, ShapeMismatch, Tensor
 from .labels import LabelEmbeddingTable
 from .vit import BackboneOutput
 
-HEAD_MODES = ("both", "global", "local")
+# head mode -> the streams it scores; HEAD_MODES lists the modes in this order
+MODE_STREAMS = {"both": ("global", "local"), "global": ("global",), "local": ("local",)}
+HEAD_MODES = tuple(MODE_STREAMS)
+# stream -> its TwoStreamParams fields, in checkpoint and optimizer order
+STREAM_FIELDS = {"global": ("global_w", "global_b"), "local": ("local_w1", "local_b1", "local_w2", "local_b2")}
 
 
 @dataclass
@@ -36,14 +43,11 @@ class TwoStreamParams:
     local_w2: Tensor  # D x D_e
     local_b2: Tensor  # D_e
 
-    def named(self, prefix: str = "heads") -> dict[str, Tensor]:
+    def named(self, prefix: str = "heads", streams=tuple(STREAM_FIELDS)) -> dict[str, Tensor]:
+        """The tensors of `streams` (default both), global before local."""
         return {
-            f"{prefix}.global_w": self.global_w,
-            f"{prefix}.global_b": self.global_b,
-            f"{prefix}.local_w1": self.local_w1,
-            f"{prefix}.local_b1": self.local_b1,
-            f"{prefix}.local_w2": self.local_w2,
-            f"{prefix}.local_b2": self.local_b2,
+            f"{prefix}.{name}": getattr(self, name)
+            for stream, names in STREAM_FIELDS.items() if stream in streams for name in names
         }
 
 
@@ -76,6 +80,7 @@ def score(emb: EmbeddingPair, labels: LabelEmbeddingTable, k: int, heads: str = 
     """Per-image per-label scores as a B x d tensor, columns in table row order."""
     if heads not in HEAD_MODES:
         raise ValueError(f"heads must be one of {HEAD_MODES}, got {heads!r}")
+    use_global, use_local = "global" in MODE_STREAMS[heads], "local" in MODE_STREAMS[heads]
     if emb.e_cls.shape[1] != labels.z.shape[1]:
         raise ShapeMismatch(
             f"embedding dim {emb.e_cls.shape[1]} vs label dim {labels.z.shape[1]}"
@@ -89,8 +94,8 @@ def score(emb: EmbeddingPair, labels: LabelEmbeddingTable, k: int, heads: str = 
     # one node for the composition transpose, matmul(s), topk_mean_cols, add;
     # its vjp does their arithmetic in the order a backward through them does
     z_t = z.data.T.copy()
-    out = glob = ad._gemm(e_cls.data, z_t) if heads != "local" else None
-    if heads != "global":
+    out = glob = ad._gemm(e_cls.data, z_t) if use_global else None
+    if use_local:
         ad._check_product("score", e_patch.data, z_t)
         sims = ad._gemm(e_patch.data, z_t)
         # top-k pooling could drop a -inf, so the (B * N) x d similarities are checked here
@@ -101,11 +106,11 @@ def score(emb: EmbeddingPair, labels: LabelEmbeddingTable, k: int, heads: str = 
 
     def vjp(g):
         g_cls = g_patch = g_zt = None
-        if heads != "global":
+        if use_local:
             g_sims = topk_vjp(g)
             g_patch = g_sims @ z_t.T if e_patch.requires_grad else None
             g_zt = e_patch.data.T @ g_sims if z.requires_grad else None
-        if heads != "local":
+        if use_global:
             g_cls = g @ z_t.T if e_cls.requires_grad else None
             if z.requires_grad:
                 g_zt = e_cls.data.T @ g if g_zt is None else g_zt + e_cls.data.T @ g

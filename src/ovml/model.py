@@ -6,6 +6,7 @@ against, plus checkpoint save/load.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,13 @@ def _read_checkpoint(directory: str | Path):
         tensors, texts = load_checkpoint(directory)
         meta = read_key_values(texts[_META], _META_KINDS, complete=True)
         config = ModelConfig(**{key: meta[key] for key in field_kinds(ModelConfig)})
+        # the sizes load_model's init_model draws weights of, against the saved tensors, before it draws any
+        proj, blocks = tensors["vit.patch_proj"], next(i for i in count() if f"vit.b{i}.wo" not in tensors)
+        if proj.shape[1:] != (config.width,) or blocks != config.depth:
+            raise BadCheckpoint(
+                f"{_META} width={config.width} depth={config.depth} disagree with the saved "
+                f"vit.patch_proj of shape {proj.shape} and {blocks} blocks"
+            )
         split = LabelSplit(seen=meta["seen"], unseen=meta["unseen"])
         table = LabelEmbeddingTable(ad.tensor(tensors.pop("table.z")), meta["table_ids"], meta["table_provenance"])
         norms = np.linalg.norm(table.matrix(), axis=1)

@@ -394,13 +394,17 @@ def write_dataset(directory: str | Path, dataset: Dataset) -> str:
 
 def read_dataset(directory: str | Path) -> Dataset:
     """Read and verify the directory once, rebuild the world from its recorded seed and parse the
-    samples; a file the world fixes that differs from the regenerated world's fails loudly."""
+    samples; a file the world fixes that differs from the regenerated world's fails loudly. The
+    recorded world is held to the size rule of run configs before anything is built from it."""
     directory = Path(directory)
     try:
         files = read_sealed(directory)[1]  # every file, read once and checked before any is parsed
         values = read_key_values(str(files[_WORLD_CONFIG], "utf-8"), _WORLD_KINDS, complete=True)
         seed, d, seen_fraction = values.pop("seed"), values.pop("n_labels"), values.pop("seen_fraction")
-        world = build_world(d, seen_fraction, seed, SynthConfig(**values))
+        synth = SynthConfig(**values)
+        from .config import check_recorded_world  # config imports this module
+        check_recorded_world(d, seen_fraction, synth)
+        world = build_world(d, seen_fraction, seed, synth)
 
         for rel, content in _WORLD_FILES.items():
             if files[rel].tobytes() != content(world):  # as bytes: a memoryview compares byte by byte, 40x slower

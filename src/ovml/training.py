@@ -2,10 +2,11 @@
 
 Stage 1 trains the backbone and scoring heads against a frozen label
 table, minimizing pairwise ranking loss plus an optional L1 pull of the
-global embedding toward the teacher embedding. Stage 2 freezes the
-image side entirely and tunes only the prompt context, regenerating the
-label table through the frozen surrogate inside every step's graph.
-Each step builds one graph for its whole minibatch.
+global embedding toward the teacher embedding; `stage1_losses` is the one
+place that total is built. Stage 2 freezes the image side entirely and
+tunes only the prompt context, regenerating the label table through the
+frozen surrogate inside every step's graph. Each step builds one graph for
+its whole minibatch.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NonFinite, Tensor
-from .heads import EmbeddingPair
+from .heads import MODE_STREAMS, EmbeddingPair
 from .labels import LabelEmbeddingTable
 from .losses import distill_loss, ranking_loss
 from .model import Model, embed_batch, encode, fixed_table, live_table, save_model, score_image
@@ -57,13 +58,17 @@ LogFn = Callable[[dict], None]
 
 
 def stage1_losses(
-    model: Model, images: np.ndarray, positive: np.ndarray, teacher: np.ndarray, table: LabelEmbeddingTable
-) -> tuple[Tensor, Tensor]:
-    """Batch ranking loss against `table` and batch distillation loss of the
-    global embeddings toward `teacher`, from one graph over `images`.
+    model: Model, images: np.ndarray, positive: np.ndarray, teacher: np.ndarray, table: LabelEmbeddingTable,
+    lambda_distill: float,
+) -> tuple[Tensor, Tensor, Tensor]:
+    """Stage 1's (total, ranking, distillation) batch losses from one graph
+    over `images`: ranking against `table`, the L1 pull of the global
+    embeddings toward `teacher`, and the total rank + lambda_distill * dist,
+    which is the ranking loss itself at lambda_distill = 0.
     """
     emb = encode(model, images)
-    return ranking_loss(score_image(model, emb, table), positive), distill_loss(emb.e_cls, teacher)
+    rank, dist = ranking_loss(score_image(model, emb, table), positive), distill_loss(emb.e_cls, teacher)
+    return (rank if lambda_distill == 0.0 else ad.add(rank, ad.scale(dist, lambda_distill))), rank, dist
 
 
 def stage2_loss(model: Model, emb: EmbeddingPair, positive: np.ndarray) -> Tensor:
@@ -74,19 +79,11 @@ def stage2_loss(model: Model, emb: EmbeddingPair, positive: np.ndarray) -> Tenso
 
 
 def _stage1_params(model: Model, cfg: TrainConfig) -> dict[str, Tensor]:
-    """Backbone always trains; each head only when something feeds it a
-    gradient (its score stream, or distillation for the global head).
+    """The backbone, and the head streams stage 1's loss reaches: those the
+    head mode scores, and the global stream when distillation pulls on it.
     """
-    params = model.vit.named("vit")
-    named = model.streams.named("heads")
-    mode = model.config.head_mode
-    use_global = mode in ("both", "global") or cfg.lambda_distill > 0
-    use_local = mode in ("both", "local")
-    for name, t in named.items():
-        is_global = ".global_" in name
-        if (is_global and use_global) or (not is_global and use_local):
-            params[name] = t
-    return params
+    streams = MODE_STREAMS[model.config.head_mode] + (("global",) if cfg.lambda_distill > 0 else ())
+    return {**model.vit.named("vit"), **model.streams.named("heads", streams)}
 
 
 def _run_steps(
@@ -121,17 +118,10 @@ def _run_steps(
 def run_stage1(model: Model, dataset: Dataset, cfg: TrainConfig, seed: int, log: LogFn) -> None:
     table = fixed_table(model)
     positive = dataset.ground_truth(table.label_ids).y
-    lam = cfg.lambda_distill
-
-    def losses(batch):
-        loss_rank, loss_dist = stage1_losses(
-            model, dataset.images[batch], positive[batch], dataset.teacher[batch], table
-        )
-        total = loss_rank if lam == 0.0 else ad.add(loss_rank, ad.scale(loss_dist, lam))
-        return total, loss_rank, loss_dist
-
-    params = _stage1_params(model, cfg)
-    _run_steps(1, params, cfg.lr_stage1, cfg.epochs_stage1, len(dataset), cfg, seed, losses, log)
+    losses = lambda batch: stage1_losses(
+        model, dataset.images[batch], positive[batch], dataset.teacher[batch], table, cfg.lambda_distill
+    )
+    _run_steps(1, _stage1_params(model, cfg), cfg.lr_stage1, cfg.epochs_stage1, len(dataset), cfg, seed, losses, log)
 
 
 def frozen_params(model: Model) -> dict[str, Tensor]:

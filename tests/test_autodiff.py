@@ -212,8 +212,8 @@ def test_backward_matches_the_two_pass_walk_bit_for_bit(stage):
     def loss():
         if stage == 1:
             table = fixed_table(model)
-            rank, dist = stage1_losses(model, data.images, data.ground_truth(table.label_ids).y, data.teacher, table)
-            return ad.add(rank, ad.scale(dist, 0.5))
+            positive = data.ground_truth(table.label_ids).y
+            return stage1_losses(model, data.images, positive, data.teacher, table, 0.5)[0]
         with ad.no_grad():
             emb = encode(model, data.images)
         return stage2_loss(model, emb, data.ground_truth(model.split.all_ids).y)
@@ -388,6 +388,18 @@ def test_l1_distance_tie_subgradient_zero():
 def test_l2_normalize_zero_vector_rejected():
     with pytest.raises(NonFinite):
         ad.l2_normalize(ad.tensor([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
+
+
+def test_l2_normalize_rejects_a_finite_row_whose_norm_overflows():
+    # the squares overflow; dividing by an infinite norm gave an all-zero row
+    with np.errstate(over="ignore"), pytest.raises(NonFinite, match=r"^a row's L2 norm overflows float64$"):
+        ad.l2_normalize(ad.tensor([[1.0, 2.0], [1e200, 1.0]]))
+
+
+def test_layer_norm_rejects_a_finite_row_whose_variance_overflows():
+    # the squares overflow; an infinite variance gave an all-zero normalized row
+    with np.errstate(over="ignore"), pytest.raises(NonFinite, match=r"^layer_norm variance overflows float64$"):
+        ad.layer_norm(ad.tensor([[1.0, 2.0], [1e160, -1e160]]), ad.tensor(np.ones(2)), ad.tensor(np.zeros(2)))
 
 
 def test_l2_normalize_unit_output():

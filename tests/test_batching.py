@@ -57,8 +57,7 @@ def test_stage1_batch_loss_and_grads_match_mean_of_single_images(world, dataset)
 
     for t in params.values():
         t.zero_grad()
-    rank, dist = stage1_losses(model, dataset.images, positive, dataset.teacher, table)
-    batch_loss = ad.add(rank, dist)
+    batch_loss = stage1_losses(model, dataset.images, positive, dataset.teacher, table, 1.0)[0]
     ad.backward(batch_loss)
     batch_grads = {n: t.grad.copy() for n, t in params.items()}
 
@@ -66,10 +65,9 @@ def test_stage1_batch_loss_and_grads_match_mean_of_single_images(world, dataset)
         t.zero_grad()
     singles = []
     for i in range(b):
-        rank, dist = stage1_losses(
-            model, dataset.images[i:i + 1], positive[i:i + 1], dataset.teacher[i:i + 1], table
-        )
-        loss = ad.add(rank, dist)
+        loss = stage1_losses(
+            model, dataset.images[i:i + 1], positive[i:i + 1], dataset.teacher[i:i + 1], table, 1.0
+        )[0]
         singles.append(loss.item())
         ad.backward(ad.scale(loss, 1.0 / b))  # grads accumulate into the mean
 

@@ -349,6 +349,16 @@ def test_gen_whose_pixels_overflow_exits_two(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_gen_whose_label_norms_overflow_exits_two(tmp_path, capsys):
+    # finite tokens near 1e160 whose squares overflow: the surrogate's layer norm refuses them,
+    # where an all-zero label table and prototypes were written before
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(tiny(out_dir=f"{tmp_path}/out", n_labels=8, n_categories=2, token_jitter="1e160"))
+    assert main(["gen", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "numerical failure: layer_norm variance overflows float64\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_update_that_overflows_a_weight_stops_before_the_checkpoint(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(tiny(
@@ -451,9 +461,11 @@ def _truncate(rel, length):
         _sealed(_text_edit("world/config.txt", "sigma=0.1\n", "sigma=fast\n")),
         lambda ds: (ds / "extra.txt").write_text("not in the manifest\n"),
         _sealed(lambda ds: (ds / "positives.txt").unlink()),
+        _sealed(_text_edit("world/config.txt", "\nn_labels=12\n", "\nn_labels=1000000000000000000\n")),
     ],
     ids=[
         "teacher_flipped", "manifest_missing", "world_config_unparsable", "file_not_in_manifest", "positives_unlisted",
+        "world_n_labels_1e18",
     ],
 )
 def test_corrupted_dataset_exits_three(workspace, tmp_path, capsys, edit):
@@ -714,8 +726,8 @@ def test_negative_seed_override_is_config_error(tmp_path, capsys):
 
 
 # The keys that size an array or count blocks: a large int asks for one over config.MAX_ARRAY_BYTES.
-SIZE_KEYS = ("n_train", "n_test", "image_size", "channels", "n_labels", "token_width", "prompt_length",
-             "embed_dim", "width", "depth", "surrogate_depth")
+SIZE_KEYS = ("n_train", "n_test", "image_size", "channels", "n_labels", "n_categories", "token_width",
+             "prompt_length", "embed_dim", "width", "depth", "surrogate_depth")
 LARGE = "1000000000"
 
 
@@ -808,6 +820,7 @@ def _entry_elsewhere(target):
         _sealed(_text_edit("meta.txt", "head_mode=both", "head_mode=wide")),
         _sealed(_text_edit("meta.txt", "heads=2", "heads=0")),
         _sealed(_text_edit("meta.txt", "\nk=3\n", "\nk=10\n")),  # the world has 9 patches
+        _sealed(_text_edit("meta.txt", "width=16", "width=1000000000000000000")),
         _sealed(_tensor_edit("table.z.mkt1", lambda z: z[:-1])),
         _sealed(_tensor_edit("table.z.mkt1", _poison)),
         _sealed(_truncate("table.z.mkt1", 7)),
@@ -820,6 +833,7 @@ def _entry_elsewhere(target):
     ],
     ids=[
         "meta_missing_key", "meta_non_integer", "meta_bad_head_mode", "meta_zero_heads", "meta_k_above_patches",
+        "meta_width_1e18",
         "table_rows_off_ids", "table_non_finite", "tensor_header_7_bytes", "tensor_header_4_bytes",
         "manifest_line_without_tab", "manifest_entry_in_parent_dir", "manifest_entry_absolute",
         "vocab_lacks_table_label_0", "meta_unlisted",

@@ -11,6 +11,8 @@ import traceback
 import numpy as np
 import pytest
 
+from ovml import autodiff as ad
+from ovml.heads import HEAD_MODES
 from ovml.model import (
     BadCheckpoint,
     ModelConfig,
@@ -32,6 +34,7 @@ from ovml.training import (
     _stage1_params,
     run_stage1,
     run_stage2,
+    stage1_losses,
     train,
 )
 
@@ -181,7 +184,7 @@ def test_lambda_positive_consults_the_teacher(world, dataset):
     assert not np.array_equal(a.streams.global_w.data, b.streams.global_w.data)
 
 
-def test_stage1_param_selection_follows_head_mode(world):
+def test_stage1_param_selection_follows_head_mode(world, dataset):
     both = _stage1_params(init_model(0, world), TrainConfig(lambda_distill=0.0))
     assert any(".local_" in n for n in both) and any(".global_" in n for n in both)
 
@@ -201,6 +204,22 @@ def test_stage1_param_selection_follows_head_mode(world):
     )
     assert any(".global_" in n for n in l_dist)
     assert "prompt.context" not in both  # prompt trains only in stage 2
+
+    # the selection is exactly what one backward of the step's total reaches
+    for mode in HEAD_MODES:
+        for lam in (0.0, 0.5):
+            model = init_model(0, world, ModelConfig(head_mode=mode))
+            table = fixed_table(model)
+            rows = slice(0, 4)
+            total, _, _ = stage1_losses(
+                model, dataset.images[rows], dataset.ground_truth(table.label_ids).y[rows], dataset.teacher[rows],
+                table, lam,
+            )
+            ad.backward(total)
+            backbone = model.vit.named("vit")
+            assert all(t.grad is not None for t in backbone.values()), (mode, lam)
+            reached = [name for name, t in model.streams.named("heads").items() if t.grad is not None]
+            assert list(_stage1_params(model, TrainConfig(lambda_distill=lam))) == [*backbone, *reached], (mode, lam)
 
 
 def test_stage1_updates_model_weights(world, dataset):
