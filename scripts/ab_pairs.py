@@ -42,7 +42,9 @@ finished before a failed run are kept: the options, both checkouts' `git
 describe`, the head's environment with the host's CPU model (numpy's
 sort kernels dispatch by CPU), and per workload the summary rows, each
 side's usable CPU counts, unit counts and failed operations, and every
-pair's seed, first side and both result lines.
+pair's seed, first side and both result lines. A record must name trees
+that can be rebuilt, so `--record` refuses to start, with exit code 1,
+when either checkout's `git describe --dirty` ends in `-dirty`.
 """
 
 from __future__ import annotations
@@ -245,6 +247,11 @@ def main(argv=None) -> int:
         "environment": None,
         "workloads": {},
     }
+    for side, checkout in (("base", args.base), ("head", HEAD)):
+        if args.record and (record[side] or "").endswith("-dirty"):
+            print(f"ab_pairs: the {side} checkout {checkout} reads {record[side]}; --record needs committed trees",
+                  file=sys.stderr)
+            return 1
     for workload in workloads:
         pairs, cpus, units = [], {"base": [], "head": []}, {"base": [], "head": []}
         for i in range(args.pairs):

@@ -3,9 +3,10 @@
 Subcommands: gen, train, eval, retrieve, sweep, gradcheck. Every run
 writes its fully resolved config next to its outputs and produces
 byte-identical primary artifacts when repeated with the same config and
-seed. Exit codes: 0 ok, 1 usage or config problem (a dataset or checkpoint
-path that is not a directory, a path the OS refuses, a test split that
-cannot be scored), 2 numerical failure, 3 invariant violation.
+seed. Exit codes: 0 ok, 1 usage or config problem (a bad command line, a
+dataset or checkpoint path that is not a directory, a path the OS refuses,
+a test split that cannot be scored), 2 numerical failure, 3 invariant
+violation.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ def cmd_retrieve(cfg: RunConfig) -> int:
     table, categories = load_table(cfg.checkpoint)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    neighbours = retrieve_each(table.label_ids, table, cfg.topn)
+    neighbours = retrieve_each(table, cfg.topn)
     lines = [f"{lid}\t" + " ".join(str(n) for n in row) for lid, row in zip(table.label_ids, neighbours)]
     accuracy = category_accuracy(neighbours, table, categories)
     lines.append(f"category_accuracy\t{accuracy!r}")
@@ -214,8 +215,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a bad command line is one stderr line and exit 1, without the usage text."""
+
+    def error(self, message):
+        self.exit(1, f"usage error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ovml",
         description="Open-vocabulary multi-label pipeline on a synthetic world.",
     )

@@ -76,10 +76,13 @@ class RunConfig:
         if not 0.0 < self.seen_fraction <= 1.0:
             raise ConfigError(f"seen_fraction {self.seen_fraction} outside (0, 1]")
         for key, value in _values(self).items():
+            line = key_values_text({key: value})
+            if "\0" in line:  # no path holds one, and the OS refuses it with a ValueError, not an OSError
+                raise ConfigError(f"{key}={value!r} holds a NUL byte")
             # a config file has no escape: `#` starts a comment, a line break ends the value, the
             # value's ends are stripped of blanks and quotes, and a tuple splits at blanks and commas
             try:
-                back = read_key_values(key_values_text({key: value}), {key: _KINDS[key]}).get(key)
+                back = read_key_values(line, {key: _KINDS[key]}).get(key)
             except ValueError:
                 back = None
             if back != value:

@@ -233,9 +233,7 @@ def _topk_gap(sims: np.ndarray, n: int, k: int) -> float:
 def _score_instance(rng, mode: str):
     """Two images' embeddings + table with comfortable top-k gaps in the local stream."""
     b, d, dim, n, k = 2, 4, 4, 4, 2
-    table = LabelEmbeddingTable(
-        z=ad.tensor(_rows_unit(rng, d, dim)), label_ids=tuple(range(d)), provenance="fixed"
-    )
+    table = LabelEmbeddingTable(z=ad.tensor(_rows_unit(rng, d, dim)), label_ids=tuple(range(d)))
     while True:
         e_cls = _param(rng, b, dim)
         e_patch = _param(rng, b * n, dim)
@@ -302,9 +300,7 @@ def _check_stage1_loss(rng):
     images -> backbone -> heads -> rank + distill."""
     d, dim = 3, 3
     model = _tiny_model(rng, d, dim)
-    table = LabelEmbeddingTable(
-        z=ad.tensor(_rows_unit(rng, d, dim)), label_ids=tuple(range(d)), provenance="fixed"
-    )
+    table = LabelEmbeddingTable(z=ad.tensor(_rows_unit(rng, d, dim)), label_ids=tuple(range(d)))
     leaves = list(model.vit.named().values()) + list(model.streams.named().values())
     teacher = rng.normal(0.0, 1.0, (2, dim))
     for attempt in range(1000):

@@ -1,4 +1,9 @@
-"""Label vocabulary, tunable prompt context, and embedding-space retrieval."""
+"""Label vocabulary, tunable prompt context, and embedding-space retrieval.
+
+The label table holds the one label order: its rows follow split.seen then
+split.unseen. Retrieval lists each row's neighbours in that order, and the
+scores, the ground truth and the metrics take their columns in it.
+"""
 
 from __future__ import annotations
 
@@ -59,12 +64,7 @@ class LabelEmbeddingTable:
         return self.z.data
 
 
-def build_label_table(
-    split: LabelSplit,
-    prompt: Tensor,
-    surrogate: TextSurrogateParams,
-    provenance: str = "fixed",
-) -> LabelEmbeddingTable:
+def build_label_table(split: LabelSplit, prompt: Tensor, surrogate: TextSurrogateParams) -> LabelEmbeddingTable:
     """Encode every label through the frozen surrogate with the shared context.
 
     Rows follow split.seen then split.unseen, all encoded in one pass. The
@@ -76,35 +76,31 @@ def build_label_table(
     except KeyError as e:
         raise UnknownLabel(f"no token vector for label {e.args[0]}") from None
     z = text_surrogate_encode(prompt, tokens, surrogate)
-    return LabelEmbeddingTable(z=z, label_ids=split.all_ids, provenance=provenance)
+    return LabelEmbeddingTable(z=z, label_ids=split.all_ids)
 
 
-def retrieve_each(query_labels: tuple[int, ...], table: LabelEmbeddingTable, topn: int) -> list[list[int]]:
-    """The `topn` labels nearest each query label by cosine similarity,
-    descending, from one stable argsort of their similarity rows.
+def retrieve_each(table: LabelEmbeddingTable, topn: int) -> list[list[int]]:
+    """The `topn` labels nearest each table label by cosine similarity,
+    descending, one list per table row in row order, from one stable
+    argsort of their similarity rows.
 
-    Ties break toward the lower row index; a query never lists itself.
+    Ties break toward the lower row index; a label never lists itself.
     """
     d = len(table.label_ids)
     if not 1 <= topn < d:
         raise TopNOutOfRange(f"topn={topn} outside [1, {d - 1}]")
-    rows = []
-    for lid in query_labels:
-        if lid not in table.label_ids:
-            raise UnknownLabel(f"label {lid} not in table")
-        rows.append(table.label_ids.index(lid))
     z = table.matrix()
     norms = np.linalg.norm(z, axis=1)
-    # one gemv per query: a z @ z.T gemm rounds some similarities differently
-    sims = np.array([(z @ z[q]) / (norms * norms[q]) for q in rows])
-    sims[np.arange(len(rows)), rows] = -np.inf
+    # one gemv per row: a z @ z.T gemm rounds some similarities differently
+    sims = np.array([(z @ z[q]) / (norms * norms[q]) for q in range(d)])
+    np.fill_diagonal(sims, -np.inf)
     order = np.argsort(-sims, axis=1, kind="stable")[:, :topn]
     return [[table.label_ids[i] for i in row] for row in order.tolist()]
 
 
 def category_accuracy(neighbours: list[list[int]], table: LabelEmbeddingTable, categories: dict[int, int]) -> float:
     """Fraction of retrieved slots sharing the query's major category, where
-    `neighbours` is `retrieve_each(table.label_ids, table, topn)`.
+    `neighbours` is `retrieve_each(table, topn)`.
 
     Micro-average over all query x topn slots.
     """
@@ -117,7 +113,7 @@ def retrieval_accuracy(table: LabelEmbeddingTable, categories: dict[int, int], t
     for lid in table.label_ids:
         if lid not in categories:
             raise UnknownLabel(f"label {lid} missing from category map")
-    return category_accuracy(retrieve_each(table.label_ids, table, topn), table, categories)
+    return category_accuracy(retrieve_each(table, topn), table, categories)
 
 
 def vocabulary_text(categories: dict[int, int]) -> str:

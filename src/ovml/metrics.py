@@ -1,6 +1,8 @@
 """Multi-label evaluation: `evaluate`, the one entry point, reports
 per-class AP, mAP/WmAP and top-K P/R/F1 over a task vocabulary, against
-boolean ground truth.
+boolean ground truth. The scores and the ground truth share one label
+order, the label table's, so a task's columns are looked up once and
+gather both.
 
 Every ranking is by descending score with ties to the lower original
 index, the order `np.argsort(-a, kind="stable")` gives, so every metric
@@ -183,13 +185,14 @@ def evaluate(
     mode: str,
     k_list: tuple[int, ...],
 ) -> MetricsReport:
-    """The full report over the task vocabulary. Each matrix's task columns are
-    found by its own label ids, so the two may order their labels differently."""
+    """The full report over the task vocabulary. The scores and the ground
+    truth cover the same images and the same label ids in the same order, so
+    the task columns are looked up once and gather both; ShapeMismatch
+    otherwise."""
+    if gt.label_ids != scores.label_ids or gt.y.shape[0] != scores.scores.shape[0]:
+        raise ShapeMismatch(f"scores {scores.scores.shape} and gt {gt.y.shape} differ in images or label order")
     label_ids, cols = _task_columns(scores.label_ids, split, mode)
-    s = scores.scores[:, cols]
-    y = gt.y[:, _task_columns(gt.label_ids, split, mode)[1]]
-    if s.shape != y.shape:
-        raise ShapeMismatch(f"scores {scores.scores.shape} vs gt {gt.y.shape}")
+    s, y = scores.scores[:, cols], gt.y[:, cols]
     n_pos = np.count_nonzero(y, axis=0)
     aps = _column_aps(s, y, n_pos)
     vals = np.array([ap for ap in aps if ap is not None])

@@ -5,7 +5,7 @@ against, plus checkpoint save/load.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import count
 from pathlib import Path
 
@@ -103,19 +103,19 @@ def encode(model: Model, images: np.ndarray) -> EmbeddingPair:
     return two_stream(vit_forward(patchify(images, model.patch_size), model.vit), model.streams)
 
 
-def live_table(model: Model, provenance: str = "prompt") -> LabelEmbeddingTable:
+def live_table(model: Model) -> LabelEmbeddingTable:
     """Label table regenerated through the surrogate; gradients reach the
     prompt context, so use this inside prompt-tuning steps.
     """
-    return build_label_table(model.split, model.prompt, model.surrogate, provenance=provenance)
+    return build_label_table(model.split, model.prompt, model.surrogate)
 
 
 def fixed_table(model: Model, provenance: str = "fixed") -> LabelEmbeddingTable:
-    """A constant snapshot of the current table; graphs built against it
-    never touch the surrogate.
+    """A constant snapshot of the current table, tagged with the `provenance`
+    a checkpoint records; graphs built against it never touch the surrogate.
     """
     with ad.no_grad():
-        return live_table(model, provenance)
+        return replace(live_table(model), provenance=provenance)
 
 
 def score_image(model: Model, emb: EmbeddingPair, table: LabelEmbeddingTable) -> Tensor:

@@ -161,7 +161,7 @@ def build_world(d: int, seen_fraction: float, seed: int, config: SynthConfig | N
     prompt = init_prompt(
         substream(seed, "world.prompt"), config.prompt_length, config.token_width, trainable=False
     )
-    z = build_label_table(split, prompt, surrogate, provenance="world").matrix()
+    z = build_label_table(split, prompt, surrogate).matrix()
 
     rng_teacher = substream(seed, "world.teacher")
     w_teacher = rng_teacher.normal(0.0, 1.0 / np.sqrt(config.patch_len), (config.patch_len, config.embed_dim))
@@ -201,9 +201,8 @@ class Dataset:
     def __len__(self) -> int:
         return self.images.shape[0]
 
-    def ground_truth(self, label_ids: tuple[int, ...] | None = None) -> GroundTruthMatrix:
-        """Boolean images x labels matrix of positives, columns in `label_ids` order (default: the world's)."""
-        label_ids = label_ids or self.world.split.all_ids
+    def ground_truth(self, label_ids: tuple[int, ...]) -> GroundTruthMatrix:
+        """Boolean images x labels matrix of positives, columns in `label_ids` order."""
         col = {lid: i for i, lid in enumerate(label_ids)}
         counts = np.fromiter(map(len, self.positives), dtype=np.intp, count=len(self.positives))
         cols = np.fromiter(  # -1 for a positive that is not a column

@@ -142,7 +142,8 @@ def run_stage2(
     """
     snapshot = {name: t.data.copy() for name, t in frozen_params(model).items()}
     cached_cls, cached_patch = embed_batch(model, dataset.images)
-    positive = dataset.ground_truth(model.split.all_ids).y
+    start_table = fixed_table(model)
+    positive = dataset.ground_truth(start_table.label_ids).y
 
     def cached(rows) -> EmbeddingPair:
         return EmbeddingPair(
@@ -150,8 +151,7 @@ def run_stage2(
             e_patch=ad.tensor(cached_patch[rows].reshape(-1, cached_patch.shape[2])),
         )
 
-    def full_rank_loss() -> float:
-        table = fixed_table(model)
+    def full_rank_loss(table: LabelEmbeddingTable) -> float:
         total = 0.0
         with ad.no_grad():
             for start in range(0, len(dataset), cfg.batch_size):
@@ -160,7 +160,7 @@ def run_stage2(
                 total += ranking_loss(scores, positive[rows]).item() * scores.shape[0]
         return total / len(dataset)
 
-    start_loss = full_rank_loss()
+    start_loss = full_rank_loss(start_table)
 
     def losses(batch):
         loss_rank = stage2_loss(model, cached(batch), positive[batch])
@@ -171,7 +171,7 @@ def run_stage2(
     for name, t in frozen_params(model).items():
         if not np.array_equal(t.data, snapshot[name]):
             raise FrozenViolation(f"{name} changed during prompt tuning")
-    end_loss = full_rank_loss()
+    end_loss = full_rank_loss(fixed_table(model))
     log({"stage": 2, "event": "full_rank_loss", "start": start_loss, "end": end_loss})
     return start_loss, end_loss
 

@@ -154,7 +154,27 @@ def test_runs_on_different_cpu_counts_exit_one_with_one_line(monkeypatch, capsys
     assert err.splitlines()[-1] == "ab_pairs: gradcheck runs saw different usable CPU counts; their times do not compare"
 
 
+def _committed_head(monkeypatch):
+    """--record refuses a dirty checkout: the head reads as a commit, whatever the tree under test holds."""
+    real = ab_pairs.describe
+    monkeypatch.setattr(ab_pairs, "describe", lambda checkout: "0123abc" if checkout == ab_pairs.HEAD else real(checkout))
+
+
+def test_record_refuses_a_dirty_checkout_before_any_run(monkeypatch, capsys, tmp_path):
+    runs = []
+    monkeypatch.setattr(ab_pairs, "run_once", lambda *args: runs.append(args))
+    path = tmp_path / "BENCH.json"
+    for dirty, checkout in (("base", tmp_path), ("head", ab_pairs.HEAD)):
+        monkeypatch.setattr(ab_pairs, "describe", lambda c: "0123abc-dirty" if c == checkout else "0123abc")
+        assert ab_pairs.main(["--base", str(tmp_path), "--pairs", "2", "--record", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"ab_pairs: the {dirty} checkout {checkout} reads 0123abc-dirty; --record needs committed trees\n"
+    assert runs == [] and not path.exists()
+
+
 def test_record_holds_each_workloads_rows_cpus_failures_and_result_lines(monkeypatch, capsys, tmp_path):
+    _committed_head(monkeypatch)
     bench = json.loads((ab_pairs.HEAD / "BENCHMARK.json").read_text())
 
     def run_once(checkout, workload, seed, seconds, trace):
@@ -174,6 +194,7 @@ def test_record_holds_each_workloads_rows_cpus_failures_and_result_lines(monkeyp
     assert list(record) == ["command", "options", "base", "head", "environment", "workloads"]
     assert record["options"] == {"pairs": 3, "seconds": 7, "seed": 4, "layer": []}
     assert record["base"] is None  # tmp_path is no git checkout
+    assert record["head"] == "0123abc"
     # the canned report's, less its seed, with the host's CPU model
     assert record["environment"] == {"cpus_usable": 2, "cpu_model": "Canned CPU @ 2.00GHz"}
     assert list(record["workloads"]) == ["gradcheck", "eval-wide"]
@@ -200,6 +221,7 @@ def test_record_holds_each_workloads_rows_cpus_failures_and_result_lines(monkeyp
 
 
 def test_units_print_as_each_sides_median_and_record_as_lists(monkeypatch, capsys, tmp_path):
+    _committed_head(monkeypatch)
     bench = json.loads((ab_pairs.HEAD / "BENCHMARK.json").read_text())
     metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in bench["end_to_end"]}
 
@@ -273,6 +295,7 @@ def test_cpu_model_is_the_first_model_name(tmp_path):
 
 
 def test_a_failed_run_names_its_pair_and_side_and_keeps_the_finished_pairs(monkeypatch, capsys, tmp_path):
+    _committed_head(monkeypatch)
     # a base checkout whose benchmark cannot start, as one without src/ fails
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text(

@@ -316,10 +316,12 @@ def test_unreadable_config_is_a_one_line_config_error(tmp_path, monkeypatch, cap
 
 
 def test_bad_argv_is_usage_error(capsys):
-    assert main(["frobnicate"]) == 1
-    capsys.readouterr()
-    assert main([]) == 1
-    capsys.readouterr()
+    for argv in (["frobnicate"], [], ["train", "--seed", "x"]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error: ") and err.count("\n") == 1, (argv, err)
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: ovml")
 
 
 def test_train_without_dataset_is_usage_error(tmp_path, capsys):
@@ -742,7 +744,9 @@ UNWRITABLE_WORDS = (("runs/a#b",), ("runs/a\nb",), ("runs/a\rb",), (" runs/a ",)
 
 @pytest.mark.parametrize("key", sorted(_KINDS))
 def test_every_config_key_takes_odd_values_without_a_traceback(key, tmp_path, monkeypatch, capsys):
-    values = ("0", "-1", "1e400", "nan", "0.5", "", "word", "1#2") + ((LARGE,) if key in SIZE_KEYS else ())
+    values = ("0", "-1", "1e400", "nan", "0.5", "", "word", "1#2", "runs/a\0b", "\0") + (
+        (LARGE,) if key in SIZE_KEYS else ()
+    )
     unwritable = UNWRITABLE_WORDS if key == "sweep_values" else UNWRITABLE if key in STRING_KEYS else ()
     for i, value in enumerate(values + unwritable):
         # a fresh working directory per value: values such as out_dir=0 write relative paths
@@ -775,6 +779,8 @@ def test_every_config_key_takes_odd_values_without_a_traceback(key, tmp_path, mo
             assert 0 <= code <= 3 and err.count("\n") <= 1 and "Traceback" not in err, (key, value, command, err)
             if value == LARGE:
                 assert code == 1 and err.startswith(f"config error: {key}={LARGE} "), (key, command, err)
+            if "\0" in value:  # a NUL reads back from a config file, but no path the OS takes holds one
+                assert code == 1 and err.startswith("config error: "), (key, command, err)
 
 
 @pytest.mark.parametrize(
@@ -787,6 +793,14 @@ def test_out_override_a_config_file_cannot_carry_is_config_error(tmp_path, monke
     assert main(["gen", "--config", "c.cfg", "--out", out]) == 1
     err = capsys.readouterr().err
     assert err == f"config error: out_dir={out!r} does not read back from a config file\n"
+    assert os.listdir() == ["c.cfg"]
+
+
+def test_out_override_with_a_nul_is_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("c.cfg").write_text(TINY)
+    assert main(["gen", "--config", "c.cfg", "--out", "runs/a\0b"]) == 1
+    assert capsys.readouterr().err == "config error: out_dir='runs/a\\x00b' holds a NUL byte\n"
     assert os.listdir() == ["c.cfg"]
 
 

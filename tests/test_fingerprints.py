@@ -1,4 +1,4 @@
-"""scripts/fingerprints.py's lines and exit codes on stubbed child runs, and its child on a canned checkout."""
+"""scripts/fingerprints.py's lines and exit codes on stubbed child runs, and its children on canned checkouts."""
 
 import hashlib
 import importlib.util
@@ -11,35 +11,38 @@ fingerprints = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(fingerprints)
 
 WORKLOADS = [w["name"] for w in json.loads((fingerprints.HEAD / "BENCHMARK.json").read_text())["workloads"]]
+NAMES = [*WORKLOADS, fingerprints.GRADCHECK]  # the lines' names, in their order
 
 
 def _stub(monkeypatch, digest):
-    """Replace the child runs: `digest(side, workload, seed)` is each one's output."""
+    """Replace the child runs: `digest(side, name, seed)` is each one's output, `name` a workload
+    or fingerprints.GRADCHECK."""
     calls = []
 
-    def fingerprint(checkout, workload, seed):
+    def run(checkout, name, seed):
         side = "head" if checkout == fingerprints.HEAD else "base"
-        calls.append((side, workload, seed))
-        return digest(side, workload, seed)
+        calls.append((side, name, seed))
+        return digest(side, name, seed)
 
-    monkeypatch.setattr(fingerprints, "fingerprint", fingerprint)
+    monkeypatch.setattr(fingerprints, "fingerprint", run)
+    monkeypatch.setattr(fingerprints, "gradcheck_digest", lambda checkout, seed: run(checkout, fingerprints.GRADCHECK, seed))
     return calls
 
 
 def test_without_base_one_line_per_workload_and_seed(monkeypatch, capsys):
-    calls = _stub(monkeypatch, lambda side, workload, seed: f"{workload}-{seed}")
+    calls = _stub(monkeypatch, lambda side, name, seed: f"{name}-{seed}")
     assert fingerprints.main(["--seed", "0", "--seed", "3"]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        f"{w} seed {s} {w}-{s}" for w in WORKLOADS for s in (0, 3)
+        f"{w} seed {s} {w}-{s}" for w in NAMES for s in (0, 3)
     ]
     assert {side for side, _, _ in calls} == {"head"}
 
 
 def test_equal_base_reads_equal_and_exits_zero(monkeypatch, capsys, tmp_path):
-    calls = _stub(monkeypatch, lambda side, workload, seed: f"{workload}-{seed}")
+    calls = _stub(monkeypatch, lambda side, name, seed: f"{name}-{seed}")
     assert fingerprints.main(["--base", str(tmp_path), "--seed", "1"]) == 0
-    assert capsys.readouterr().out.splitlines() == [f"{w} seed 1 {w}-1 equal" for w in WORKLOADS]
-    assert calls == [(side, w, 1) for w in WORKLOADS for side in ("head", "base")]
+    assert capsys.readouterr().out.splitlines() == [f"{w} seed 1 {w}-1 equal" for w in NAMES]
+    assert calls == [(side, w, 1) for w in NAMES for side in ("head", "base")]
 
 
 def test_a_difference_reads_differs_with_the_base_digest_and_exits_one(monkeypatch, capsys, tmp_path):
@@ -51,7 +54,7 @@ def test_a_difference_reads_differs_with_the_base_digest_and_exits_one(monkeypat
     _stub(monkeypatch, digest)
     assert fingerprints.main(["--base", str(tmp_path), "--seed", "0", "--seed", "1"]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 2 * len(WORKLOADS)  # every workload still runs
+    assert len(out) == 2 * len(NAMES)  # every workload and the gradient suite still run
     assert out[3] == f"{WORKLOADS[1]} seed 1 a differs b"
     assert [line.split()[-1] for i, line in enumerate(out) if i != 3] == ["equal"] * (len(out) - 1)
 
@@ -96,3 +99,47 @@ def test_a_failed_child_names_its_workload_and_checkout_and_exits_one(monkeypatc
     lines = err.splitlines()
     assert lines[0] == f"fingerprints: {WORKLOADS[0]} seed 0 in {fingerprints.HEAD} exited 1; the last lines of its stderr:"
     assert lines[-1] == "  RuntimeError: unit broke"
+
+
+def test_a_gradcheck_difference_alone_reads_differs_and_exits_one(monkeypatch, capsys, tmp_path):
+    _stub(monkeypatch, lambda side, name, seed: "b" if side == "base" and name == fingerprints.GRADCHECK else "a")
+    assert fingerprints.main(["--base", str(tmp_path), "--seed", "2"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"{w} seed 2 a equal" for w in WORKLOADS] + [f"{fingerprints.GRADCHECK} seed 2 a differs b"]
+
+
+def test_the_gradcheck_child_hashes_the_suites_stdout_with_one_blas_thread(tmp_path):
+    # a checkout whose `ovml gradcheck` prints its argv and BLAS thread count
+    (tmp_path / "src" / "ovml").mkdir(parents=True)
+    (tmp_path / "src" / "ovml" / "__init__.py").write_text("")
+    (tmp_path / "src" / "ovml" / "cli.py").write_text(
+        "import os\n\n"
+        "def main(argv):\n"
+        "    print(argv, os.environ['OPENBLAS_NUM_THREADS'])\n"
+        "    return 0\n"
+    )
+    want = hashlib.sha256(f"{['gradcheck', '--seed', '5']} 1\n".encode()).hexdigest()
+    assert fingerprints.gradcheck_digest(tmp_path, 5) == want
+    assert not list(tmp_path.rglob("__pycache__"))  # a -B child writes no bytecode
+
+
+def test_a_failing_gradient_suite_exits_one_with_its_stderr(monkeypatch, capsys, tmp_path):
+    (tmp_path / "src" / "ovml").mkdir(parents=True)
+    (tmp_path / "src" / "ovml" / "__init__.py").write_text("")
+    (tmp_path / "src" / "ovml" / "cli.py").write_text(
+        "import sys\n\n"
+        "def main(argv):\n"
+        "    print('gradient suite: FAILURES present')\n"
+        "    print('a check failed', file=sys.stderr)\n"
+        "    return 2\n"
+    )
+    real = fingerprints.gradcheck_digest
+    _stub(monkeypatch, lambda side, name, seed: "a")
+    monkeypatch.setattr(fingerprints, "gradcheck_digest", lambda checkout, seed: real(tmp_path, seed))
+    assert fingerprints.main(["--seed", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [f"{w} seed 0 a" for w in WORKLOADS]
+    assert err.splitlines() == [
+        f"fingerprints: {fingerprints.GRADCHECK} seed 0 in {fingerprints.HEAD} exited 2; the last lines of its stderr:",
+        "  a check failed",
+    ]

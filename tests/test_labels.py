@@ -38,25 +38,23 @@ def test_split_rejects_overlap_and_orders_all_ids():
 def test_retrieve_orthonormal_ties_go_to_lowest_rows():
     t = table_from(np.eye(4), ids=(10, 11, 12, 13))
     # all non-query sims are exactly 0; stable order keeps row order
-    assert retrieve_each((12,), t, 2)[0] == [10, 11]
-    assert retrieve_each((10,), t, 3)[0] == [11, 12, 13]
+    assert retrieve_each(t, 2)[2] == [10, 11]
+    assert retrieve_each(t, 3)[0] == [11, 12, 13]
 
 
 def test_retrieve_duplicate_row_ranks_first():
     z = np.eye(4)
     z[3] = z[1]
     t = table_from(z)
-    assert retrieve_each((1,), t, 1)[0] == [3]  # cosine exactly 1
+    assert retrieve_each(t, 1)[1] == [3]  # cosine exactly 1
 
 
 def test_retrieve_never_includes_query_and_respects_bounds():
     t = table_from(np.eye(3))
     with pytest.raises(TopNOutOfRange):
-        retrieve_each((0,), t, 0)
+        retrieve_each(t, 0)
     with pytest.raises(TopNOutOfRange):
-        retrieve_each((0,), t, 3)  # only 2 other labels exist
-    with pytest.raises(UnknownLabel):
-        retrieve_each((99,), t, 1)
+        retrieve_each(t, 3)  # only 2 other labels exist
 
 
 @given(st.integers(3, 8), st.integers(0, 2**32 - 1))
@@ -66,8 +64,7 @@ def test_retrieve_matches_brute_force_ranking(d, seed):
     z = rng.normal(0, 1, (d, 5))
     ids = tuple(range(100, 100 + d))
     t = table_from(z, ids)
-    for qi, q in enumerate(ids):
-        got = retrieve_each((q,), t, d - 1)[0]
+    for qi, (q, got) in enumerate(zip(ids, retrieve_each(t, d - 1))):
         sims = z @ z[qi] / (np.linalg.norm(z, axis=1) * np.linalg.norm(z[qi]))
         want = [ids[i] for i in sorted(range(d), key=lambda i: (-sims[i], i)) if i != qi]
         assert got == want
@@ -111,8 +108,7 @@ def test_one_ranking_equals_the_per_query_loop(seed):
     d = len(table.label_ids)
     for topn in sorted({1, (d + 1) // 2, d - 1}):
         want = [per_query_retrieve(lid, table, topn) for lid in table.label_ids]
-        assert retrieve_each(table.label_ids, table, topn) == want
-        assert [retrieve_each((lid,), table, topn)[0] for lid in table.label_ids] == want
+        assert retrieve_each(table, topn) == want
         assert retrieval_accuracy(table, cats, topn) == per_query_accuracy(table, cats, topn)
         assert category_accuracy(want, table, cats) == per_query_accuracy(table, cats, topn)
 
@@ -131,10 +127,6 @@ def test_retrieval_errors_keep_their_order():
     t = table_from(np.eye(3))
     with pytest.raises(UnknownLabel, match="label 2 missing from category map"):
         retrieval_accuracy(t, {0: 0, 1: 0}, 5)  # a label without a category before a topn out of range
-    with pytest.raises(TopNOutOfRange):
-        retrieve_each((99,), t, 3)  # a topn out of range before an unknown query
-    with pytest.raises(UnknownLabel, match="label 99 not in table"):
-        retrieve_each((0, 99), t, 1)
 
 
 class TestRetrievalAccuracy:
@@ -186,8 +178,6 @@ def test_build_label_table_rows_follow_split_order():
         want = text_surrogate_encode(prompt, tower.token_rows([lid]), tower)
         np.testing.assert_array_equal(table.z.data[row], want.data[0])
     assert table.label_ids.index(2) == 2
-    with pytest.raises(UnknownLabel):
-        retrieve_each((7,), table, 1)
 
 
 def test_table_row_count_must_match_ids():

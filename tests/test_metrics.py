@@ -246,7 +246,7 @@ class TestMaskTask:
             evaluate(s, g, LabelSplit(seen=(0,), unseen=(9,)), "ZSL", (1,))
         # a label the ground truth lacks
         g3 = GroundTruthMatrix(y=g.y[:, :3], label_ids=(0, 1, 2))
-        with pytest.raises(EmptyTaskVocabulary):
+        with pytest.raises(ShapeMismatch):
             evaluate(s, g3, self.split, "ZSL", (1,))
 
     def test_bad_mode_rejected(self):
@@ -255,12 +255,12 @@ class TestMaskTask:
             evaluate(s, g, self.split, "zsl", (1,))
 
     @pytest.mark.parametrize("mode", ["ZSL", "GZSL"])
-    def test_ground_truth_columns_may_be_permuted(self, mode):
+    def test_ground_truth_columns_in_another_order_are_refused(self, mode):
         s, g = self.make()
         perm = [3, 0, 4, 2, 1]
         shuffled = GroundTruthMatrix(y=g.y[:, perm], label_ids=tuple(g.label_ids[c] for c in perm))
-        want = evaluate(s, g, self.split, mode, (1, 2))
-        assert evaluate(s, shuffled, self.split, mode, (1, 2)).to_json() == want.to_json()
+        with pytest.raises(ShapeMismatch):
+            evaluate(s, shuffled, self.split, mode, (1, 2))
 
     def test_row_counts_must_match(self):
         s, g = self.make()

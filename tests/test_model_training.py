@@ -222,6 +222,19 @@ def test_stage1_param_selection_follows_head_mode(world, dataset):
             assert list(_stage1_params(model, TrainConfig(lambda_distill=lam))) == [*backbone, *reached], (mode, lam)
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_stage1_total_is_rank_plus_lambda_times_distill(world, dataset, lam):
+    # the total is one scale and one add of the two losses, so it equals the formula exactly
+    model = init_model(0, world)
+    table = fixed_table(model)
+    rows = slice(0, 8)
+    total, rank, dist = stage1_losses(
+        model, dataset.images[rows], dataset.ground_truth(table.label_ids).y[rows], dataset.teacher[rows], table, lam
+    )
+    assert dist.item() > 0  # so a wrong weight on it shows
+    assert total.item() == rank.item() + lam * dist.item()
+
+
 def test_stage1_updates_model_weights(world, dataset):
     model = init_model(6, world)
     before = model.vit.patch_proj.data.copy()

@@ -252,15 +252,14 @@ def test_choice_picks_match_numpy_choice_around_the_tail_shuffle(n):
 def test_ground_truth_matches_the_per_image_loop():
     w = build_world(80, 0.8, 0)
     ds = sample(w, 500, w.split.all_ids, 0)
-    for label_ids in (None, w.split.seen, w.split.unseen, (3, 1000, 3, 7)):
-        want_ids = label_ids or w.split.all_ids
+    for want_ids in (w.split.all_ids, w.split.seen, w.split.unseen, (3, 1000, 3, 7)):
         col = {lid: i for i, lid in enumerate(want_ids)}
         want = np.zeros((len(ds), len(want_ids)), dtype=np.int64)
         for i, pos in enumerate(ds.positives):
             for lid in pos:
                 if lid in col:
                     want[i, col[lid]] = 1
-        gt = ds.ground_truth(label_ids)
+        gt = ds.ground_truth(want_ids)
         assert gt.y.dtype == bool and gt.label_ids == tuple(want_ids)
         np.testing.assert_array_equal(gt.y, want)
 
@@ -272,7 +271,7 @@ def test_ground_truth_allocates_little_more_than_its_matrix():
     ds = sample(w, 2000, w.split.all_ids, 0, stream="sample.test")
     tracemalloc.start()
     try:
-        ds.ground_truth()
+        ds.ground_truth(w.split.all_ids)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -389,7 +388,7 @@ def test_oracle_scores_separate_positives_at_sigma_zero():
         w = build_world(12, 0.75, seed, CLEAN)
         ds = sample(w, 40, w.split.all_ids, seed, stream="t")
         sm = oracle_scores(ds, k=1)
-        gt = ds.ground_truth()
+        gt = ds.ground_truth(w.split.all_ids)
         for i in range(len(ds)):
             y = gt.y[i].astype(bool)
             assert sm.scores[i][y].min() > sm.scores[i][~y].max()
@@ -399,7 +398,7 @@ def test_oracle_scores_separate_positives_at_sigma_zero():
 def test_ground_truth_alignment_and_masking():
     w = small_world(0)
     ds = sample(w, 15, w.split.all_ids, seed=4)
-    gt = ds.ground_truth()
+    gt = ds.ground_truth(w.split.all_ids)
     assert gt.label_ids == w.split.all_ids
     for i, pos in enumerate(ds.positives):
         marked = {gt.label_ids[j] for j in np.flatnonzero(gt.y[i])}
